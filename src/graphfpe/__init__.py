@@ -8,6 +8,7 @@ from .errors import (
     DuplicateEdge,
     GraphFpeError,
     GraphMismatch,
+    InconsistentRateConstants,
     NoConvergence,
     NonpositiveWeight,
     NonPositiveHessian,
@@ -20,6 +21,7 @@ from .errors import (
     NoValidSamples,
     SelfLoop,
     StepSizeUnderflow,
+    VacuousCertificate,
 )
 from .graph_core import (
     Graph,

@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     GraphFpeError,
+    InconsistentRateConstants,
     NoConvergence,
     NonPositiveHessian,
     NonPositiveSymmetrizedJacobian,
@@ -43,6 +44,7 @@ from .errors import (
     NotZeroSum,
     NoValidSamples,
     StepSizeUnderflow,
+    VacuousCertificate,
 )
 from .fpe_dynamics import integrate
 from .free_energy import (
@@ -80,6 +82,7 @@ _PRECONDITION_ERRORS = (
     NonPositiveSymmetrizedJacobian,
     NotZeroSum,
     NoValidSamples,
+    VacuousCertificate,
 )
 
 EXIT_OK = 0
@@ -664,7 +667,7 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         print(f"graphfpe: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NoConvergence, StepSizeUnderflow) as exc:
+    except (NoConvergence, StepSizeUnderflow, InconsistentRateConstants) as exc:
         print(f"graphfpe: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

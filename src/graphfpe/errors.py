@@ -85,6 +85,15 @@ class NoValidSamples(GraphFpeError):
     pass
 
 
+class VacuousCertificate(GraphFpeError):
+    """The decay constant C of the global bound is not representable (m or C
+    underflows to 0, or (r + 1)^2 overflows), so the bound certifies nothing."""
+
+
+class InconsistentRateConstants(GraphFpeError, RuntimeError):
+    """Two algebraically equal routes to a rate constant disagree."""
+
+
 # -- time integration -------------------------------------------------------
 
 class StepSizeUnderflow(GraphFpeError):

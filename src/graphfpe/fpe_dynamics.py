@@ -131,24 +131,27 @@ def invariant_region(model: EnergyModel, graph: Graph, rho0: Density) -> Invaria
 
     M = exp(2 max_{i,j}(|V_i| + |W_ij|)); with c = 1/(1 + (2M)^(1/beta)),
     eps_1 = min(c, min rho0)/2, eps_l = c eps_{l-1}, and the floor is
-    m = c^(n-2) min(c, min rho0)/2.
+    m = c^(n-2) min(c, min rho0)/2. Extreme models give M = inf and c = 0,
+    hence zero epsilons and m, instead of an overflow.
     """
     _check_inputs(model, graph, rho0)
     if not rho0.interior:
         raise BoundaryDensity("invariant region needs an interior starting density")
     n = model.n
     mag = float(np.max(np.abs(model.potential)[:, None] + np.abs(model.interaction)))
-    log_q = (math.log(2.0) + 2.0 * mag) / model.beta
-    if log_q > 700.0:
-        raise ValueError(
-            "model magnitudes overflow the invariant-region bound (exp(2 max|V|+|W|) too large)"
-        )
-    c = 1.0 / (1.0 + math.exp(log_q))
+    c = 1.0 / (1.0 + _exp_or_inf((math.log(2.0) + 2.0 * mag) / model.beta))
     min0 = float(rho0.values.min())
     eps1 = 0.5 * min(c, min0)
     epsilons = eps1 * np.power(c, np.arange(n))
     m = 0.5 * c ** (n - 2) * min(c, min0)
-    return InvariantRegion(epsilons=freeze(epsilons), m=float(m), M=float(math.exp(2.0 * mag)))
+    return InvariantRegion(epsilons=freeze(epsilons), m=float(m), M=_exp_or_inf(2.0 * mag))
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def integrate(

@@ -1,4 +1,4 @@
-"""Weighted graphs, incidence/Laplacian matrices, and a dense symmetric eigensolver.
+"""Weighted graphs, incidence/Laplacian matrices, and the symmetric eigensolver.
 
 Nodes are 0-based inside the library; the 1-based convention of the JSON
 graph format is translated once, in :func:`build_graph` and in the CLI.
@@ -113,11 +113,11 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix (or a stack of them).
 
     ``eigenvalues`` ascend; column k of ``eigenvectors`` pairs with
-    eigenvalue k and the columns are orthonormal. Signs of the columns are
-    an implementation artifact but deterministic for a fixed input.
+    eigenvalue k and the columns are orthonormal. Each column's
+    largest-magnitude entry is positive.
     """
 
     eigenvalues: np.ndarray
@@ -184,71 +184,29 @@ def graph_laplacian(graph: Graph) -> np.ndarray:
     return graph._laplacian
 
 
-def symmetric_eigen(matrix, max_sweeps: int = 100) -> SymmetricSpectrum:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigen(matrix) -> SymmetricSpectrum:
+    """Full spectrum of a symmetric matrix, or of each matrix in a stack, by LAPACK ``eigh``.
 
-    Sweeps run in a fixed row-major order over the strict upper triangle,
-    which makes the output (including eigenvector signs) deterministic.
-    Convergence: off-diagonal Frobenius norm <= 1e-12 * ||M||_F within
-    ``max_sweeps`` sweeps, else :class:`NoConvergence`. Input must be
-    symmetric within 1e-10 * max|M|.
+    ``matrix`` has shape (n, n) or (..., n, n); the spectrum then has
+    eigenvalues of shape (..., n) and eigenvectors of shape (..., n, n).
+    Each matrix must be symmetric within 1e-10 * its own max|M|, else
+    :class:`NotSymmetric`. Every column of eigenvectors is signed so that
+    its largest-magnitude entry (the first one on ties) is positive, which
+    makes the output deterministic; a stacked call gives the same bits as
+    one call per matrix. A LAPACK failure raises :class:`NoConvergence`.
     """
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    if scale > 0 and float(np.max(np.abs(M - M.T))) > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-10 * max|M|")
-
-    A = 0.5 * (M + M.T)
-    Q = np.eye(n)
-    norm_f = float(np.linalg.norm(A))
-    off_tol = 1e-12 * norm_f
-    skip = off_tol / max(n, 1)
-
-    diag_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries: the subtraction
-        # ||A||_F^2 - ||diag||^2 cancels and cannot resolve small residues
-        return float(np.sqrt(np.sum(A[diag_mask] ** 2)))
-
-    converged = n < 2 or norm_f == 0.0 or off_norm() <= off_tol
-    sweeps = 0
-    while not converged and sweeps < max_sweeps:
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J with the Givens rotation J in the (p,q) plane
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                col_p = Q[:, p].copy()
-                col_q = Q[:, q].copy()
-                Q[:, p] = c * col_p - s * col_q
-                Q[:, q] = s * col_p + c * col_q
-        converged = off_norm() <= off_tol
-    if not converged:
-        raise NoConvergence(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return SymmetricSpectrum(eigenvalues=freeze(values[order]), eigenvectors=freeze(Q[:, order]))
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    MT = np.swapaxes(M, -1, -2)
+    if M.size:
+        scale = np.max(np.abs(M), axis=(-2, -1))
+        if np.any(np.max(np.abs(M - MT), axis=(-2, -1)) > 1e-10 * scale):
+            raise NotSymmetric("matrix is not symmetric within 1e-10 * max|M|")
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (M + MT))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver did not converge: {exc}") from exc
+    peak = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :], axis=-2)
+    vectors = np.where(peak < 0, -vectors, vectors)
+    return SymmetricSpectrum(eigenvalues=freeze(values), eigenvectors=freeze(vectors))

@@ -19,11 +19,13 @@ import numpy as np
 from .errors import (
     BoundaryDensity,
     DimensionMismatch,
+    InconsistentRateConstants,
     NonPositiveHessian,
     NonPositiveSymmetrizedJacobian,
     NonSymmetricW,
     NotCertifiedConvex,
     NoValidSamples,
+    VacuousCertificate,
 )
 from .fpe_dynamics import dissipation, invariant_region
 from .free_energy import (
@@ -200,7 +202,10 @@ def rate_constants(
     Requires a certified-convex model and an interior start. The Gibbs
     equilibrium is computed internally. The Theorem-style r and the
     C3/sqrt(C1 C2) route agree algebraically; both are evaluated and
-    cross-checked to 1e-9 relative as an internal consistency guard.
+    cross-checked to 1e-9 relative as an internal consistency guard
+    (:class:`InconsistentRateConstants` on failure). Raises
+    :class:`VacuousCertificate` when the floor m or the constant C underflows
+    to 0 or (r + 1)^2 overflows.
     """
     cert = convexity_certificate(model)
     if not cert.certified_convex:
@@ -216,6 +221,10 @@ def rate_constants(
 
     region = invariant_region(model, graph, rho0)
     m = region.m
+    if m == 0.0:
+        raise VacuousCertificate(
+            "the invariant-region floor m underflows to 0; the decay certificate is vacuous"
+        )
     hat = symmetric_eigen(graph_laplacian(graph))
     lam_sec = float(hat.eigenvalues[1])
     lam_max = float(hat.eigenvalues[-1])
@@ -244,7 +253,8 @@ def rate_constants(
             * hess_norm1
             / lam_min_hess**1.5
             * (1.0 - m)
-            / m**2
+            / m
+            / m
             * lam_max
             / lam_sec**2
             * math.sqrt(delta_f)
@@ -252,18 +262,32 @@ def rate_constants(
         # rationalized root of C1 x = C2 - C3 sqrt(x); the naive quadratic
         # formula cancels catastrophically when C3^2 >> C1 C2
         sqrt_x = 2.0 * C2 / (C3 + math.sqrt(C3 * C3 + 4.0 * C1 * C2))
-        r_alt = C3 / math.sqrt(C1 * C2)
-        if abs(r - r_alt) > 1e-9 * max(r, r_alt):
-            raise RuntimeError(f"rate constant inconsistency: r={r!r} vs C3/sqrt(C1 C2)={r_alt!r}")
     else:
         # started at the equilibrium: the far-field branch is vacuous
         C1 = math.inf
         r = 0.0
         sqrt_x = 0.0
-    C = C2 / (r + 1.0) ** 2
-    c_alt = C2 / (C3 / math.sqrt(C1 * C2) + 1.0) ** 2 if delta_f > 0.0 else C2
+    try:
+        C = C2 / (r + 1.0) ** 2
+    except OverflowError:
+        C = 0.0
+    if C == 0.0:
+        raise VacuousCertificate(
+            f"C = C2 / (r + 1)^2 is not representable (r={r!r}, floor m={m!r}); "
+            "the decay certificate is vacuous"
+        )
+    c_alt = C2
+    if delta_f > 0.0:
+        r_alt = C3 / math.sqrt(C1 * C2)
+        if abs(r - r_alt) > 1e-9 * max(r, r_alt):
+            raise InconsistentRateConstants(
+                f"rate constant inconsistency: r={r!r} vs C3/sqrt(C1 C2)={r_alt!r}"
+            )
+        c_alt = C2 / (r_alt + 1.0) ** 2
     if abs(C - c_alt) > 1e-9 * max(C, c_alt):
-        raise RuntimeError(f"rate constant inconsistency: C={C!r} vs C2/(r'+1)^2={c_alt!r}")
+        raise InconsistentRateConstants(
+            f"rate constant inconsistency: C={C!r} vs C2/(r'+1)^2={c_alt!r}"
+        )
 
     return RateReport(
         m=m,
@@ -331,11 +355,13 @@ def estimate_lsi_constant(
 ) -> LsiEstimate:
     """Sampled estimate of the largest lambda with H <= I / (2 lambda).
 
-    Draws ``count`` uniform (flat Dirichlet) simplex points with every
-    coordinate >= ``min_mass``, and minimizes I/(2H) over samples whose
-    entropy gap exceeds 1e-12. Deterministic for a fixed seed. The
-    inequality is stated for beta = 1; other temperatures are accepted as an
-    extension (both functionals carry beta consistently).
+    Draws ``count`` points uniformly from the region of the simplex where
+    every coordinate is >= ``min_mass``: flat Dirichlet draws that lie in the
+    region, the others replaced by min_mass + (1 - n min_mass) Dirichlet(1),
+    which never rejects. Minimizes I/(2H) over samples whose entropy gap
+    exceeds 1e-12. Deterministic for a fixed seed. The inequality is stated
+    for beta = 1; other temperatures are accepted as an extension (both
+    functionals carry beta consistently).
     """
     cert = convexity_certificate(model)
     if not cert.certified_convex:
@@ -351,15 +377,15 @@ def estimate_lsi_constant(
     if not (0 <= min_mass < 1.0 / n):
         raise ValueError(f"min_mass must lie in [0, 1/n), got {min_mass!r}")
 
+    # Given how many draws land in the region, those draws are uniform on
+    # it, and so are the affine images that replace the others. The kept
+    # draws are the first samples an accept/reject loop on the same seed
+    # returns, so seeded results move little where few draws miss.
     rng = np.random.default_rng(seed)
-    alpha = np.ones(n)
-    samples = np.empty((count, n))
-    filled = 0
-    while filled < count:
-        x = rng.dirichlet(alpha)
-        if float(x.min()) >= min_mass:
-            samples[filled] = x
-            filled += 1
+    draws = rng.dirichlet(np.ones(n), size=count)
+    kept = draws[draws.min(axis=1) >= min_mass]
+    fill = min_mass + (1.0 - n * min_mass) * rng.dirichlet(np.ones(n), size=count - len(kept))
+    samples = np.concatenate([kept, fill])
 
     f_inf = energy(model, rho_inf)
 

@@ -75,29 +75,30 @@ class MetricChecksReport:
     rel_tol: float
 
 
-def _tangent_pinv_apply(graph: Graph, mid: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """L^+(mid) diff through the spectrum of L(mid), zero mode dropped."""
+def _segment_solves(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps d_k = rho_{k+1} - rho_k and w_k = L^+(mid_k) d_k for every segment k.
+
+    All K midpoint Laplacians go through one stacked eigendecomposition; the
+    zero mode is dropped, and a midpoint whose spectral gap falls below
+    1e-14 of its top eigenvalue raises :class:`BoundaryDensity`.
+    """
+    diff = np.diff(points, axis=0)
+    mid = 0.5 * (points[:-1] + points[1:])
     D = incidence_matrix(graph)
-    th = 0.5 * (mid[graph.edge_tail] + mid[graph.edge_head])
-    L = D.T @ (th[:, None] * D)
-    spec = symmetric_eigen(0.5 * (L + L.T))
+    th = 0.5 * (mid[:, graph.edge_tail] + mid[:, graph.edge_head])
+    spec = symmetric_eigen(D.T @ (th[:, :, None] * D))
     lam = spec.eigenvalues
-    if lam[1] <= 1e-14 * max(lam[-1], 1e-300):
+    if np.any(lam[:, 1] <= 1e-14 * np.maximum(lam[:, -1], 1e-300)):
         raise BoundaryDensity("path point too close to the simplex boundary; metric degenerates")
-    Q = spec.eigenvectors
-    coeff = Q.T @ diff
-    return Q[:, 1:] @ (coeff[1:] / lam[1:])
+    Q = spec.eigenvectors[:, :, 1:]
+    coeff = (np.swapaxes(Q, 1, 2) @ diff[:, :, None])[:, :, 0]
+    w = (Q @ (coeff / lam[:, 1:])[:, :, None])[:, :, 0]
+    return diff, w
 
 
 def _action_only(graph: Graph, points: np.ndarray) -> float:
-    K = points.shape[0] - 1
-    dt = 1.0 / K
-    total = 0.0
-    for k in range(K):
-        diff = points[k + 1] - points[k]
-        mid = 0.5 * (points[k] + points[k + 1])
-        total += float(diff @ _tangent_pinv_apply(graph, mid, diff)) / dt
-    return total
+    diff, w = _segment_solves(graph, points)
+    return float(np.sum(diff * w)) * (points.shape[0] - 1)
 
 
 def _action_and_grad(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarray]:
@@ -110,31 +111,12 @@ def _action_and_grad(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarra
     is half the sum of outer products d_e d_e^T over incident edges).
     """
     K = points.shape[0] - 1
-    n = points.shape[1]
-    dt = 1.0 / K
     D = incidence_matrix(graph)
-    tail, head = graph.edge_tail, graph.edge_head
-
-    total = 0.0
-    w_all = np.empty((K, n))
-    s_all = np.empty((K, n))
-    for k in range(K):
-        diff = points[k + 1] - points[k]
-        mid = 0.5 * (points[k] + points[k + 1])
-        w = _tangent_pinv_apply(graph, mid, diff)
-        total += float(diff @ w) / dt
-        w_all[k] = w
-        y2 = (D @ w) ** 2
-        s = np.zeros(n)
-        np.add.at(s, tail, y2)
-        np.add.at(s, head, y2)
-        s_all[k] = s
-
-    grad = np.empty((K - 1, n))
-    for j in range(1, K):
-        grad[j - 1] = (2.0 / dt) * (w_all[j - 1] - w_all[j]) - (s_all[j - 1] + s_all[j]) / (4.0 * dt)
+    diff, w = _segment_solves(graph, points)
+    s = ((w @ D.T) ** 2) @ (D != 0.0)
+    grad = (2.0 * K) * (w[:-1] - w[1:]) - (0.25 * K) * (s[:-1] + s[1:])
     grad -= grad.mean(axis=1, keepdims=True)  # project onto the zero-sum tangent plane
-    return total, grad
+    return float(np.sum(diff * w)) * K, grad
 
 
 def path_action(graph: Graph, path: DiscretePath) -> float:

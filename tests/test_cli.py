@@ -140,6 +140,37 @@ def test_simulate_step_underflow_exits_3_with_dump(tmp_path):
     assert summary["completed"] is False
 
 
+def test_simulate_extreme_potential_exits_cleanly(tmp_path):
+    # exp(2 * 400) overflows the invariant-region bound; the run falls back
+    # to the absolute positivity floor instead of raising
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "V": [400.0, 0.0]}
+    config["simulate"] = {"rho0": [0.5, 0.5], "t_end": 1.0}
+    cfg = write_config(tmp_path, config)
+    assert run("simulate", cfg, tmp_path / "out") in (0, 3, 4)
+
+
+def test_rates_vacuous_certificate_exits_4(tmp_path, capsys):
+    # 40-node ring with a random convex model: the invariant-region floor is
+    # about 5e-51, so C = C2 / (r + 1)^2 is not representable
+    rng = np.random.default_rng(40)
+    n = 40
+    A = rng.normal(0.0, 0.35, size=(n, n)) / np.sqrt(n)
+    x = 0.5 / n + 0.5 * rng.dirichlet(np.ones(n))
+    config = {
+        "graph": {"n": n, "edges": [[i + 1, (i + 1) % n + 1, 1.0] for i in range(n)]},
+        "model": {
+            "beta": 1.0,
+            "V": rng.uniform(-1.0, 1.0, n).tolist(),
+            "W": (0.5 * (A + A.T)).tolist(),
+        },
+        "rates": {"rho0": (x / x.sum()).tolist()},
+    }
+    cfg = write_config(tmp_path, config)
+    assert run("rates", cfg, tmp_path / "out") == 4
+    assert "vacuous" in capsys.readouterr().err
+
+
 def test_rates_canonical(tmp_path):
     cfg = write_config(tmp_path, CANONICAL)
     out = tmp_path / "out"

@@ -109,6 +109,15 @@ def test_invariant_region_epsilon_recursion():
     assert region.m > 0
 
 
+def test_invariant_region_extreme_model_gives_zero_floor():
+    # (2M)^(1/beta) = 2 exp(800) overflows a float: c, the epsilons and m are 0
+    model = EnergyModel(np.zeros((2, 2)), np.array([400.0, 0.0]), 1.0)
+    region = invariant_region(model, path2(), Density([0.5, 0.5]))
+    assert region.M == math.inf
+    assert region.m == 0.0
+    assert np.array_equal(region.epsilons, [0.0, 0.0])
+
+
 def test_integrate_constant_at_equilibrium():
     g = path2()
     model = bare_model(2)

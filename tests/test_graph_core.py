@@ -153,3 +153,55 @@ def test_connectedness_equals_spectral_gap():
         lam = symmetric_eigen(graph_laplacian(g)).eigenvalues
         assert abs(lam[0]) <= 1e-10
         assert lam[1] > 1e-8
+
+
+def random_symmetric_stack(rng, count, n):
+    A = rng.standard_normal((count, n, n)) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
+    return A + np.swapaxes(A, 1, 2)
+
+
+def test_eigen_stack_equals_single_calls():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 6, 9):
+        stack = random_symmetric_stack(rng, 7, n)
+        stack[3] = 0.0  # a zero matrix inside a stack keeps the identity basis
+        spec = symmetric_eigen(stack)
+        assert spec.eigenvalues.shape == (7, n)
+        assert spec.eigenvectors.shape == (7, n, n)
+        for k, M in enumerate(stack):
+            single = symmetric_eigen(M)
+            assert np.array_equal(spec.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(spec.eigenvectors[k], single.eigenvectors)
+        assert np.array_equal(spec.eigenvectors[3], np.eye(n))
+    nested = random_symmetric_stack(rng, 6, 4).reshape(2, 3, 4, 4)
+    flat = symmetric_eigen(nested.reshape(6, 4, 4))
+    assert np.array_equal(symmetric_eigen(nested).eigenvectors.reshape(6, 4, 4), flat.eigenvectors)
+
+
+def test_eigen_values_match_eigvalsh():
+    rng = np.random.default_rng(19)
+    for n in (2, 4, 10, 25):
+        stack = random_symmetric_stack(rng, 5, n)
+        lam = symmetric_eigen(stack).eigenvalues
+        ref = np.linalg.eigvalsh(stack)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(lam - ref) <= 1e-13 * scale)
+
+
+def test_eigen_sign_rule():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 7, 16):
+        Q = symmetric_eigen(random_symmetric_stack(rng, 4, n)).eigenvectors
+        peak = np.take_along_axis(Q, np.argmax(np.abs(Q), axis=1)[:, None, :], axis=1)
+        assert np.all(peak > 0)
+
+
+def test_eigen_stack_symmetry_checked_per_matrix():
+    # a 1e-8 asymmetry is rounding for a matrix of size 1e3, not for one of size 1
+    big = np.array([[1e3, 1.0], [1.0 + 1e-8, 1e3]])
+    small = np.array([[1.0, 0.5], [0.5 + 1e-8, 1.0]])
+    symmetric_eigen(big)
+    with pytest.raises(NotSymmetric):
+        symmetric_eigen(np.stack([big, small]))
+    with pytest.raises(ValueError):
+        symmetric_eigen(np.zeros((2, 3)))

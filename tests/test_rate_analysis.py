@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from graphfpe import (
     NonPositiveHessian,
     NonPositiveSymmetrizedJacobian,
     NotCertifiedConvex,
+    VacuousCertificate,
     asymptotic_rate,
+    build_graph,
     dissipation,
     estimate_lsi_constant,
     fisher_rate,
@@ -283,6 +286,40 @@ def test_lsi_estimate_jobs_invariant():
     a = estimate_lsi_constant(model, g, UNIFORM2, count=500, seed=3, jobs=1)
     b = estimate_lsi_constant(model, g, UNIFORM2, count=500, seed=3, jobs=4)
     assert a.lambda_hat == b.lambda_hat
+
+
+def test_lsi_estimate_tight_min_mass_returns_quickly():
+    # only a 1e-9 share of flat Dirichlet draws has every coordinate >= 0.09
+    # on 10 nodes; the estimate must not wait for them
+    rng = np.random.default_rng(4)
+    model = random_convex_model(rng, 10)
+    g = random_connected_graph(rng, 10)
+    rho_inf = gibbs_fixed_point(model, Density(np.full(10, 0.1)), tol=1e-13).density
+    started = time.perf_counter()
+    est = estimate_lsi_constant(model, g, rho_inf, count=300, seed=5, min_mass=0.09)
+    assert time.perf_counter() - started < 5.0
+    assert float(est.worst_density.values.min()) >= 0.09
+    assert est.samples_retained == 300
+    assert est.lambda_hat > 0
+
+
+def test_rate_constants_vacuous_certificate():
+    # 40-node ring: the floor m ~ 5e-51 makes (r + 1)^2 overflow
+    rng = np.random.default_rng(40)
+    n = 40
+    A = rng.normal(0.0, 0.35, size=(n, n)) / np.sqrt(n)
+    model = EnergyModel(0.5 * (A + A.T), rng.uniform(-1.0, 1.0, n), 1.0)
+    ring = build_graph(n, [(i + 1, (i + 1) % n + 1, 1.0) for i in range(n)])
+    x = 0.5 / n + 0.5 * rng.dirichlet(np.ones(n))
+    with pytest.raises(VacuousCertificate, match="vacuous"):
+        rate_constants(model, ring, Density(x / x.sum()))
+    # pure-entropy paths, where m = 3^-(n-2) min(1/3, min rho0) / 2: at n = 420
+    # m ~ 1e-203 and m^2 underflows, at n = 700 m itself underflows to 0
+    for n in (420, 700):
+        path = build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)])
+        x = np.linspace(1.0, 2.0, n)
+        with pytest.raises(VacuousCertificate, match="vacuous"):
+            rate_constants(bare_model(n), path, Density(x / x.sum()))
 
 
 def test_lsi_estimate_requires_convexity():

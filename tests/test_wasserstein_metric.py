@@ -7,11 +7,13 @@ from graphfpe import (
     BoundaryDensity,
     Density,
     DiscretePath,
+    build_graph,
     path_action,
     w2_distance,
     w2_metric_checks,
 )
-from helpers import interior_density, k3, path2
+from graphfpe.wasserstein_metric import _action_and_grad, _action_only
+from helpers import interior_density, k3, path2, random_connected_graph
 
 
 def linear_path(rho0: Density, rho1: Density, K: int) -> DiscretePath:
@@ -105,29 +107,90 @@ def test_distance_rejects_boundary_endpoints():
         w2_distance(path2(), Density([1.0, 0.0]), Density([0.5, 0.5]))
 
 
+def random_path_cases(seed: int, count: int):
+    """(graph, points) pairs: random 3-8 node graphs with 2-6 segment paths."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        K = int(rng.integers(2, 7))
+        points = np.stack([interior_density(rng, n, floor=0.2 / n).values for _ in range(K + 1)])
+        yield random_connected_graph(rng, n), points
+
+
+def pinv_reference(g, points):
+    """Action and tangent-projected gradient, one numpy pinv per segment."""
+    K, n = points.shape[0] - 1, points.shape[1]
+    D = np.zeros((g.edge_count, n))
+    for e, (i, j, w) in enumerate(g.edges):
+        D[e, i], D[e, j] = math.sqrt(w), -math.sqrt(w)
+    total, ws, ss = 0.0, [], []
+    for k in range(K):
+        d = points[k + 1] - points[k]
+        mid = 0.5 * (points[k] + points[k + 1])
+        th = np.array([0.5 * (mid[i] + mid[j]) for i, j, _ in g.edges])
+        w = np.linalg.pinv(D.T @ np.diag(th) @ D) @ d
+        total += K * float(d @ w)
+        s = np.zeros(n)
+        for e, (i, j, _) in enumerate(g.edges):
+            s[i] += float(D[e] @ w) ** 2
+            s[j] += float(D[e] @ w) ** 2
+        ws.append(w)
+        ss.append(s)
+    grad = np.array(
+        [2 * K * (ws[j - 1] - ws[j]) - K / 4 * (ss[j - 1] + ss[j]) for j in range(1, K)]
+    )
+    return total, grad - grad.mean(axis=1, keepdims=True)
+
+
+def test_batched_action_and_gradient_match_pinv_reference():
+    for g, points in random_path_cases(31, 25):
+        act, grad = _action_and_grad(g, points)
+        ref_act, ref_grad = pinv_reference(g, points)
+        assert abs(act - ref_act) <= 1e-12 * ref_act
+        assert _action_only(g, points) == act
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
 def test_action_gradient_matches_finite_differences():
     # the optimizer's analytic gradient (metric-derivative term included)
     # against central differences of the action
-    from graphfpe.wasserstein_metric import _action_and_grad, _action_only
-
     rng = np.random.default_rng(2)
     g = k3()
     K = 4
     points = np.stack(
         [interior_density(rng, 3, floor=0.1).values for _ in range(K + 1)]
     )
-    _, grad = _action_and_grad(g, points)
+    cases = [(g, points), *random_path_cases(37, 10)]
     h = 1e-6
-    for j in range(1, K):
-        raw = rng.standard_normal(3)
-        direction = raw - raw.mean()
-        bumped_up = points.copy()
-        bumped_up[j] = points[j] + h * direction
-        bumped_dn = points.copy()
-        bumped_dn[j] = points[j] - h * direction
-        fd = (_action_only(g, bumped_up) - _action_only(g, bumped_dn)) / (2 * h)
-        analytic = float(grad[j - 1] @ direction)
-        assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+    for g, points in cases:
+        _, grad = _action_and_grad(g, points)
+        n, K = points.shape[1], points.shape[0] - 1
+        for j in range(1, K):
+            raw = rng.standard_normal(n)
+            direction = raw - raw.mean()
+            bumped_up = points.copy()
+            bumped_up[j] = points[j] + h * direction
+            bumped_dn = points.copy()
+            bumped_dn[j] = points[j] - h * direction
+            fd = (_action_only(g, bumped_up) - _action_only(g, bumped_dn)) / (2 * h)
+            analytic = float(grad[j - 1] @ direction)
+            assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_action_rejects_one_midpoint_near_boundary():
+    # on the path 1-2-3, nodes 1 and 2 nearly empty at both ends of the last
+    # segment cut node 1 off in L(mid) of that segment only
+    g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+    ok = np.array([0.3, 0.3, 0.4])
+    near = np.array([1e-17, 1e-17, 1.0])
+    _action_only(g, np.stack([ok, ok, near]))
+    points = np.stack([ok, ok, near, near])
+    with pytest.raises(BoundaryDensity):
+        _action_only(g, points)
+    with pytest.raises(BoundaryDensity):
+        _action_and_grad(g, points)
+    with pytest.raises(BoundaryDensity):
+        path_action(g, DiscretePath(densities=tuple(Density(p) for p in points)))
 
 
 def test_metric_checks_degenerate_triple():
