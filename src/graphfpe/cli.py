@@ -2,8 +2,9 @@
 
 Usage:
     graphfpe <gibbs|simulate|rates|lsi|w2|decompose> --config cfg.json
-             [--out DIR] [--jobs N] [--seed S]
+             [--out DIR] [--seed S]
 
+``--jobs N`` is accepted and ignored, kept for existing command lines.
 Every command is deterministic given (config, seed); floats in JSON and CSV
 outputs are written with 17 significant digits so repeated runs are
 byte-identical. Each output embeds the SHA-256 digest of the canonicalized
@@ -57,6 +58,7 @@ from .free_energy import (
 from .graph_core import Graph, build_graph
 from .rate_analysis import (
     asymptotic_rate,
+    estimate_lsi_constant,
     fisher_rate,
     linearized_rate,
     rate_constants,
@@ -237,7 +239,6 @@ class _Run:
         self.out = Path(args.out) if args.out else Path(self.config.get("output_dir", "."))
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
-        self.jobs = max(1, args.jobs)
         self.stamp = {
             "config_digest": _digest(self.config),
             "graph_digest": _digest(self.graph_dict),
@@ -287,9 +288,7 @@ def cmd_gibbs(run: _Run) -> int:
     payload = dict(run.stamp)
     if "starts" in opts:
         starts = [run.density(s, "gibbs.starts entry") for s in opts["starts"]]
-        results = find_all_equilibria(
-            run.model, starts, tol=tol, max_iter=max_iter, damping=damping, jobs=run.jobs
-        )
+        results = find_all_equilibria(run.model, starts, tol=tol, max_iter=max_iter, damping=damping)
         if not results:
             payload["converged"] = False
             payload["equilibria"] = []
@@ -378,14 +377,6 @@ def _read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return raw[:, 0], raw[:, -2]  # t and energy columns
 
 
-class _EnergySeries:
-    """Duck-typed stand-in for Trajectory in verify_decay_bound."""
-
-    def __init__(self, times, energies):
-        self.times = times
-        self.energy = energies
-
-
 def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     opts = run.section("rates")
     if "rho0" not in opts:
@@ -400,7 +391,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
             if "starts" in opts
             else run.default_starts()
         )
-        results = find_all_equilibria(run.model, starts, jobs=run.jobs)
+        results = find_all_equilibria(run.model, starts)
         if not results:
             raise NoConvergence("no equilibrium start converged")
         entries = []
@@ -414,9 +405,8 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
                 entry["lambda_asymptotic"] = asymptotic_rate(run.model, run.graph, res.density)
                 entry["hessian_positive"] = True
             except NonPositiveHessian:
-                # indefinite full-space Hessian: fall back to the L-side
-                # similarity, which still yields the tangent linearization
-                # rate (negative values flag unstable equilibria)
+                # indefinite Hessian: the tangent rate is still defined, and a
+                # negative value flags an unstable equilibrium
                 entry["lambda_asymptotic"] = linearized_rate(run.model, run.graph, res.density)
                 entry["hessian_positive"] = False
             try:
@@ -466,7 +456,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     )
     if "trajectory" in opts:
         times, energies = _read_trajectory_csv(run.base / opts["trajectory"])
-        check = verify_decay_bound(_EnergySeries(times, energies), report, report.f_inf)
+        check = verify_decay_bound(times, energies, report, report.f_inf)
         payload["bound_holds"] = check.holds
         payload["bound_max_violation"] = check.max_violation
         try:
@@ -478,8 +468,6 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
 
 
 def cmd_lsi(run: _Run) -> int:
-    from .rate_analysis import estimate_lsi_constant
-
     opts = run.section("lsi")
     if "count" not in opts:
         raise ConfigError("lsi requires 'count'")
@@ -492,7 +480,6 @@ def cmd_lsi(run: _Run) -> int:
         count=opts["count"],
         seed=run.seed,
         min_mass=opts.get("min_mass", 1e-4),
-        jobs=run.jobs,
     )
     payload = dict(run.stamp)
     payload.update(
@@ -632,7 +619,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: config output_dir or '.')")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for multi-start/sampling")
+        p.add_argument("--jobs", type=int, default=1, help="ignored (kept for existing command lines)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "rates":
             p.add_argument(

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryDensity, DimensionMismatch, StepSizeUnderflow
-from .free_energy import EnergyModel, energy, energy_gradient
-from .graph_core import Graph, freeze, incidence_matrix
-from .simplex_calculus import Density, TangentVector
+from .free_energy import EnergyModel, _drift_raw, _energy_raw
+from .graph_core import Graph, freeze
+from .simplex_calculus import Density, TangentVector, laplacian_apply, laplacian_form
 
 __all__ = [
     "Trajectory",
@@ -87,27 +87,14 @@ def _check_inputs(model: EnergyModel, graph: Graph, rho: Density) -> None:
         )
 
 
-def _drift_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
-    return model.interaction @ values + model.potential + model.beta * (np.log(values) + 1.0)
-
-
 def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
-    """Edge-summed right-hand side on raw positive values (no validation)."""
-    F = _drift_raw(model, values)
-    tail, head = graph.edge_tail, graph.edge_head
-    th = 0.5 * (values[tail] + values[head])
-    flux = graph.weights * th * (F[tail] - F[head])
-    out = np.zeros_like(values)
-    np.subtract.at(out, tail, flux)
-    np.add.at(out, head, flux)
-    return out
+    """-L(rho) F(rho) on raw positive values (no validation)."""
+    return -laplacian_apply(graph, values, _drift_raw(model, values))
 
 
 def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> float:
-    F = _drift_raw(model, values)
-    g = incidence_matrix(graph) @ F
-    th = 0.5 * (values[graph.edge_tail] + values[graph.edge_head])
-    return -float(np.dot(th, g * g))
+    """-F^T L(rho) F on raw positive values (no validation)."""
+    return -float(laplacian_form(graph, values, _drift_raw(model, values)))
 
 
 def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
@@ -195,7 +182,7 @@ def integrate(
 
     y = rho0.values.copy()
     t = 0.0
-    current_energy = energy(model, rho0)
+    current_energy = float(_energy_raw(model, y))
 
     times: list[float] = []
     states: list[np.ndarray] = []
@@ -205,7 +192,7 @@ def integrate(
     def record(time: float, values: np.ndarray, e: float | None = None) -> None:
         times.append(time)
         states.append(values.copy())
-        energies.append(energy(model, Density(values)) if e is None else e)
+        energies.append(float(_energy_raw(model, values)) if e is None else e)
         dissipations.append(_dissipation_raw(model, graph, values))
 
     record(0.0, y, current_energy)
@@ -262,7 +249,7 @@ def integrate(
         y_new = y_new / mass
 
         if guard_energy:
-            new_energy = energy(model, Density(y_new))
+            new_energy = float(_energy_raw(model, y_new))
             if new_energy - current_energy > abs_tol:
                 rejected += 1
                 h = 0.5 * h_try

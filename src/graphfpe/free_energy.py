@@ -11,7 +11,6 @@ generates the flow).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,12 +104,28 @@ def _check_model_density(model: EnergyModel, rho: Density) -> None:
         raise DimensionMismatch(f"density has {rho.n} entries, model expects {model.n}")
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis, one BLAS call per row: a row of a batch gives a single call's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _energy_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
+    """F at each row, (..., n) -> (...), unvalidated; 0 log 0 is taken as 0."""
+    ent = np.sum(values * np.log(np.where(values > 0, values, 1.0)), axis=-1)
+    quad = _row_dot(0.5 * values, (model.interaction @ values[..., None])[..., 0])
+    return quad + _row_dot(values, model.potential) + model.beta * ent
+
+
+def _drift_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
+    """W rho + V + beta (log rho + 1) at each row, (..., n) -> (..., n), unvalidated; rows must be positive."""
+    Wv = (model.interaction @ values[..., None])[..., 0]
+    return Wv + model.potential + model.beta * (np.log(values) + 1.0)
+
+
 def energy(model: EnergyModel, rho: Density) -> float:
     """Free energy F(rho); 0 log 0 is taken as 0."""
     _check_model_density(model, rho)
-    v = rho.values
-    ent = float(np.sum(np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)))
-    return float(0.5 * v @ (model.interaction @ v) + model.potential @ v + model.beta * ent)
+    return float(_energy_raw(model, rho.values))
 
 
 def energy_gradient(model: EnergyModel, rho: Density) -> np.ndarray:
@@ -122,8 +137,7 @@ def energy_gradient(model: EnergyModel, rho: Density) -> np.ndarray:
     _check_model_density(model, rho)
     if not rho.interior:
         raise BoundaryDensity("energy gradient needs strictly positive mass everywhere")
-    v = rho.values
-    return model.interaction @ v + model.potential + model.beta * (np.log(v) + 1.0)
+    return _drift_raw(model, rho.values)
 
 
 def energy_hessian(model: EnergyModel, rho: Density) -> np.ndarray:
@@ -210,7 +224,6 @@ def find_all_equilibria(
     tol: float = 1e-12,
     max_iter: int = 10_000,
     damping: float = 0.5,
-    jobs: int = 1,
 ) -> list[GibbsResult]:
     """Run the fixed-point solver from every start and deduplicate.
 
@@ -219,24 +232,18 @@ def find_all_equilibria(
     that fail to converge are skipped and counted in a warning.
     """
     starts = list(starts)
-
-    def solve(rho0: Density):
+    candidates: list[GibbsResult] = []
+    for rho0 in starts:
         try:
-            return gibbs_fixed_point(model, rho0, tol=tol, max_iter=max_iter, damping=damping)
+            candidates.append(
+                gibbs_fixed_point(model, rho0, tol=tol, max_iter=max_iter, damping=damping)
+            )
         except NoConvergence:
-            return None
-
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(solve, starts))
-    else:
-        raw = [solve(s) for s in starts]
-
-    failed = sum(1 for r in raw if r is None)
+            pass
+    failed = len(starts) - len(candidates)
     if failed:
         logger.warning("%d of %d equilibrium starts did not converge", failed, len(starts))
 
-    candidates = [r for r in raw if r is not None]
     candidates.sort(key=lambda r: (energy(model, r.density), tuple(r.density.values)))
     kept: list[GibbsResult] = []
     for cand in candidates:

@@ -62,6 +62,10 @@ class Graph:
         return np.array([e[1] for e in self.edges], dtype=int)
 
     @cached_property
+    def edge_ends(self) -> np.ndarray:
+        return np.stack((self.edge_tail, self.edge_head))
+
+    @cached_property
     def weights(self) -> np.ndarray:
         return freeze([e[2] for e in self.edges])
 

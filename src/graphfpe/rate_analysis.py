@@ -11,7 +11,6 @@ a numeric search over the simplex.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,15 @@ from .errors import (
 from .fpe_dynamics import dissipation, invariant_region
 from .free_energy import (
     EnergyModel,
+    _drift_raw,
+    _energy_raw,
     convexity_certificate,
     energy,
     energy_hessian,
     gibbs_fixed_point,
 )
 from .graph_core import Graph, graph_laplacian, symmetric_eigen
-from .simplex_calculus import Density, weighted_laplacian
+from .simplex_calculus import Density, laplacian_form, weighted_laplacian
 
 __all__ = [
     "RateReport",
@@ -52,6 +53,8 @@ __all__ = [
     "estimate_lsi_constant",
     "tail_slope",
 ]
+
+_LSI_BLOCK = 256  # sample rows per batched evaluation; bounds the (rows x edges) temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +120,22 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     return -dissipation(model, graph, rho)
 
 
-def _sqrt_of_spd(matrix: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    spec = symmetric_eigen(matrix)
-    lam = spec.eigenvalues
-    if float(lam[0]) <= 0.0:
-        raise error(f"{what} is not positive definite (min eigenvalue {float(lam[0]):.3e})")
-    Q = spec.eigenvectors
-    return (Q * np.sqrt(lam)) @ Q.T
+def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
+    """Smallest eigenvalue of Lam^1/2 Q^T S Q Lam^1/2, the nonzero spectrum of L(rho) S for symmetric S.
+
+    (Lam, Q) are the nonzero eigenpairs of L(rho): all but the first, as the
+    kernel is the constants for an interior rho.
+    """
+    spec = weighted_laplacian(graph, rho).spectrum
+    half = spec.eigenvectors[:, 1:] * np.sqrt(spec.eigenvalues[1:])
+    M = half.T @ S @ half
+    return float(symmetric_eigen(0.5 * (M + M.T)).eigenvalues[0])
 
 
-def _second_smallest_of_product(lap_matrix: np.ndarray, spd_half: np.ndarray) -> float:
-    """lambda_sec of L * S for SPD S, via the symmetric similar matrix S^1/2 L S^1/2."""
-    sym = spd_half @ lap_matrix @ spd_half
-    return float(symmetric_eigen(0.5 * (sym + sym.T)).eigenvalues[1])
+def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str) -> None:
+    low = float(symmetric_eigen(S).eigenvalues[0])
+    if low <= 0.0:
+        raise error(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
 def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> float:
@@ -140,10 +146,9 @@ def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> fl
     """
     if not model.is_symmetric:
         raise NonSymmetricW("Hessian quadratic form requires a symmetric interaction matrix")
-    if not rho.interior:
-        raise BoundaryDensity("Hessian quadratic form needs an interior density")
-    hess_half = _sqrt_of_spd(energy_hessian(model, rho), NonPositiveHessian, "Hess F")
-    return _second_smallest_of_product(weighted_laplacian(graph, rho).matrix, hess_half)
+    hess = energy_hessian(model, rho)  # raises BoundaryDensity unless rho is interior
+    _require_positive_definite(hess, NonPositiveHessian, "Hess F")
+    return _tangent_rate(graph, rho, hess)
 
 
 def asymptotic_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -152,28 +157,17 @@ def asymptotic_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float
 
 
 def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
-    """Slowest tangent eigenvalue of L(rho_inf) HessF(rho_inf) via the L-side similarity.
+    """Slowest tangent eigenvalue of L(rho_inf) HessF(rho_inf).
 
-    Uses L^1/2 HessF L^1/2, which shares the nonzero spectrum of L HessF but
-    needs no positive-definite Hessian, so it also covers equilibria of
-    non-convex energies where the full-space Hessian is indefinite. The
-    structural zero from the kernel of L is dropped (smallest |eigenvalue|);
-    a negative return value flags an unstable equilibrium. Coincides with
-    :func:`asymptotic_rate` whenever the Hessian is positive definite.
+    Needs no positive-definite Hessian, so it also covers equilibria of
+    non-convex energies where the full-space Hessian is indefinite; a
+    negative return value flags an unstable equilibrium. Equals
+    :func:`asymptotic_rate` bit for bit whenever the Hessian is positive
+    definite.
     """
     if not model.is_symmetric:
         raise NonSymmetricW("linearized rate requires a symmetric interaction matrix")
-    if not rho_inf.interior:
-        raise BoundaryDensity("linearized rate needs an interior density")
-    hess = energy_hessian(model, rho_inf)
-    lap_spec = weighted_laplacian(graph, rho_inf).spectrum
-    lam = np.clip(lap_spec.eigenvalues, 0.0, None)
-    Q = lap_spec.eigenvectors
-    lap_half = (Q * np.sqrt(lam)) @ Q.T
-    sym = lap_half @ hess @ lap_half
-    values = symmetric_eigen(0.5 * (sym + sym.T)).eigenvalues
-    keep = np.delete(values, int(np.argmin(np.abs(values))))
-    return float(keep.min())
+    return _tangent_rate(graph, rho_inf, energy_hessian(model, rho_inf))
 
 
 def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -186,8 +180,8 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
         raise BoundaryDensity("Fisher rate needs an interior equilibrium")
     W = model.interaction
     sym_jac = W + W.T + 2.0 * model.beta * np.diag(1.0 / rho_inf.values)
-    half = _sqrt_of_spd(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
-    return _second_smallest_of_product(weighted_laplacian(graph, rho_inf).matrix, half)
+    _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
+    return _tangent_rate(graph, rho_inf, sym_jac)
 
 
 def rate_constants(
@@ -307,10 +301,14 @@ def rate_constants(
     )
 
 
-def verify_decay_bound(trajectory, report: RateReport, f_inf: float) -> DecayCheck:
-    """Check F(rho(t)) - F_inf <= e^{-Ct} (F(rho0) - F_inf) at all recorded times."""
-    gaps = trajectory.energy - f_inf
-    bounds = np.exp(-report.C * trajectory.times) * report.delta_F
+def verify_decay_bound(times, energies, report: RateReport, f_inf: float) -> DecayCheck:
+    """Check F(rho(t)) - F_inf <= e^{-Ct} (F(rho0) - F_inf) at every recorded time.
+
+    ``times`` and ``energies`` are arrays of the recorded samples, for
+    instance a :class:`Trajectory`'s ``times`` and ``energy``.
+    """
+    gaps = energies - f_inf
+    bounds = np.exp(-report.C * times) * report.delta_F
     worst = -math.inf
     for gap, bound in zip(gaps, bounds):
         if bound > 0.0:
@@ -351,7 +349,6 @@ def estimate_lsi_constant(
     count: int,
     seed: int,
     min_mass: float = 1e-4,
-    jobs: int = 1,
 ) -> LsiEstimate:
     """Sampled estimate of the largest lambda with H <= I / (2 lambda).
 
@@ -388,19 +385,14 @@ def estimate_lsi_constant(
     samples = np.concatenate([kept, fill])
 
     f_inf = energy(model, rho_inf)
-
-    def ratio_at(idx: int) -> float:
-        rho = Density(samples[idx])
-        gap = energy(model, rho) - f_inf
-        if gap < 1e-12:
-            return math.inf  # excluded from the minimum
-        return relative_fisher(model, graph, rho) / (2.0 * gap)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ratios = np.fromiter(pool.map(ratio_at, range(count)), dtype=float, count=count)
-    else:
-        ratios = np.fromiter((ratio_at(i) for i in range(count)), dtype=float, count=count)
+    ratios = np.empty(count)
+    for start in range(0, count, _LSI_BLOCK):
+        block = samples[start : start + _LSI_BLOCK]
+        gap = _energy_raw(model, block) - f_inf
+        fisher = laplacian_form(graph, block, _drift_raw(model, block))
+        ratios[start : start + _LSI_BLOCK] = np.divide(
+            fisher, 2.0 * gap, out=np.full_like(gap, math.inf), where=gap >= 1e-12
+        )
 
     retained = int(np.sum(np.isfinite(ratios)))
     if retained == 0:

@@ -8,8 +8,8 @@ representative returned by :func:`solve_potential` has mean zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +34,9 @@ __all__ = [
     "divergence",
     "inner_product",
     "weighted_laplacian",
+    "laplacian_matrices",
+    "laplacian_apply",
+    "laplacian_form",
     "solve_potential",
     "metric_inner",
     "hodge_decompose",
@@ -136,17 +139,12 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class WeightedLaplacian:
-    """L(rho) = D^T Theta(rho) D together with its spectrum, fixed at construction.
-
-    ``theta_kind`` identifies the edge-weight rule; only the arithmetic
-    average is implemented.
-    """
+    """L(rho) = D^T Theta(rho) D together with its spectrum, fixed at construction."""
 
     graph: Graph
     density: Density
     matrix: np.ndarray
     spectrum: SymmetricSpectrum
-    theta_kind: str = "average"
 
     def apply_pinv(self, sigma: np.ndarray) -> np.ndarray:
         """Apply the pseudo-inverse (zero mode dropped) to a zero-sum vector."""
@@ -157,11 +155,6 @@ class WeightedLaplacian:
         coeff = Q.T @ sigma
         return Q[:, 1:] @ (coeff[1:] / lam[1:])
 
-    @cached_property
-    def tangent_eigenvalues(self) -> np.ndarray:
-        """Nonzero part of the spectrum (the metric's eigenvalues on the tangent space)."""
-        return self.spectrum.eigenvalues[1:]
-
 
 def _check_nodes(graph: Graph, rho: Density) -> None:
     if rho.n != graph.node_count:
@@ -170,18 +163,49 @@ def _check_nodes(graph: Graph, rho: Density) -> None:
         )
 
 
+def _thetas(graph: Graph, values: np.ndarray) -> np.ndarray:
+    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E); the only copy of the rule."""
+    ends = values.take(graph.edge_ends, axis=-1)
+    return 0.5 * (ends[..., 0, :] + ends[..., 1, :])
+
+
 def theta(graph: Graph, rho: Density, i: int, j: int) -> float:
     """Arithmetic-average edge weight theta_ij = (rho_i + rho_j) / 2 for an edge (i, j)."""
-    _check_nodes(graph, rho)
-    graph.edge_index(i, j)  # raises NotAnEdge for non-edges
-    return float(0.5 * (rho.values[i] + rho.values[j]))
+    return float(edge_thetas(graph, rho)[graph.edge_index(i, j)])
 
 
 def edge_thetas(graph: Graph, rho: Density) -> np.ndarray:
     """theta_ij for every canonical edge, aligned with ``graph.edges``."""
     _check_nodes(graph, rho)
-    v = rho.values
-    return 0.5 * (v[graph.edge_tail] + v[graph.edge_head])
+    return _thetas(graph, rho.values)
+
+
+# The three kernels below take density rows of shape (..., n), validate
+# nothing, and give a stacked call the same bits as one call per row.
+
+def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
+    """L(rho) = D^T Theta(rho) D per row, (..., n) -> (..., n, n)."""
+    D = incidence_matrix(graph)
+    return D.T @ (_thetas(graph, values)[..., :, None] * D)
+
+
+def laplacian_apply(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L(rho) x per row, (..., n) -> (..., n): edge fluxes w theta (x_i - x_j) scattered by one bincount."""
+    ends = x.take(graph.edge_ends, axis=-1)  # (..., 2, E); each end gets w theta (x_end - x_other_end)
+    flux = (graph.weights * _thetas(graph, values))[..., None, :] * (ends - ends[..., ::-1, :])
+    lead, n = flux.shape[:-2], graph.node_count
+    rows = math.prod(lead)
+    # one row needs no row offsets; building them took about 2 of 14 us per call
+    # at n = 10 on a 2-core x86 host
+    index = graph.edge_ends if not lead else np.arange(0, rows * n, n)[:, None, None] + graph.edge_ends
+    return np.bincount(index.ravel(), flux.ravel(), rows * n).reshape(lead + (n,))
+
+
+def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^T L(rho) x per row, (..., n) -> (...), summed as the nonnegative edge terms w theta (x_i - x_j)^2."""
+    ends = x.take(graph.edge_ends, axis=-1)
+    dx = ends[..., 0, :] - ends[..., 1, :]
+    return np.sum(graph.weights * _thetas(graph, values) * dx * dx, axis=-1)
 
 
 def graph_gradient(graph: Graph, phi: Potential) -> VectorField:
@@ -209,20 +233,15 @@ def inner_product(v: VectorField, w: VectorField, rho: Density) -> float:
     return float(np.dot(v.edge_values * w.edge_values, th))
 
 
-def weighted_laplacian(graph: Graph, rho: Density, theta_kind: str = "average") -> WeightedLaplacian:
+def weighted_laplacian(graph: Graph, rho: Density) -> WeightedLaplacian:
     """Build L(rho) = D^T Theta(rho) D along with its full spectrum."""
-    if theta_kind != "average":
-        raise ValueError(f"unsupported theta rule {theta_kind!r}; only 'average' is implemented")
-    th = edge_thetas(graph, rho)
-    D = incidence_matrix(graph)
-    matrix = D.T @ (th[:, None] * D)
-    matrix = 0.5 * (matrix + matrix.T)  # kill rounding asymmetry before the eigensolver
+    _check_nodes(graph, rho)
+    matrix = laplacian_matrices(graph, rho.values)
     return WeightedLaplacian(
         graph=graph,
         density=rho,
         matrix=freeze(matrix),
         spectrum=symmetric_eigen(matrix),
-        theta_kind=theta_kind,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundaryDensity, DimensionMismatch, NoConvergence
 from .graph_core import Graph, incidence_matrix, symmetric_eigen
-from .simplex_calculus import Density
+from .simplex_calculus import Density, laplacian_matrices
 
 __all__ = [
     "DiscretePath",
@@ -84,9 +84,7 @@ def _segment_solves(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     diff = np.diff(points, axis=0)
     mid = 0.5 * (points[:-1] + points[1:])
-    D = incidence_matrix(graph)
-    th = 0.5 * (mid[:, graph.edge_tail] + mid[:, graph.edge_head])
-    spec = symmetric_eigen(D.T @ (th[:, :, None] * D))
+    spec = symmetric_eigen(laplacian_matrices(graph, mid))
     lam = spec.eigenvalues
     if np.any(lam[:, 1] <= 1e-14 * np.maximum(lam[:, -1], 1e-300)):
         raise BoundaryDensity("path point too close to the simplex boundary; metric degenerates")

@@ -42,10 +42,17 @@ def random_connected_graph(rng: np.random.Generator, n: int, w_lo=0.5, w_hi=2.0)
 
 
 def interior_density(rng: np.random.Generator, n: int, floor: float = 0.02) -> Density:
-    while True:
+    """Uniform draw from {x in the simplex : every x_i >= floor}.
+
+    Flat Dirichlet draws are accepted with probability (1 - n floor)^(n - 1),
+    which is tiny for large n floor; after 1000 misses the draw falls back to
+    floor + (1 - n floor) Dirichlet(1), uniform on the same region.
+    """
+    for _ in range(1000):
         x = rng.dirichlet(np.ones(n))
         if float(x.min()) >= floor:
             return Density(x)
+    return Density(floor + (1.0 - n * floor) * rng.dirichlet(np.ones(n)))
 
 
 def random_convex_model(rng: np.random.Generator, n: int, beta: float = 1.0) -> EnergyModel:

@@ -211,8 +211,7 @@ def test_criterion_5_theorem4_bound():
     runs = get_runs()
     for run in runs:
         report = rate_constants(run.model, run.graph, run.rho0)
-        series = SimpleNamespace(times=run.times, energy=run.energies)
-        check = verify_decay_bound(series, report, report.f_inf)
+        check = verify_decay_bound(run.times, run.energies, report, report.f_inf)
         assert check.holds, f"decay bound violated by {check.max_violation:.3e}"
 
     oracle = _canonical_constants_oracle()

@@ -17,6 +17,7 @@ from graphfpe import (
     find_all_equilibria,
     gibbs_fixed_point,
 )
+from graphfpe.free_energy import _drift_raw, _energy_raw
 from helpers import bare_model, interior_density, random_convex_model, rel_err
 
 
@@ -26,6 +27,22 @@ def test_energy_examples():
     assert energy(m, Density([1.0, 0.0])) == 0.0  # 0 log 0 = 0
     expected = 0.9 * math.log(0.9) + 0.1 * math.log(0.1)
     assert energy(m, Density([0.9, 0.1])) == pytest.approx(expected, rel=1e-14)
+
+
+def test_energy_and_drift_kernels_stacked_equal_per_row():
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 17):
+        A = rng.standard_normal((n, n))
+        model = EnergyModel(0.5 * (A + A.T), rng.standard_normal(n), 0.7)
+        values = rng.dirichlet(np.ones(n), size=(3, 4))
+        energies = _energy_raw(model, values)
+        drifts = _drift_raw(model, values)
+        assert energies.shape == (3, 4) and drifts.shape == (3, 4, n)
+        for a in range(3):
+            for b in range(4):
+                rho = Density(values[a, b])
+                assert energies[a, b] == energy(model, rho)
+                assert np.array_equal(drifts[a, b], energy_gradient(model, rho))
 
 
 def test_energy_dimension_mismatch():

@@ -27,6 +27,7 @@ from graphfpe import (
     tail_slope,
     verify_decay_bound,
 )
+from graphfpe import rate_analysis
 from helpers import (
     bare_model,
     interior_density,
@@ -163,19 +164,19 @@ def test_rate_constants_at_equilibrium_start():
 def test_verify_decay_bound_holds_and_inflated_fails():
     rep = canonical_report()
     traj = integrate(bare_model(2), path2(), Density([0.9, 0.1]), 8.0, record_every=1)
-    check = verify_decay_bound(traj, rep, rep.f_inf)
+    check = verify_decay_bound(traj.times, traj.energy, rep, rep.f_inf)
     assert check.holds
     assert check.max_violation <= 1e-9
 
     inflated = dataclasses.replace(rep, C=rep.C * 1e9)
-    assert not verify_decay_bound(traj, inflated, rep.f_inf).holds
+    assert not verify_decay_bound(traj.times, traj.energy, inflated, rep.f_inf).holds
 
 
 def test_verify_decay_bound_constant_trajectory():
     model = bare_model(2)
     rep = rate_constants(model, path2(), UNIFORM2)
     traj = integrate(model, path2(), UNIFORM2, 1.0, record_every=1)
-    check = verify_decay_bound(traj, rep, rep.f_inf)
+    check = verify_decay_bound(traj.times, traj.energy, rep, rep.f_inf)
     assert check.holds
 
 
@@ -212,12 +213,11 @@ def test_hessian_quadratic_rate_agrees_at_equilibrium():
 
 def test_linearized_rate_matches_asymptotic_when_pd():
     rng = np.random.default_rng(4)
-    model = random_convex_model(rng, 4)
-    g = random_connected_graph(rng, 4)
-    rho_inf = gibbs_fixed_point(model, interior_density(rng, 4), tol=1e-14).density
-    assert rel_err(
-        linearized_rate(model, g, rho_inf), asymptotic_rate(model, g, rho_inf)
-    ) <= 1e-9
+    for n in (2, 4, 7):
+        model = random_convex_model(rng, n)
+        g = random_connected_graph(rng, n)
+        rho_inf = gibbs_fixed_point(model, interior_density(rng, n), tol=1e-14).density
+        assert linearized_rate(model, g, rho_inf) == asymptotic_rate(model, g, rho_inf)
 
 
 def test_linearized_rate_nonconvex_wells_and_saddle():
@@ -280,12 +280,40 @@ def test_lsi_estimate_deterministic_and_bounding():
     assert gap <= fisher / (2.0 * a.lambda_hat) * (1.0 + 1e-12)
 
 
-def test_lsi_estimate_jobs_invariant():
-    model = bare_model(2)
-    g = path2()
-    a = estimate_lsi_constant(model, g, UNIFORM2, count=500, seed=3, jobs=1)
-    b = estimate_lsi_constant(model, g, UNIFORM2, count=500, seed=3, jobs=4)
-    assert a.lambda_hat == b.lambda_hat
+def test_lsi_estimate_matches_per_sample_loop():
+    rng = np.random.default_rng(6)
+    n, count, seed, min_mass = 6, 700, 11, 0.02
+    model = random_convex_model(rng, n)
+    g = random_connected_graph(rng, n)
+    rho_inf = gibbs_fixed_point(model, Density(np.full(n, 1.0 / n)), tol=1e-14).density
+    est = estimate_lsi_constant(model, g, rho_inf, count=count, seed=seed, min_mass=min_mass)
+
+    # reference: the documented sampling recipe, one validated sample at a time
+    draw_rng = np.random.default_rng(seed)
+    draws = draw_rng.dirichlet(np.ones(n), size=count)
+    kept = draws[draws.min(axis=1) >= min_mass]
+    fill = min_mass + (1.0 - n * min_mass) * draw_rng.dirichlet(np.ones(n), size=count - len(kept))
+    retained = 0
+    for x in np.concatenate([kept, fill]):
+        retained += relative_entropy(model, Density(x), rho_inf) >= 1e-12
+    assert est.samples_retained == retained
+
+    worst = est.worst_density
+    ratio = relative_fisher(model, g, worst) / (2.0 * relative_entropy(model, worst, rho_inf))
+    assert rel_err(est.lambda_hat, ratio) <= 1e-12
+
+
+def test_lsi_estimate_blocked_equals_unblocked(monkeypatch):
+    rng = np.random.default_rng(7)
+    model = random_convex_model(rng, 5)
+    g = random_connected_graph(rng, 5)
+    rho_inf = gibbs_fixed_point(model, Density(np.full(5, 0.2)), tol=1e-14).density
+    blocked = estimate_lsi_constant(model, g, rho_inf, count=1000, seed=3)
+    monkeypatch.setattr(rate_analysis, "_LSI_BLOCK", 1000)
+    whole = estimate_lsi_constant(model, g, rho_inf, count=1000, seed=3)
+    assert blocked.lambda_hat == whole.lambda_hat
+    assert np.array_equal(blocked.worst_density.values, whole.worst_density.values)
+    assert blocked.samples_retained == whole.samples_retained
 
 
 def test_lsi_estimate_tight_min_mass_returns_quickly():

@@ -13,6 +13,7 @@ from graphfpe import (
     TangentVector,
     VectorField,
     divergence,
+    edge_thetas,
     graph_gradient,
     hodge_decompose,
     inner_product,
@@ -23,6 +24,7 @@ from graphfpe import (
     weighted_laplacian,
 )
 from graphfpe.graph_core import graph_laplacian
+from graphfpe.simplex_calculus import _thetas, laplacian_apply, laplacian_form, laplacian_matrices
 from helpers import interior_density, k3, path2, random_connected_graph
 
 
@@ -144,8 +146,6 @@ def test_weighted_laplacian_kernel_simple_for_interior():
 
 def test_weighted_laplacian_quadratic_form():
     rng = np.random.default_rng(5)
-    from graphfpe import edge_thetas
-
     for _ in range(30):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
         rho = interior_density(rng, g.node_count, floor=0.0)
@@ -158,9 +158,51 @@ def test_weighted_laplacian_quadratic_form():
         assert float(phi @ lap.matrix @ phi) == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
-def test_theta_kind_guard():
-    with pytest.raises(ValueError):
-        weighted_laplacian(path2(), Density([0.5, 0.5]), theta_kind="logarithmic")
+def test_batched_thetas_match_scalar_rule():
+    rng = np.random.default_rng(7)
+    g = random_connected_graph(rng, 6)
+    values = rng.dirichlet(np.ones(6), size=(2, 3))
+    th = _thetas(g, values)
+    assert th.shape == (2, 3, g.edge_count)
+    for a in range(2):
+        for b in range(3):
+            rho = Density(values[a, b])
+            assert np.array_equal(th[a, b], edge_thetas(g, rho))
+            for e, (i, j, _) in enumerate(g.edges):
+                assert th[a, b, e] == theta(g, rho, j, i)
+
+
+def test_laplacian_apply_and_form_match_matrices():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n = int(rng.integers(2, 41))
+        g = random_connected_graph(rng, n)
+        values = rng.dirichlet(np.ones(n))
+        x = rng.standard_normal(n)
+        L = laplacian_matrices(g, values)
+        Lx = laplacian_apply(g, values, x)
+        # tolerances relative to the sum of |terms| of each product
+        assert np.all(np.abs(Lx - L @ x) <= 1e-12 * (np.abs(L) @ np.abs(x)))
+        form = laplacian_form(g, values, x)
+        assert abs(form - x @ Lx) <= 1e-12 * (np.abs(x) @ np.abs(L) @ np.abs(x))
+
+
+def test_laplacian_kernels_stacked_equal_per_row():
+    rng = np.random.default_rng(9)
+    for n in (2, 5, 17):
+        g = random_connected_graph(rng, n)
+        values = rng.dirichlet(np.ones(n), size=(3, 4))
+        x = rng.standard_normal((3, 4, n))
+        L = laplacian_matrices(g, values)
+        Lx = laplacian_apply(g, values, x)
+        form = laplacian_form(g, values, x)
+        assert L.shape == (3, 4, n, n) and Lx.shape == (3, 4, n) and form.shape == (3, 4)
+        for a in range(3):
+            for b in range(4):
+                assert np.array_equal(L[a, b], laplacian_matrices(g, values[a, b]))
+                assert np.array_equal(Lx[a, b], laplacian_apply(g, values[a, b], x[a, b]))
+                assert form[a, b] == laplacian_form(g, values[a, b], x[a, b])
+        assert np.array_equal(L[0, 0], weighted_laplacian(g, Density(values[0, 0])).matrix)
 
 
 def test_solve_potential_examples():
