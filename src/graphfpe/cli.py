@@ -16,6 +16,7 @@ Set GRAPHFPE_LOG to error/warn/info/debug to control logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -153,9 +154,38 @@ def _digest(obj) -> str:
 
 # -- config loading ----------------------------------------------------------
 
-def _schema() -> dict:
+_JSONSCHEMA_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _number_items(validator, items, instance, schema):
+    """jsonschema's ``items`` with a fast accept for flat arrays of numbers.
+
+    When the item schema is only ``{"type": "number"}``, optionally with a
+    ``minimum``, one loop accepts an array whose entries are all ints or
+    floats not below the minimum: jsonschema's own rule, which rejects bools
+    and lets NaN pass. Any other schema, and any array the loop does not
+    accept, goes to jsonschema's ``items``, so errors and messages are
+    unchanged.
+    """
+    if (
+        type(instance) is list
+        and "prefixItems" not in schema
+        and type(items) is dict
+        and items.get("type") == "number"
+        and items.keys() <= {"type", "minimum"}
+    ):
+        floor = items.get("minimum", -math.inf)
+        if all(type(x) in (int, float) and not x < floor for x in instance):
+            return
+    yield from _JSONSCHEMA_ITEMS(validator, items, instance, schema)
+
+
+@functools.cache
+def _validator():
+    """The config validator: the schema parsed once, one validator class per process."""
     text = resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8")
-    return json.loads(text)
+    cls = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _number_items})
+    return cls(json.loads(text))
 
 
 def _load_json(path: Path) -> dict:
@@ -168,8 +198,7 @@ def _load_json(path: Path) -> dict:
 
 
 def _validate_config(config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)
         where = "$" + "".join(
@@ -182,12 +211,11 @@ def _resolve_section(config: dict, key: str, base: Path, fragment: str) -> dict:
     section = config[key]
     if "path" in section:
         loaded = _load_json(base / section["path"])
-        schema = _schema()
-        sub = {"$ref": f"#/$defs/{fragment}", "$defs": schema["$defs"]}
-        try:
-            jsonschema.validate(loaded, sub)
-        except jsonschema.exceptions.ValidationError as exc:
-            raise ConfigError(f"{section['path']}: {exc.message}") from exc
+        validator = _validator()
+        sub = validator.evolve(schema={"$ref": f"#/$defs/{fragment}", "$defs": validator.schema["$defs"]})
+        err = jsonschema.exceptions.best_match(sub.iter_errors(loaded))
+        if err is not None:
+            raise ConfigError(f"{section['path']}: {err.message}")
         return loaded
     return section
 
@@ -360,6 +388,7 @@ def cmd_simulate(run: _Run) -> int:
             "relative_fisher": relative_fisher(run.model, run.graph, final),
             "accepted_steps": traj.accepted_steps,
             "rejected_steps": traj.rejected_steps,
+            "rejected_by": dict(traj.rejected_by),
             "records": int(traj.times.size),
         }
     )
@@ -471,6 +500,10 @@ def cmd_lsi(run: _Run) -> int:
     opts = run.section("lsi")
     if "count" not in opts:
         raise ConfigError("lsi requires 'count'")
+    n = run.graph.node_count
+    min_mass = opts.get("min_mass", 1e-4)
+    if not min_mass < 1.0 / n:
+        raise ConfigError(f"lsi.min_mass is {min_mass!r}; it must be below 1/n = {1.0 / n!r} on {n} nodes")
     init = run.density(opts["rho0"], "lsi.rho0") if "rho0" in opts else run.uniform()
     gibbs = gibbs_fixed_point(run.model, init, tol=1e-13, max_iter=500_000)
     estimate = estimate_lsi_constant(
@@ -479,13 +512,13 @@ def cmd_lsi(run: _Run) -> int:
         gibbs.density,
         count=opts["count"],
         seed=run.seed,
-        min_mass=opts.get("min_mass", 1e-4),
+        min_mass=min_mass,
     )
     payload = dict(run.stamp)
     payload.update(
         {
             "count": opts["count"],
-            "min_mass": opts.get("min_mass", 1e-4),
+            "min_mass": min_mass,
             "lambda_hat": estimate.lambda_hat,
             "worst_density": estimate.worst_density.values,
             "samples_retained": estimate.samples_retained,

@@ -2,15 +2,22 @@
 
 The flow is d rho / dt = -L(rho) F(rho), written per node as
 sum_j w_ij theta_ij (F_j - F_i) with F the drift field of the energy model.
-Integration uses an explicit embedded Fehlberg 4(5) pair with three step
-guards: scaled local error, a positivity floor derived from the invariant
-region, and (for gradient flows) monotonicity of the free energy.
+One right-hand-side kernel, prepared once per (model, graph), evaluates it
+for ``fpe_rhs``, ``dissipation`` and ``integrate``. Integration uses an
+explicit embedded Fehlberg 4(5) pair in array form (the six stages are rows
+of one array, each stage point and the update with its error estimate are
+matrix products with the tableau) and rejects a step on any of four guards:
+a positivity floor derived from the invariant region (at each stage and at
+the new state), scaled local error, the mass budget and, for gradient flows,
+monotonicity of the free energy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,6 +49,15 @@ _RK_A = (
 _RK_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 _RK_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
 
+# The same tableau as arrays: _STAGE_ROWS[s] weighs stages 0..s-1 into stage
+# s, and _UPDATE stacks the 4th-order weights over the error weights, so one
+# product with the stage array gives both.
+_STAGE_ROWS = tuple(np.array(row) for row in _RK_A)
+_UPDATE = np.array((_RK_B4, _RK_ERR))
+
+# the rejection guards of integrate, in the order a step meets them
+_GUARDS = ("stage_floor", "step_floor", "error", "mass", "energy")
+
 _ABS_FLOOR = 1e-14  # keeps log(rho) representable even with the region guard off
 _MASS_DRIFT_BUDGET = 1e-13  # per accepted step, before renormalization
 
@@ -56,6 +72,9 @@ class Trajectory:
     dissipation: np.ndarray
     accepted_steps: int
     rejected_steps: int
+    # rejected steps per guard (keys as in _GUARDS); integrate fills every
+    # guard and the counts sum to rejected_steps
+    rejected_by: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}))
 
     @property
     def final_density(self) -> Density:
@@ -87,14 +106,31 @@ def _check_inputs(model: EnergyModel, graph: Graph, rho: Density) -> None:
         )
 
 
-def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
-    """-L(rho) F(rho) on raw positive values (no validation)."""
-    return -laplacian_apply(graph, values, _drift_raw(model, values))
+class _FlowKernel:
+    """Right-hand side -L(rho) F(rho) of one (model, graph), and its dissipation.
 
+    The only right-hand-side path: ``fpe_rhs``, ``dissipation`` and
+    ``integrate`` bind one to their (model, graph) and evaluate through it.
+    The arrays it needs are prepared once: the graph caches its edge index
+    arrays and weights, the model holds W, V and beta. It composes the shared
+    batched kernels (the drift, L(rho) apply and L(rho) form), so it takes
+    raw positive density rows of shape (..., n), validates nothing, and a
+    stacked call gives the same bits as one call per row.
+    """
 
-def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> float:
-    """-F^T L(rho) F on raw positive values (no validation)."""
-    return -float(laplacian_form(graph, values, _drift_raw(model, values)))
+    __slots__ = ("model", "graph")
+
+    def __init__(self, model: EnergyModel, graph: Graph):
+        self.model = model
+        self.graph = graph
+
+    def rhs(self, values: np.ndarray) -> np.ndarray:
+        """-L(rho) F(rho) per row, (..., n) -> (..., n)."""
+        return laplacian_apply(self.graph, values, -_drift_raw(self.model, values))
+
+    def dissipation(self, values: np.ndarray) -> np.ndarray:
+        """-F^T L(rho) F per row, (..., n) -> (...), a sum of nonpositive edge terms."""
+        return -laplacian_form(self.graph, values, _drift_raw(self.model, values))
 
 
 def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
@@ -102,7 +138,7 @@ def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
     _check_inputs(model, graph, rho)
     if not rho.interior:
         raise BoundaryDensity("FPE right-hand side needs an interior density")
-    return TangentVector(_rhs_raw(model, graph, rho.values))
+    return TangentVector(_FlowKernel(model, graph).rhs(rho.values))
 
 
 def dissipation(model: EnergyModel, graph: Graph, rho: Density) -> float:
@@ -110,7 +146,7 @@ def dissipation(model: EnergyModel, graph: Graph, rho: Density) -> float:
     _check_inputs(model, graph, rho)
     if not rho.interior:
         raise BoundaryDensity("dissipation needs an interior density")
-    return _dissipation_raw(model, graph, rho.values)
+    return float(_FlowKernel(model, graph).dissipation(rho.values))
 
 
 def invariant_region(model: EnergyModel, graph: Graph, rho0: Density) -> InvariantRegion:
@@ -154,14 +190,20 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from rho0 over [0, t_end] with adaptive steps.
 
-    A step is rejected and halved if any component of the candidate would
-    drop below the positivity floor (max(m(rho0)/2, 1e-14) by default;
-    pass ``positivity_floor=1e-14`` to disable the invariant-region guard)
-    or, for symmetric interactions, if the free energy would increase by
-    more than ``abs_tol``. Accepted states are renormalized onto the
-    simplex; the drift removed this way stays below 1e-13 per step. States
-    are recorded every ``record_every`` accepted steps (0 = initial and
-    final only), plus the final state.
+    Each step evaluates the six Fehlberg stages into one (6, n) array through
+    the prepared right-hand-side kernel: stage s starts from
+    y + h (A[s, :s] @ K[:s]), and one product of the stacked 4th-order and
+    error weights with the stage array gives the update and the local error
+    estimate. A step is rejected, and the step size halved, if any component
+    of a stage point or of the candidate would drop below the positivity
+    floor (max(m(rho0)/2, 1e-14) by default; pass ``positivity_floor=1e-14``
+    to disable the invariant-region guard), if the mass drifts by more than
+    1e-13, or, for symmetric interactions, if the free energy would increase
+    by more than ``abs_tol``; a step whose scaled error exceeds 1 is retried
+    with a smaller step. The trajectory counts rejections per guard in
+    ``rejected_by``. Accepted states are renormalized onto the simplex. States
+    are recorded every ``record_every`` accepted steps (0 = initial and final
+    only), plus the final state.
     """
     _check_inputs(model, graph, rho0)
     if not rho0.interior:
@@ -179,6 +221,8 @@ def integrate(
         floor = max(float(positivity_floor), _ABS_FLOOR)
     guard_energy = model.is_symmetric
     h_cap = float(max_step) if max_step is not None else math.inf
+    kernel = _FlowKernel(model, graph)
+    rhs = kernel.rhs
 
     y = rho0.values.copy()
     t = 0.0
@@ -193,19 +237,19 @@ def integrate(
         times.append(time)
         states.append(values.copy())
         energies.append(float(_energy_raw(model, values)) if e is None else e)
-        dissipations.append(_dissipation_raw(model, graph, values))
+        dissipations.append(float(kernel.dissipation(values)))
 
     record(0.0, y, current_energy)
 
-    k = [np.empty_like(y) for _ in range(6)]
-    k[0] = _rhs_raw(model, graph, y)
-    h = min(t_end, h_cap, 0.01 / (1.0 + float(np.max(np.abs(k[0])))))
+    K = np.empty((6, y.size))  # stage derivatives; K[0] is reused across rejections of one state
+    K[0] = rhs(y)
+    h = min(t_end, h_cap, 0.01 / (1.0 + float(np.max(np.abs(K[0])))))
     accepted = 0
-    rejected = 0
+    rejected_by = dict.fromkeys(_GUARDS, 0)
     t_tiny = 1e-15 * max(1.0, t_end)
 
     def partial() -> Trajectory:
-        return _build_trajectory(times, states, energies, dissipations, accepted, rejected)
+        return _build_trajectory(times, states, energies, dissipations, accepted, rejected_by)
 
     while t < t_end - t_tiny:
         if h < 1e-14 * max(1.0, t):
@@ -214,44 +258,42 @@ def integrate(
             )
         h_try = min(h, t_end - t)
 
-        # stages (k1 is reused across rejections of the same state)
         stage_ok = True
         for s in range(1, 6):
-            ys = y + h_try * sum(a * k[m] for m, a in enumerate(_RK_A[s]))
-            if float(ys.min()) < floor:
+            ys = y + h_try * (_STAGE_ROWS[s] @ K[:s])
+            if ys.min() < floor:
                 stage_ok = False
                 break
-            k[s] = _rhs_raw(model, graph, ys)
+            K[s] = rhs(ys)
         if not stage_ok:
-            rejected += 1
+            rejected_by["stage_floor"] += 1
             h = 0.5 * h_try
             continue
 
-        y_new = y + h_try * sum(b * k[m] for m, b in enumerate(_RK_B4) if b != 0.0)
-        if float(y_new.min()) < floor:
-            rejected += 1
+        update, err = _UPDATE @ K
+        y_new = y + h_try * update
+        if y_new.min() < floor:
+            rejected_by["step_floor"] += 1
             h = 0.5 * h_try
             continue
 
-        err = h_try * sum(e * k[m] for m, e in enumerate(_RK_ERR) if e != 0.0)
-        scale = abs_tol + rel_tol * np.abs(y)
-        err_norm = float(np.max(np.abs(err) / scale))
+        err_norm = float(np.max(np.abs(h_try * err) / (abs_tol + rel_tol * np.abs(y))))
         if err_norm > 1.0:
-            rejected += 1
+            rejected_by["error"] += 1
             h = h_try * min(max(0.9 * err_norm**-0.2, 0.2), 1.0)
             continue
 
         mass = float(y_new.sum())
         if abs(mass - 1.0) > _MASS_DRIFT_BUDGET:
-            rejected += 1
+            rejected_by["mass"] += 1
             h = 0.5 * h_try
             continue
-        y_new = y_new / mass
+        y_new /= mass
 
         if guard_energy:
             new_energy = float(_energy_raw(model, y_new))
             if new_energy - current_energy > abs_tol:
-                rejected += 1
+                rejected_by["energy"] += 1
                 h = 0.5 * h_try
                 continue
             current_energy = new_energy
@@ -259,21 +301,22 @@ def integrate(
         y = y_new
         t += h_try
         accepted += 1
-        k[0] = _rhs_raw(model, graph, y)
+        K[0] = rhs(y)
         h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** -0.2, 0.2), 5.0), h_cap)
         if record_every > 0 and accepted % record_every == 0 and t < t_end - t_tiny:
             record(t, y, current_energy if guard_energy else None)
 
     record(t_end, y, current_energy if guard_energy else None)
-    return _build_trajectory(times, states, energies, dissipations, accepted, rejected)
+    return _build_trajectory(times, states, energies, dissipations, accepted, rejected_by)
 
 
-def _build_trajectory(times, states, energies, dissipations, accepted, rejected) -> Trajectory:
+def _build_trajectory(times, states, energies, dissipations, accepted, rejected_by) -> Trajectory:
     return Trajectory(
         times=freeze(times),
         densities=tuple(Density(s) for s in states),
         energy=freeze(energies),
         dissipation=freeze(dissipations),
         accepted_steps=accepted,
-        rejected_steps=rejected,
+        rejected_steps=sum(rejected_by.values()),
+        rejected_by=MappingProxyType(dict(rejected_by)),
     )

@@ -118,8 +118,13 @@ def _energy_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
 
 def _drift_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     """W rho + V + beta (log rho + 1) at each row, (..., n) -> (..., n), unvalidated; rows must be positive."""
-    Wv = (model.interaction @ values[..., None])[..., 0]
-    return Wv + model.potential + model.beta * (np.log(values) + 1.0)
+    drift = (model.interaction @ values[..., None])[..., 0]
+    drift += model.potential
+    entropic = np.log(values)
+    entropic += 1.0
+    entropic *= model.beta
+    drift += entropic
+    return drift
 
 
 def energy(model: EnergyModel, rho: Density) -> float:

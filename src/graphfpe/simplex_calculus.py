@@ -191,13 +191,17 @@ def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
 
 def laplacian_apply(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L(rho) x per row, (..., n) -> (..., n): edge fluxes w theta (x_i - x_j) scattered by one bincount."""
-    ends = x.take(graph.edge_ends, axis=-1)  # (..., 2, E); each end gets w theta (x_end - x_other_end)
-    flux = (graph.weights * _thetas(graph, values))[..., None, :] * (ends - ends[..., ::-1, :])
-    lead, n = flux.shape[:-2], graph.node_count
-    rows = math.prod(lead)
+    ends = x.take(graph.edge_ends, axis=-1)
+    flux = graph.weights * _thetas(graph, values) * (ends[..., 0, :] - ends[..., 1, :])
+    # the tail of each edge gets +flux and the head -flux
+    flux = np.concatenate((flux, -flux), axis=-1)
+    lead, n = flux.shape[:-1], graph.node_count
     # one row needs no row offsets; building them took about 2 of 14 us per call
     # at n = 10 on a 2-core x86 host
-    index = graph.edge_ends if not lead else np.arange(0, rows * n, n)[:, None, None] + graph.edge_ends
+    if not lead:
+        return np.bincount(graph.edge_ends.ravel(), flux, n)
+    rows = math.prod(lead)
+    index = np.arange(0, rows * n, n)[:, None] + graph.edge_ends.ravel()
     return np.bincount(index.ravel(), flux.ravel(), rows * n).reshape(lead + (n,))
 
 

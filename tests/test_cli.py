@@ -1,12 +1,15 @@
+import copy
 import hashlib
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from graphfpe.cli import main
+from graphfpe.cli import ConfigError, _validate_config, _validator, main
 
 CANONICAL = {
     "graph": {"n": 2, "edges": [[1, 2, 1.0]]},
@@ -76,6 +79,102 @@ def test_malformed_config_exits_2_and_names_key(tmp_path, capsys):
     assert "bogus_option" in err
 
 
+def plain_jsonschema_error(config) -> str | None:
+    """The CLI's message for config, from an unmodified Draft 2020-12 validator and best_match."""
+    schema = json.loads(resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8"))
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    err = jsonschema.exceptions.best_match(errors)
+    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path)
+    return f"config error at {where}: {err.message}"
+
+
+def validator_error(config) -> str | None:
+    try:
+        _validate_config(config)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def with_change(path, value):
+    """CANONICAL with a W, V and gibbs starts, and the entry at path set to value."""
+    config = copy.deepcopy(CANONICAL)
+    config["model"] = {"beta": 1.0, "V": [0.0, 0.5], "W": [[0.0, 0.1], [0.1, 0.0]]}
+    config["gibbs"] = {"starts": [[0.9, 0.1], [0.5, 0.5]]}
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+INVALID = [
+    (("model", "W", 1, 0), "0.1"),
+    (("model", "W", 0, 1), True),
+    (("model", "W", 1, 1), None),
+    (("model", "V", 1), "0.5"),
+    (("model", "V", 0), False),
+    (("model", "V", 1), None),
+    (("simulate", "rho0", 0), "0.9"),
+    (("simulate", "rho0", 1), True),
+    (("simulate", "rho0", 1), None),
+    (("gibbs", "starts", 1, 0), "0.5"),
+    (("gibbs", "starts", 0, 1), False),
+    (("gibbs", "starts", 1, 1), None),
+    (("simulate", "rho0", 1), -0.1),
+    (("w2", "rho1", 0), -1e-300),
+    (("graph", "edges", 0, 2), 0.0),
+    (("graph", "edges", 0, 2), 0),
+    (("simulate", "bogus_option"), 1),
+    (("model", "extra"), [1.0]),
+]
+
+
+@pytest.mark.parametrize("path, value", INVALID)
+def test_validator_messages_match_plain_jsonschema(path, value):
+    config = with_change(path, value)
+    expected = plain_jsonschema_error(config)
+    assert expected is not None
+    assert validator_error(config) == expected
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("model", "W", 0, 1), float("nan")),
+        (("model", "W", 1, 0), 10**400),
+        (("model", "V", 0), -(10**400)),
+        (("simulate", "rho0", 0), float("nan")),
+        (("simulate", "rho0", 1), float("inf")),
+        (("simulate", "rho0", 1), 10**400),
+        (("w2", "rho0", 0), -float("inf")),
+    ],
+)
+def test_validator_accepts_exactly_what_plain_jsonschema_accepts(path, value):
+    config = with_change(path, value)
+    assert validator_error(config) == plain_jsonschema_error(config)
+
+
+def test_validator_is_built_once():
+    assert _validator() is _validator()
+
+
+def test_model_file_reference_error_matches_plain_jsonschema(tmp_path, capsys):
+    model = {"beta": 1.0, "W": [[0.0, "x"], [0.0, 0.0]]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    config = dict(CANONICAL)
+    config["model"] = {"path": "model.json"}
+    cfg = write_config(tmp_path, config)
+    assert run("gibbs", cfg, tmp_path / "out") == 2
+    schema = json.loads(resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8"))
+    with pytest.raises(jsonschema.exceptions.ValidationError) as info:
+        jsonschema.validate(model, {"$ref": "#/$defs/model_inline", "$defs": schema["$defs"]})
+    assert capsys.readouterr().err == f"graphfpe: model.json: {info.value.message}\n"
+
+
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -112,6 +211,9 @@ def test_simulate_outputs(tmp_path):
     assert summary["final_time"] == 5.0
     assert summary["records"] == data.shape[0]
     assert summary["relative_entropy"] >= -1e-12
+    by_guard = summary["rejected_by"]
+    assert sorted(by_guard) == ["energy", "error", "mass", "stage_floor", "step_floor"]
+    assert sum(by_guard.values()) == summary["rejected_steps"]
 
 
 def test_simulate_record_every_zero(tmp_path):
@@ -138,6 +240,7 @@ def test_simulate_step_underflow_exits_3_with_dump(tmp_path):
     assert (out / "trajectory.csv").exists()
     summary = read_json(out / "summary.json")
     assert summary["completed"] is False
+    assert sum(summary["rejected_by"].values()) == summary["rejected_steps"] > 0
 
 
 def test_simulate_extreme_potential_exits_cleanly(tmp_path):
@@ -231,6 +334,14 @@ def test_lsi_fixed_seed_reproducible(tmp_path):
     b = read_json(out_b / "lsi.json")
     assert a["lambda_hat"] == b["lambda_hat"]
     assert a["lambda_hat"] == pytest.approx(2.0, rel=0.01)
+
+
+def test_lsi_min_mass_not_below_one_over_n_exits_2(tmp_path, capsys):
+    config = dict(CANONICAL)
+    config["lsi"] = {"count": 10, "min_mass": 0.6}
+    cfg = write_config(tmp_path, config)
+    assert run("lsi", cfg, tmp_path / "out") == 2
+    assert "lsi.min_mass" in capsys.readouterr().err
 
 
 def test_lsi_seed_override_changes_result(tmp_path):

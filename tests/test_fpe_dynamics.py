@@ -17,6 +17,15 @@ from graphfpe import (
     invariant_region,
     weighted_laplacian,
 )
+from graphfpe.fpe_dynamics import (
+    _GUARDS,
+    _RK_A,
+    _RK_B4,
+    _RK_C,
+    _RK_ERR,
+    _STAGE_ROWS,
+    _UPDATE,
+)
 from helpers import (
     bare_model,
     interior_density,
@@ -52,6 +61,29 @@ def test_rhs_matches_matrix_form():
         L = weighted_laplacian(g, rho).matrix
         F = energy_gradient(model, rho)
         assert np.max(np.abs(rhs.values + L @ F)) <= 1e-12 * max(1.0, np.max(np.abs(L @ F)))
+
+
+def test_array_tableau_reproduces_the_tuples_and_order_conditions():
+    # the array form reproduces the tuples entry for entry
+    assert len(_STAGE_ROWS) == 6 and _UPDATE.shape == (2, 6)
+    for s in range(6):
+        assert _STAGE_ROWS[s].shape == (s,)
+        assert tuple(_STAGE_ROWS[s]) == _RK_A[s]
+    assert tuple(_UPDATE[0]) == _RK_B4
+    assert tuple(_UPDATE[1]) == _RK_ERR
+    # order conditions of the propagated 4th-order weights; the error weights sum to 0
+    b, c = np.array(_RK_B4), np.array(_RK_C)
+    for k in range(4):
+        assert float(b @ c**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    assert abs(sum(_RK_ERR)) <= 1e-16
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="stage 6 of _RK_A has -3554/2565 where Fehlberg's tableau has -3544/2565, so its row sums to 0.4961, not c6 = 1/2",
+)
+def test_stage_rows_sum_to_nodes():
+    assert np.allclose([row.sum() for row in _STAGE_ROWS], _RK_C, rtol=0.0, atol=1e-15)
 
 
 def test_rhs_boundary_rejected():
@@ -164,6 +196,8 @@ def test_integrate_records_and_diagnostics():
         dissipation(model, g, Density([0.9, 0.1])), rel=1e-14
     )
     assert traj.accepted_steps > 0
+    assert tuple(traj.rejected_by) == _GUARDS
+    assert sum(traj.rejected_by.values()) == traj.rejected_steps
 
 
 def test_integrate_record_every_zero_keeps_endpoints_only():
@@ -242,6 +276,19 @@ def test_step_size_underflow_reports_partial():
     assert traj.times.size > 1  # made progress before stalling
     assert traj.times[-1] < 10.0
     assert min(float(d.values.min()) for d in traj.densities) >= 0.3 - 1e-12
+    # the partial trajectory counts its rejections per guard; the floor is what stops it
+    assert sum(traj.rejected_by.values()) == traj.rejected_steps > 0
+    assert traj.rejected_by["stage_floor"] + traj.rejected_by["step_floor"] > 0
+
+
+def test_loose_tolerance_steps_are_caught_by_floor_and_energy_guards():
+    # with rel_tol = 100 the error guard accepts any step; steps that
+    # overshoot the equilibrium are caught by the positivity and energy guards
+    traj = integrate(bare_model(2), path2(), Density([0.6, 0.4]), 5.0, rel_tol=100.0, abs_tol=1e-15)
+    assert traj.rejected_by["error"] == 0
+    assert traj.rejected_by["stage_floor"] >= 1 and traj.rejected_by["energy"] >= 1
+    assert sum(traj.rejected_by.values()) == traj.rejected_steps
+    assert np.all(np.diff(traj.energy) <= 1e-15)
 
 
 def test_integrate_validations():
