@@ -97,7 +97,7 @@ class InconsistentRateConstants(GraphFpeError, RuntimeError):
 # -- time integration -------------------------------------------------------
 
 class StepSizeUnderflow(GraphFpeError):
-    """Adaptive step fell below the representable floor.
+    """Adaptive step fell below the representable floor, or the run spent its step budget.
 
     ``trajectory`` holds everything recorded up to the last good state.
     """

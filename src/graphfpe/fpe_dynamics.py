@@ -44,7 +44,7 @@ _RK_A = (
     (3.0 / 32.0, 9.0 / 32.0),
     (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
     (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3554.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
 )
 _RK_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 _RK_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
@@ -60,6 +60,9 @@ _GUARDS = ("stage_floor", "step_floor", "error", "mass", "energy")
 
 _ABS_FLOOR = 1e-14  # keeps log(rho) representable even with the region guard off
 _MASS_DRIFT_BUDGET = 1e-13  # per accepted step, before renormalization
+# attempted steps (accepted or rejected) per run; at equilibrium the step
+# stays near the explicit stability limit, so a huge t_end would never end
+_STEP_BUDGET = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +206,9 @@ def integrate(
     with a smaller step. The trajectory counts rejections per guard in
     ``rejected_by``. Accepted states are renormalized onto the simplex. States
     are recorded every ``record_every`` accepted steps (0 = initial and final
-    only), plus the final state.
+    only), plus the final state. A run that underflows the step size or
+    attempts 100 000 steps raises :class:`StepSizeUnderflow` carrying the
+    partial trajectory.
     """
     _check_inputs(model, graph, rho0)
     if not rho0.interior:
@@ -251,11 +256,17 @@ def integrate(
     def partial() -> Trajectory:
         return _build_trajectory(times, states, energies, dissipations, accepted, rejected_by)
 
+    attempts = 0
     while t < t_end - t_tiny:
         if h < 1e-14 * max(1.0, t):
             raise StepSizeUnderflow(
                 f"step size underflow at t={t!r} (h={h!r})", trajectory=partial()
             )
+        if attempts == _STEP_BUDGET:
+            raise StepSizeUnderflow(
+                f"step budget of {_STEP_BUDGET} attempted steps spent at t={t!r}", trajectory=partial()
+            )
+        attempts += 1
         h_try = min(h, t_end - t)
 
         stage_ok = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "laplacian_matrices",
     "laplacian_apply",
     "laplacian_form",
+    "laplacian_solve",
     "solve_potential",
     "metric_inner",
     "hodge_decompose",
@@ -139,21 +141,15 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class WeightedLaplacian:
-    """L(rho) = D^T Theta(rho) D together with its spectrum, fixed at construction."""
+    """L(rho) = D^T Theta(rho) D; its spectrum is computed on first access."""
 
     graph: Graph
     density: Density
     matrix: np.ndarray
-    spectrum: SymmetricSpectrum
 
-    def apply_pinv(self, sigma: np.ndarray) -> np.ndarray:
-        """Apply the pseudo-inverse (zero mode dropped) to a zero-sum vector."""
-        lam = self.spectrum.eigenvalues
-        if lam[-1] <= 0 or lam[1] <= 1e-14 * lam[-1]:
-            raise BoundaryDensity("weighted Laplacian tangent spectrum is degenerate")
-        Q = self.spectrum.eigenvectors
-        coeff = Q.T @ sigma
-        return Q[:, 1:] @ (coeff[1:] / lam[1:])
+    @cached_property
+    def spectrum(self) -> SymmetricSpectrum:
+        return symmetric_eigen(self.matrix)
 
 
 def _check_nodes(graph: Graph, rho: Density) -> None:
@@ -180,7 +176,7 @@ def edge_thetas(graph: Graph, rho: Density) -> np.ndarray:
     return _thetas(graph, rho.values)
 
 
-# The three kernels below take density rows of shape (..., n), validate
+# The four kernels below take density rows of shape (..., n), validate
 # nothing, and give a stacked call the same bits as one call per row.
 
 def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -212,6 +208,34 @@ def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarra
     return np.sum(graph.weights * _thetas(graph, values) * dx * dx, axis=-1)
 
 
+def laplacian_solve(graph: Graph, values: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L(rho) x = b and x_0 = 0 per row, (..., n) -> (..., n); for zero-sum b, x = L(rho)^+ b + const.
+
+    Grassmann-Taksar-Heyman (GTH) elimination of nodes n-1, ..., 1 onto the
+    grounded node 0: a pivot is the sum of the node's remaining conductances,
+    never a difference, so tiny bottleneck thetas keep full relative
+    accuracy. A pivot at most 1e-14 of the largest diagonal entry of L(rho)
+    raises :class:`BoundaryDensity`.
+    """
+    L = laplacian_matrices(graph, values)
+    C = -L  # conductances off the diagonal; the diagonal is never read
+    y = np.array(b, dtype=float)
+    pivots = np.empty(C.shape[:-1])  # pivots[..., k] of node k; node 0 has none
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot fails the guard below
+        for k in range(graph.node_count - 1, 0, -1):
+            row = C[..., k, :k]
+            pivots[..., k] = row.sum(axis=-1)
+            f = row / pivots[..., k, None]
+            C[..., :k, :k] += f[..., :, None] * row[..., None, :]
+            y[..., :k] += f * y[..., k, None]
+    if not np.all(pivots[..., 1:] > 1e-14 * np.diagonal(L, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)):
+        raise BoundaryDensity("density too close to the simplex boundary: L(rho) degenerates")
+    x = np.zeros_like(y)
+    for k in range(1, graph.node_count):
+        x[..., k] = (y[..., k] + (C[..., k, :k] * x[..., :k]).sum(axis=-1)) / pivots[..., k]
+    return x
+
+
 def graph_gradient(graph: Graph, phi: Potential) -> VectorField:
     """Potential field with edge values sqrt(w_ij) (Phi_i - Phi_j)."""
     if phi.values.size != graph.node_count:
@@ -238,14 +262,13 @@ def inner_product(v: VectorField, w: VectorField, rho: Density) -> float:
 
 
 def weighted_laplacian(graph: Graph, rho: Density) -> WeightedLaplacian:
-    """Build L(rho) = D^T Theta(rho) D along with its full spectrum."""
+    """Build L(rho) = D^T Theta(rho) D."""
     _check_nodes(graph, rho)
     matrix = laplacian_matrices(graph, rho.values)
     return WeightedLaplacian(
         graph=graph,
         density=rho,
         matrix=freeze(matrix),
-        spectrum=symmetric_eigen(matrix),
     )
 
 
@@ -264,9 +287,9 @@ def _as_zero_sum(sigma, n: int) -> np.ndarray:
 def solve_potential(lap: WeightedLaplacian, sigma) -> Potential:
     """Unique mean-zero Phi with L(rho) Phi = sigma (rho interior)."""
     if not lap.density.interior:
-        raise BoundaryDensity("pseudo-inverse requires an interior density")
+        raise BoundaryDensity("potential solve requires an interior density")
     v = _as_zero_sum(sigma, lap.graph.node_count)
-    phi = lap.apply_pinv(v)
+    phi = laplacian_solve(lap.graph, lap.density.values, v)
     return Potential(phi - phi.mean())
 
 
@@ -277,7 +300,7 @@ def metric_inner(sigma1, sigma2, lap: WeightedLaplacian) -> float:
     n = lap.graph.node_count
     a = _as_zero_sum(sigma1, n)
     b = _as_zero_sum(sigma2, n)
-    return float(a @ lap.apply_pinv(b))
+    return float(a @ laplacian_solve(lap.graph, lap.density.values, b))
 
 
 def hodge_decompose(graph: Graph, rho: Density, field: VectorField) -> tuple[Potential, VectorField]:

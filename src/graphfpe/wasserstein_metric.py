@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryDensity, DimensionMismatch, NoConvergence
-from .graph_core import Graph, incidence_matrix, symmetric_eigen
-from .simplex_calculus import Density, laplacian_matrices
+from .graph_core import Graph, incidence_matrix
+from .simplex_calculus import Density, laplacian_solve
 
 __all__ = [
     "DiscretePath",
@@ -76,22 +76,15 @@ class MetricChecksReport:
 
 
 def _segment_solves(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps d_k = rho_{k+1} - rho_k and w_k = L^+(mid_k) d_k for every segment k.
+    """Steps d_k = rho_{k+1} - rho_k and w_k = L^+(mid_k) d_k + const for every segment k.
 
-    All K midpoint Laplacians go through one stacked eigendecomposition; the
-    zero mode is dropped, and a midpoint whose spectral gap falls below
-    1e-14 of its top eigenvalue raises :class:`BoundaryDensity`.
+    One stacked :func:`laplacian_solve` over the K midpoints; it raises
+    :class:`BoundaryDensity` when a midpoint's L degenerates. The action and
+    its gradient use only d^T w and D w, which the constant does not change:
+    d sums to zero and D maps constants to zero.
     """
     diff = np.diff(points, axis=0)
-    mid = 0.5 * (points[:-1] + points[1:])
-    spec = symmetric_eigen(laplacian_matrices(graph, mid))
-    lam = spec.eigenvalues
-    if np.any(lam[:, 1] <= 1e-14 * np.maximum(lam[:, -1], 1e-300)):
-        raise BoundaryDensity("path point too close to the simplex boundary; metric degenerates")
-    Q = spec.eigenvectors[:, :, 1:]
-    coeff = (np.swapaxes(Q, 1, 2) @ diff[:, :, None])[:, :, 0]
-    w = (Q @ (coeff / lam[:, 1:])[:, :, None])[:, :, 0]
-    return diff, w
+    return diff, laplacian_solve(graph, 0.5 * (points[:-1] + points[1:]), diff)
 
 
 def _action_only(graph: Graph, points: np.ndarray) -> float:

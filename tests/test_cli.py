@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from graphfpe import fpe_dynamics
 from graphfpe.cli import ConfigError, _validate_config, _validator, main
 
 CANONICAL = {
@@ -241,6 +242,23 @@ def test_simulate_step_underflow_exits_3_with_dump(tmp_path):
     summary = read_json(out / "summary.json")
     assert summary["completed"] is False
     assert sum(summary["rejected_by"].values()) == summary["rejected_steps"] > 0
+
+
+def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkeypatch, caplog):
+    # at equilibrium the step stays near the stability limit, so t_end 1e300
+    # would never end; the budget (shrunk here to keep the test short) stops it
+    monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 500)
+    config = dict(CANONICAL)
+    config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 1e300}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert run("simulate", cfg, out) == 3
+    assert "step budget of 500" in caplog.text
+    assert (out / "trajectory.csv").exists()
+    summary = read_json(out / "summary.json")
+    assert summary["completed"] is False
+    assert summary["accepted_steps"] + summary["rejected_steps"] == 500
+    assert sum(summary["rejected_by"].values()) == summary["rejected_steps"]
 
 
 def test_simulate_extreme_potential_exits_cleanly(tmp_path):

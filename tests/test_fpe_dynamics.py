@@ -78,10 +78,6 @@ def test_array_tableau_reproduces_the_tuples_and_order_conditions():
     assert abs(sum(_RK_ERR)) <= 1e-16
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="stage 6 of _RK_A has -3554/2565 where Fehlberg's tableau has -3544/2565, so its row sums to 0.4961, not c6 = 1/2",
-)
 def test_stage_rows_sum_to_nodes():
     assert np.allclose([row.sum() for row in _STAGE_ROWS], _RK_C, rtol=0.0, atol=1e-15)
 
@@ -253,12 +249,13 @@ def test_dissipation_matches_energy_slope():
     model = bare_model(2)
     traj = integrate(model, g, Density([0.9, 0.1]), 1.0, record_every=1, rel_tol=1e-11, abs_tol=1e-13)
     t, e, d = traj.times, traj.energy, traj.dissipation
-    # centered difference of energy against recorded dissipation
+    # energy change over each step against the trapezoid of the recorded
+    # dissipation (a centered difference over two long adaptive steps is too coarse)
     checked = 0
-    for k in range(1, t.size - 1):
-        slope = (e[k + 1] - e[k - 1]) / (t[k + 1] - t[k - 1])
-        if abs(d[k]) > 1e-6:
-            assert rel_err(slope, d[k]) <= 1e-3
+    for k in range(t.size - 1):
+        if min(abs(d[k]), abs(d[k + 1])) > 1e-6:
+            trapezoid = 0.5 * (t[k + 1] - t[k]) * (d[k] + d[k + 1])
+            assert rel_err(e[k + 1] - e[k], trapezoid) <= 1e-3
             checked += 1
     assert checked >= 5
 

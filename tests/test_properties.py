@@ -1,4 +1,4 @@
-"""Property tests of the L(rho) kernels, the Hodge split and the flow on generated graphs."""
+"""Property tests of the L(rho) kernels and solve, the Hodge split and the flow on generated graphs."""
 
 import numpy as np
 from hypothesis import given
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from graphfpe import (
     Density,
     EnergyModel,
+    TangentVector,
     VectorField,
     build_graph,
     convexity_certificate,
@@ -14,18 +15,23 @@ from graphfpe import (
     inner_product,
     integrate,
     invariant_region,
+    metric_inner,
+    solve_potential,
+    weighted_laplacian,
 )
 from graphfpe.fpe_dynamics import _FlowKernel
 from graphfpe.free_energy import _drift_raw
-from graphfpe.simplex_calculus import laplacian_apply, laplacian_form, laplacian_matrices
+from graphfpe.simplex_calculus import laplacian_apply, laplacian_form, laplacian_matrices, laplacian_solve
 
 weights = st.floats(0.1, 10.0)
 masses = st.floats(1e-3, 1.0)
+# log-uniform masses from 1e-10 to 1: near-boundary densities with bottleneck edges
+small_masses = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
 reals = st.floats(-10.0, 10.0)
 
 
 @st.composite
-def graph_density_vector(draw, min_nodes=2):
+def graph_density_vector(draw, min_nodes=2, masses=masses):
     """A connected graph (random spanning tree plus extra edges), an interior density and a node vector."""
     n = draw(st.integers(min_nodes, 12))
     edges = {(draw(st.integers(0, j - 1)), j): draw(weights) for j in range(1, n)}
@@ -45,6 +51,35 @@ def test_laplacian_apply_zero_sum_and_form_nonnegative(case):
     scale = np.abs(laplacian_matrices(graph, rho.values)) @ np.abs(x)
     assert abs(float(Lx.sum())) <= 1e-12 * max(float(scale.sum()), 1e-300)
     assert laplacian_form(graph, rho.values, x) >= 0.0
+
+
+def tangent(x):
+    return TangentVector(x - x.mean())
+
+
+@given(graph_density_vector(masses=small_masses))
+def test_solve_potential_residual_near_the_boundary(case):
+    graph, rho, x = case
+    sigma = tangent(x)
+    phi = solve_potential(weighted_laplacian(graph, rho), sigma).values
+    residual = laplacian_apply(graph, rho.values, phi) - sigma.values
+    # per node, relative to the sum of |terms| of its row of L(rho) phi - sigma
+    scale = np.abs(laplacian_matrices(graph, rho.values)) @ np.abs(phi) + np.abs(sigma.values)
+    assert np.all(np.abs(residual) <= 1e-10 * scale)
+
+
+@given(graph_density_vector(masses=small_masses), st.data())
+def test_metric_inner_symmetric_and_positive(case, data):
+    graph, rho, x = case
+    y = np.array(data.draw(st.lists(reals, min_size=graph.node_count, max_size=graph.node_count)))
+    a, b = tangent(x), tangent(y)
+    lap = weighted_laplacian(graph, rho)
+    # rounding scale of a^T L^+ b: |a|^T A^-1 |b| for the grounded block A, whose inverse is entrywise >= 0
+    scale = np.abs(a.values) @ laplacian_solve(graph, rho.values, np.abs(b.values))
+    assert abs(metric_inner(a, b, lap) - metric_inner(b, a, lap)) <= 1e-10 * scale
+    for v in (a, b):
+        if np.any(v.values != 0.0):
+            assert metric_inner(v, v, lap) > 0.0
 
 
 @given(graph_density_vector(), st.data())

@@ -12,6 +12,7 @@ from graphfpe import (
     Potential,
     TangentVector,
     VectorField,
+    build_graph,
     divergence,
     edge_thetas,
     graph_gradient,
@@ -24,7 +25,13 @@ from graphfpe import (
     weighted_laplacian,
 )
 from graphfpe.graph_core import graph_laplacian
-from graphfpe.simplex_calculus import _thetas, laplacian_apply, laplacian_form, laplacian_matrices
+from graphfpe.simplex_calculus import (
+    _thetas,
+    laplacian_apply,
+    laplacian_form,
+    laplacian_matrices,
+    laplacian_solve,
+)
 from helpers import interior_density, k3, path2, random_connected_graph
 
 
@@ -196,12 +203,15 @@ def test_laplacian_kernels_stacked_equal_per_row():
         L = laplacian_matrices(g, values)
         Lx = laplacian_apply(g, values, x)
         form = laplacian_form(g, values, x)
+        solved = laplacian_solve(g, values, x)
         assert L.shape == (3, 4, n, n) and Lx.shape == (3, 4, n) and form.shape == (3, 4)
+        assert solved.shape == (3, 4, n) and np.all(solved[..., 0] == 0.0)  # node 0 is grounded
         for a in range(3):
             for b in range(4):
                 assert np.array_equal(L[a, b], laplacian_matrices(g, values[a, b]))
                 assert np.array_equal(Lx[a, b], laplacian_apply(g, values[a, b], x[a, b]))
                 assert form[a, b] == laplacian_form(g, values[a, b], x[a, b])
+                assert np.array_equal(solved[a, b], laplacian_solve(g, values[a, b], x[a, b]))
         assert np.array_equal(L[0, 0], weighted_laplacian(g, Density(values[0, 0])).matrix)
 
 
@@ -225,6 +235,44 @@ def test_solve_potential_round_trip():
         sigma = TangentVector(raw - raw.mean())
         phi = solve_potential(lap, sigma)
         assert np.max(np.abs(lap.matrix @ phi.values - sigma.values)) <= 1e-10
+
+
+def near_boundary_tree_cases(seed, count):
+    """Random trees with a third of the nodes (node 0 always) at masses 1e-12..1e-6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 10))
+        edges = [(int(rng.integers(0, j)) + 1, j + 1, float(rng.uniform(0.5, 1.5))) for j in range(1, n)]
+        g = build_graph(n, edges)
+        rho = rng.dirichlet(np.ones(n))
+        small = np.concatenate(([0], rng.choice(np.arange(1, n), n // 3 - 1, replace=False)))
+        rho[small] = 10.0 ** rng.uniform(-12, -6, small.size)
+        raw = rng.standard_normal(n)
+        yield g, Density(rho / rho.sum()), TangentVector(raw - raw.mean())
+
+
+def test_solve_potential_accurate_near_the_boundary():
+    # bottleneck edges carry thetas down to 1e-12; the reference is L(rho)
+    # built in 50-digit arithmetic from the same float weights and densities,
+    # with row 0 replaced by ones (the mean-zero condition)
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for g, rho, sigma in near_boundary_tree_cases(3, 40):
+            n = g.node_count
+            M = mpmath.zeros(n, n)
+            for i, j, w in g.edges:
+                c = mpmath.mpf(w) * (mpmath.mpf(rho.values[i]) + mpmath.mpf(rho.values[j])) / 2
+                M[i, i] += c
+                M[j, j] += c
+                M[i, j] -= c
+                M[j, i] -= c
+            M[0, :] = mpmath.ones(1, n)
+            rhs = mpmath.matrix([0.0, *sigma.values[1:]])
+            ref = np.array([float(v) for v in mpmath.lu_solve(M, rhs)])
+            phi = solve_potential(weighted_laplacian(g, rho), sigma).values
+            worst = max(worst, float(np.max(np.abs(phi - ref)) / np.max(np.abs(ref))))
+    assert worst <= 1e-12
 
 
 def test_solve_potential_boundary_rejected():
