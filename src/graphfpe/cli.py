@@ -188,13 +188,41 @@ def _validator():
     return cls(json.loads(text))
 
 
+def _finite_float(text: str) -> float:
+    """``json.loads`` hook for float literals: the value, refused unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        shown = text[:21] + "..." if len(text) > 24 else text
+        raise ValueError(f"number {shown} is not finite as a float")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    """``json.loads`` hook for int literals: the value, refused unless it is finite as a float."""
+    _finite_float(text)
+    return int(text)
+
+
+def _no_constant(name: str):
+    """``json.loads`` hook for the NaN, Infinity and -Infinity literals: always refused."""
+    raise ValueError(f"number {name} is not finite")
+
+
 def _load_json(path: Path) -> dict:
+    """Parse a config or a referenced file; NaN, infinities and numbers that overflow a float are config errors."""
     try:
-        return json.loads(path.read_text("utf-8"))
+        return json.loads(
+            path.read_text("utf-8"),
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+            parse_constant=_no_constant,
+        )
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _validate_config(config: dict) -> None:

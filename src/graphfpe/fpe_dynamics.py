@@ -2,11 +2,11 @@
 
 The flow is d rho / dt = -L(rho) F(rho), written per node as
 sum_j w_ij theta_ij (F_j - F_i) with F the drift field of the energy model.
-One right-hand-side kernel, prepared once per (model, graph), evaluates it
-for ``fpe_rhs``, ``dissipation`` and ``integrate``. Integration uses an
-explicit embedded Fehlberg 4(5) pair in array form (the six stages are rows
-of one array, each stage point and the update with its error estimate are
-matrix products with the tableau) and rejects a step on any of four guards:
+One batched right-hand-side kernel, ``_rhs_raw``, evaluates it for
+``fpe_rhs`` and ``integrate``. Integration uses an explicit embedded
+Fehlberg 4(5) pair in array form (the six stages are rows of one array,
+each stage point and the update with its error estimate are matrix
+products with the tableau) and rejects a step on any of four guards:
 a positivity floor derived from the invariant region (at each stage and at
 the new state), scaled local error, the mass budget and, for gradient flows,
 monotonicity of the free energy.
@@ -109,31 +109,19 @@ def _check_inputs(model: EnergyModel, graph: Graph, rho: Density) -> None:
         )
 
 
-class _FlowKernel:
-    """Right-hand side -L(rho) F(rho) of one (model, graph), and its dissipation.
+def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
+    """-L(rho) F(rho) per row, (..., n) -> (..., n); the only right-hand-side path.
 
-    The only right-hand-side path: ``fpe_rhs``, ``dissipation`` and
-    ``integrate`` bind one to their (model, graph) and evaluate through it.
-    The arrays it needs are prepared once: the graph caches its edge index
-    arrays and weights, the model holds W, V and beta. It composes the shared
-    batched kernels (the drift, L(rho) apply and L(rho) form), so it takes
-    raw positive density rows of shape (..., n), validates nothing, and a
-    stacked call gives the same bits as one call per row.
+    Composes the shared batched kernels (the drift and the L(rho) apply), so
+    it takes raw positive density rows, validates nothing, and a stacked
+    call gives the same bits as one call per row.
     """
+    return laplacian_apply(graph, values, -_drift_raw(model, values))
 
-    __slots__ = ("model", "graph")
 
-    def __init__(self, model: EnergyModel, graph: Graph):
-        self.model = model
-        self.graph = graph
-
-    def rhs(self, values: np.ndarray) -> np.ndarray:
-        """-L(rho) F(rho) per row, (..., n) -> (..., n)."""
-        return laplacian_apply(self.graph, values, -_drift_raw(self.model, values))
-
-    def dissipation(self, values: np.ndarray) -> np.ndarray:
-        """-F^T L(rho) F per row, (..., n) -> (...), a sum of nonpositive edge terms."""
-        return -laplacian_form(self.graph, values, _drift_raw(self.model, values))
+def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
+    """-F^T L(rho) F per row, (..., n) -> (...), a sum of nonpositive edge terms."""
+    return -laplacian_form(graph, values, _drift_raw(model, values))
 
 
 def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
@@ -141,7 +129,7 @@ def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
     _check_inputs(model, graph, rho)
     if not rho.interior:
         raise BoundaryDensity("FPE right-hand side needs an interior density")
-    return TangentVector(_FlowKernel(model, graph).rhs(rho.values))
+    return TangentVector(_rhs_raw(model, graph, rho.values))
 
 
 def dissipation(model: EnergyModel, graph: Graph, rho: Density) -> float:
@@ -149,7 +137,7 @@ def dissipation(model: EnergyModel, graph: Graph, rho: Density) -> float:
     _check_inputs(model, graph, rho)
     if not rho.interior:
         raise BoundaryDensity("dissipation needs an interior density")
-    return float(_FlowKernel(model, graph).dissipation(rho.values))
+    return float(_dissipation_raw(model, graph, rho.values))
 
 
 def invariant_region(model: EnergyModel, graph: Graph, rho0: Density) -> InvariantRegion:
@@ -194,17 +182,17 @@ def integrate(
     """Integrate the flow from rho0 over [0, t_end] with adaptive steps.
 
     Each step evaluates the six Fehlberg stages into one (6, n) array through
-    the prepared right-hand-side kernel: stage s starts from
-    y + h (A[s, :s] @ K[:s]), and one product of the stacked 4th-order and
-    error weights with the stage array gives the update and the local error
-    estimate. A step is rejected, and the step size halved, if any component
-    of a stage point or of the candidate would drop below the positivity
-    floor (max(m(rho0)/2, 1e-14) by default; pass ``positivity_floor=1e-14``
-    to disable the invariant-region guard), if the mass drifts by more than
-    1e-13, or, for symmetric interactions, if the free energy would increase
-    by more than ``abs_tol``; a step whose scaled error exceeds 1 is retried
-    with a smaller step. The trajectory counts rejections per guard in
-    ``rejected_by``. Accepted states are renormalized onto the simplex. States
+    the right-hand-side kernel: stage s starts from y + h (A[s, :s] @ K[:s]),
+    and one product of the stacked 4th-order and error weights with the
+    stage array gives the update and the local error estimate. ``t_end``
+    must be positive and finite. A step is rejected, and the step size
+    halved, if any component of a stage point or of the candidate would drop
+    below the positivity floor (max(m(rho0)/2, 1e-14) by default; pass
+    ``positivity_floor=1e-14`` to disable the invariant-region guard), if the
+    mass drifts by more than 1e-13, or, for symmetric interactions, if the
+    free energy would increase by more than ``abs_tol``; a step whose scaled
+    error exceeds 1 is retried with a smaller step. The trajectory counts
+    rejections per guard in ``rejected_by``. Accepted states are renormalized onto the simplex. States
     are recorded every ``record_every`` accepted steps (0 = initial and final
     only), plus the final state. A run that underflows the step size or
     attempts 100 000 steps raises :class:`StepSizeUnderflow` carrying the
@@ -213,8 +201,8 @@ def integrate(
     _check_inputs(model, graph, rho0)
     if not rho0.interior:
         raise BoundaryDensity("integration starts from an interior density")
-    if not (t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every!r}")
     if max_step is not None and not max_step > 0:
@@ -226,8 +214,6 @@ def integrate(
         floor = max(float(positivity_floor), _ABS_FLOOR)
     guard_energy = model.is_symmetric
     h_cap = float(max_step) if max_step is not None else math.inf
-    kernel = _FlowKernel(model, graph)
-    rhs = kernel.rhs
 
     y = rho0.values.copy()
     t = 0.0
@@ -242,12 +228,12 @@ def integrate(
         times.append(time)
         states.append(values.copy())
         energies.append(float(_energy_raw(model, values)) if e is None else e)
-        dissipations.append(float(kernel.dissipation(values)))
+        dissipations.append(float(_dissipation_raw(model, graph, values)))
 
     record(0.0, y, current_energy)
 
     K = np.empty((6, y.size))  # stage derivatives; K[0] is reused across rejections of one state
-    K[0] = rhs(y)
+    K[0] = _rhs_raw(model, graph, y)
     h = min(t_end, h_cap, 0.01 / (1.0 + float(np.max(np.abs(K[0])))))
     accepted = 0
     rejected_by = dict.fromkeys(_GUARDS, 0)
@@ -275,7 +261,7 @@ def integrate(
             if ys.min() < floor:
                 stage_ok = False
                 break
-            K[s] = rhs(ys)
+            K[s] = _rhs_raw(model, graph, ys)
         if not stage_ok:
             rejected_by["stage_floor"] += 1
             h = 0.5 * h_try
@@ -312,7 +298,7 @@ def integrate(
         y = y_new
         t += h_try
         accepted += 1
-        K[0] = rhs(y)
+        K[0] = _rhs_raw(model, graph, y)
         h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** -0.2, 0.2), 5.0), h_cap)
         if record_every > 0 and accepted % record_every == 0 and t < t_end - t_tiny:
             record(t, y, current_energy if guard_energy else None)

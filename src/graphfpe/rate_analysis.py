@@ -37,7 +37,7 @@ from .free_energy import (
     gibbs_fixed_point,
 )
 from .graph_core import Graph, graph_laplacian, symmetric_eigen
-from .simplex_calculus import Density, laplacian_form, weighted_laplacian
+from .simplex_calculus import Density, _gth_solve, laplacian_form, laplacian_matrices
 
 __all__ = [
     "RateReport",
@@ -121,15 +121,35 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
 
 
 def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
-    """Smallest eigenvalue of Lam^1/2 Q^T S Q Lam^1/2, the nonzero spectrum of L(rho) S for symmetric S.
+    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for symmetric S.
 
-    (Lam, Q) are the nonzero eigenpairs of L(rho): all but the first, as the
-    kernel is the constants for an interior rho.
+    On the zero-sum plane, with basis V = diag(s) Q (s = sqrt(rho), Q
+    orthonormal and orthogonal to s), L(rho) S v = lam v is the pencil
+    S^ a = lam X^ a with S^ = V^T S V and X^ = V^T X V, where X is the
+    inverse of L(rho) grounded at the heaviest node, from the one GTH
+    elimination (:func:`_gth_solve`). S^ is well conditioned for S = Hess F,
+    as diag(s) S diag(s) = diag(s) W diag(s) + beta I, and GTH gives X
+    entrywise accurately, so tiny masses keep full relative accuracy. With
+    S^ = U G U^T and T = U |G|^-1/2, the reciprocals mu = 1/lam are the
+    eigenvalues of N^1/2 J N^1/2, N = T^T X^ T and J = sign(G). By
+    Sylvester's law of inertia the number k of negative entries of G is the
+    number of negative rates: the smallest rate is 1/mu_max(N) for k = 0 and
+    otherwise 1/mu_k, the negative mu nearest zero.
     """
-    spec = weighted_laplacian(graph, rho).spectrum
-    half = spec.eigenvectors[:, 1:] * np.sqrt(spec.eigenvalues[1:])
-    M = half.T @ S @ half
-    return float(symmetric_eigen(0.5 * (M + M.T)).eigenvalues[0])
+    order = np.argsort(-rho.values, kind="stable")
+    s = np.sqrt(rho.values[order])
+    V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
+    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
+    gamma, U = np.linalg.eigh(V.T @ S[np.ix_(order, order)] @ V)
+    T = U / np.sqrt(np.abs(gamma))
+    N = T.T @ (0.5 * (X_hat + X_hat.T)) @ T
+    k = int(np.sum(gamma < 0.0))
+    if k == 0:
+        return float(1.0 / np.linalg.eigvalsh(N)[-1])
+    nu, Z = np.linalg.eigh(N)
+    # N is positive semidefinite: clip the rounding-sized negative eigenvalues of its huge-rate modes
+    root = (Z * np.sqrt(np.maximum(nu, 0.0))) @ Z.T
+    return float(1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1])
 
 
 def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str) -> None:
@@ -161,9 +181,11 @@ def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float
 
     Needs no positive-definite Hessian, so it also covers equilibria of
     non-convex energies where the full-space Hessian is indefinite; a
-    negative return value flags an unstable equilibrium. Equals
-    :func:`asymptotic_rate` bit for bit whenever the Hessian is positive
-    definite.
+    negative return value flags an unstable equilibrium. The sign comes from
+    the tangent inertia: the number of negative rates is the number of
+    negative eigenvalues of HessF on the zero-sum plane, so it stays right
+    for masses near the simplex boundary. Equals :func:`asymptotic_rate` bit
+    for bit whenever the Hessian is positive definite.
     """
     if not model.is_symmetric:
         raise NonSymmetricW("linearized rate requires a symmetric interaction matrix")

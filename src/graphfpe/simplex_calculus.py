@@ -211,29 +211,42 @@ def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarra
 def laplacian_solve(graph: Graph, values: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L(rho) x = b and x_0 = 0 per row, (..., n) -> (..., n); for zero-sum b, x = L(rho)^+ b + const.
 
+    One GTH elimination (:func:`_gth_solve`) grounded at node 0. A pivot at
+    most 1e-14 of the largest diagonal entry of L(rho) raises
+    :class:`BoundaryDensity`.
+    """
+    L = laplacian_matrices(graph, values)
+    x, pivots = _gth_solve(L, b)
+    if not np.all(pivots[..., 1:] > 1e-14 * np.diagonal(L, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)):
+        raise BoundaryDensity("density too close to the simplex boundary: L(rho) degenerates")
+    return x
+
+
+def _gth_solve(L: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, pivots) with L x = b and x_0 = 0 per row, for Laplacians L (..., n, n) and rows b (..., n).
+
     Grassmann-Taksar-Heyman (GTH) elimination of nodes n-1, ..., 1 onto the
     grounded node 0: a pivot is the sum of the node's remaining conductances,
     never a difference, so tiny bottleneck thetas keep full relative
-    accuracy. A pivot at most 1e-14 of the largest diagonal entry of L(rho)
-    raises :class:`BoundaryDensity`.
+    accuracy. ``pivots[..., k]`` is node k's pivot (node 0 has none); the
+    leading dimensions of L and b broadcast, so one L can take a stack of
+    right-hand sides. The only elimination of L(rho) in the package; it
+    checks nothing, and a zero pivot gives inf or nan entries.
     """
-    L = laplacian_matrices(graph, values)
     C = -L  # conductances off the diagonal; the diagonal is never read
     y = np.array(b, dtype=float)
-    pivots = np.empty(C.shape[:-1])  # pivots[..., k] of node k; node 0 has none
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot fails the guard below
-        for k in range(graph.node_count - 1, 0, -1):
+    pivots = np.empty(C.shape[:-1])
+    with np.errstate(all="ignore"):  # a zero or tiny pivot is left to the caller
+        for k in range(L.shape[-1] - 1, 0, -1):
             row = C[..., k, :k]
             pivots[..., k] = row.sum(axis=-1)
             f = row / pivots[..., k, None]
             C[..., :k, :k] += f[..., :, None] * row[..., None, :]
             y[..., :k] += f * y[..., k, None]
-    if not np.all(pivots[..., 1:] > 1e-14 * np.diagonal(L, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)):
-        raise BoundaryDensity("density too close to the simplex boundary: L(rho) degenerates")
-    x = np.zeros_like(y)
-    for k in range(1, graph.node_count):
-        x[..., k] = (y[..., k] + (C[..., k, :k] * x[..., :k]).sum(axis=-1)) / pivots[..., k]
-    return x
+        x = np.zeros_like(y)
+        for k in range(1, L.shape[-1]):
+            x[..., k] = (y[..., k] + (C[..., k, :k] * x[..., :k]).sum(axis=-1)) / pivots[..., k]
+    return x, pivots
 
 
 def graph_gradient(graph: Graph, phi: Potential) -> VectorField:

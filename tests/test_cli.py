@@ -182,6 +182,39 @@ def test_invalid_json_exits_2(tmp_path):
     assert run("gibbs", cfg, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize(
+    "path, literal",
+    [
+        (("simulate", "t_end"), "NaN"),
+        (("simulate", "max_step"), "NaN"),
+        (("simulate", "t_end"), "1e400"),
+        (("model", "V", 0), "1" + "0" * 400),
+    ],
+    ids=["t_end-nan", "max_step-nan", "t_end-1e400", "V-401-digit-int"],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, path, literal):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(with_change(path, "@")).replace('"@"', literal))
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_non_finite_number_in_referenced_file_exits_2(tmp_path, capsys):
+    (tmp_path / "model.json").write_text('{"beta": 1.0, "V": [Infinity, 0.0]}')
+    config = dict(CANONICAL)
+    config["model"] = {"path": "model.json"}
+    cfg = write_config(tmp_path, config)
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    assert "model.json: number Infinity is not finite" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert run("gibbs", cfg, tmp_path / "out") == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
 def test_graph_from_file_reference(tmp_path):
     (tmp_path / "graph.json").write_text(json.dumps({"n": 2, "edges": [[1, 2, 1.0]]}))
     config = dict(CANONICAL)

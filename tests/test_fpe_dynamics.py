@@ -297,6 +297,13 @@ def test_integrate_validations():
         integrate(bare_model(2), path2(), Density([0.5, 0.5]), 1.0, record_every=-1)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+def test_integrate_rejects_non_finite_t_end(t_end):
+    # an infinite t_end used to return at once with the start state as final
+    with pytest.raises(ValueError, match="t_end"):
+        integrate(bare_model(2), path2(), Density([0.5, 0.5]), t_end)
+
+
 def test_nonsymmetric_interaction_integrates_without_energy_guard():
     g = path2()
     model_ns = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0)

@@ -1,4 +1,4 @@
-"""Property tests of the L(rho) kernels and solve, the Hodge split and the flow on generated graphs."""
+"""Property tests of the L(rho) kernels and solve, the Hodge split, the flow and the tangent rate on generated graphs."""
 
 import numpy as np
 from hypothesis import given
@@ -19,14 +19,17 @@ from graphfpe import (
     solve_potential,
     weighted_laplacian,
 )
-from graphfpe.fpe_dynamics import _FlowKernel
+from graphfpe.fpe_dynamics import _rhs_raw
 from graphfpe.free_energy import _drift_raw
+from graphfpe.rate_analysis import _tangent_rate
 from graphfpe.simplex_calculus import laplacian_apply, laplacian_form, laplacian_matrices, laplacian_solve
 
 weights = st.floats(0.1, 10.0)
 masses = st.floats(1e-3, 1.0)
 # log-uniform masses from 1e-10 to 1: near-boundary densities with bottleneck edges
 small_masses = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
+# log-uniform masses from 1e-12 to 1, for the tangent rate
+tiny_masses = st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
 reals = st.floats(-10.0, 10.0)
 
 
@@ -127,13 +130,50 @@ def test_flow_keeps_mass_floor_and_energy_descent(case):
 @given(flow_case())
 def test_prepared_rhs_is_minus_laplacian_times_drift(case):
     model, graph, rho0 = case
-    kernel = _FlowKernel(model, graph)
     rows = np.array([rho0.values, np.full(graph.node_count, 1.0 / graph.node_count)])
-    rhs = kernel.rhs(rows)
+    rhs = _rhs_raw(model, graph, rows)
     L = laplacian_matrices(graph, rows)
     drift = _drift_raw(model, rows)
     for k in range(2):
         # per node, relative to the sum of |terms| of its row of L(rho) F
         assert np.all(np.abs(rhs[k] + L[k] @ drift[k]) <= 1e-12 * (np.abs(L[k]) @ np.abs(drift[k])))
         # a stacked call gives the bits of one call per row
-        assert np.array_equal(rhs[k], kernel.rhs(rows[k]))
+        assert np.array_equal(rhs[k], _rhs_raw(model, graph, rows[k]))
+
+
+@st.composite
+def rate_case(draw, masses=tiny_masses):
+    """A connected 3-12 node graph, a density and S = B + beta diag(1/rho) with B symmetric.
+
+    S has the structure of Hess F; B in [-20, 20] makes it definite or
+    indefinite on the tangent plane.
+    """
+    graph, rho, _ = draw(graph_density_vector(min_nodes=3, masses=masses))
+    n = graph.node_count
+    B = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    beta = draw(st.floats(0.1, 2.0))
+    return graph, rho, 0.5 * (B + B.T) + beta * np.diag(1.0 / rho.values)
+
+
+@given(rate_case(), st.randoms(use_true_random=False))
+def test_tangent_rate_invariant_under_relabelling(case, random):
+    graph, rho, S = case
+    n = graph.node_count
+    perm = list(range(n))
+    random.shuffle(perm)
+    relabelled = build_graph(n, [(perm[i] + 1, perm[j] + 1, w) for i, j, w in graph.edges])
+    inverse = np.argsort(perm)  # node perm[i] of the relabelled graph is node i
+    a = _tangent_rate(graph, rho, S)
+    b = _tangent_rate(relabelled, Density(rho.values[inverse]), S[np.ix_(inverse, inverse)])
+    assert abs(a - b) <= 1e-10 * abs(a)
+
+
+@given(rate_case(masses=masses))
+def test_tangent_rate_matches_float_eigenvalues(case):
+    graph, rho, S = case
+    n = graph.node_count
+    # orthonormal basis of the zero-sum plane, which L(rho) S maps into itself
+    Q = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    lam = np.linalg.eigvals(Q.T @ laplacian_matrices(graph, rho.values) @ S @ Q).real
+    # float eigenvalues carry an error relative to the spectral radius
+    assert abs(_tangent_rate(graph, rho, S) - lam.min()) <= 1e-8 * np.abs(lam).max()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 
@@ -16,6 +17,7 @@ from graphfpe import (
     build_graph,
     dissipation,
     estimate_lsi_constant,
+    find_all_equilibria,
     fisher_rate,
     gibbs_fixed_point,
     hessian_quadratic_rate,
@@ -28,6 +30,7 @@ from graphfpe import (
     verify_decay_bound,
 )
 from graphfpe import rate_analysis
+from graphfpe.cli import main
 from helpers import (
     bare_model,
     interior_density,
@@ -365,3 +368,110 @@ def test_theorem4_bound_conservative_vs_observed():
     )
     slope = tail_slope(traj.times, traj.energy - rep.f_inf)
     assert -slope >= rep.C
+
+
+def three_well_recipe():
+    """A 12-node path plus random chords up to 18 edges, and a model with three wells on it.
+
+    Edge weights are U(0.5, 1.5); W is -3u, u ~ U(4, 5), on each diagonal
+    4 x 4 block, V ~ U(-1, 1) and beta = 0.25, all drawn from default_rng(7).
+    """
+    rng = np.random.default_rng(7)
+    n = 12
+    edges = {(i, i + 1): float(rng.uniform(0.5, 1.5)) for i in range(n - 1)}
+    while len(edges) < 18:
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.setdefault((i, j), float(rng.uniform(0.5, 1.5)))
+    graph = build_graph(n, [(i + 1, j + 1, w) for (i, j), w in edges.items()])
+    W = np.zeros((n, n))
+    for b in range(0, n, 4):
+        W[b : b + 4, b : b + 4] = -3.0 * rng.uniform(4.0, 5.0)
+    return graph, EnergyModel(W, rng.uniform(-1.0, 1.0, n), 0.25)
+
+
+def corner_starts(n):
+    """The uniform density and one start per node with 0.9 on that node."""
+    starts = [Density(np.full(n, 1.0 / n))]
+    for i in range(n):
+        x = np.full(n, 0.1 / (n - 1))
+        x[i] = 0.9
+        starts.append(Density(x / x.sum()))
+    return starts
+
+
+def mp_tangent_rate(mpmath, graph, model, rho):
+    """Smallest tangent eigenvalue of L(rho) Hess F(rho) in 50-digit arithmetic from the float inputs.
+
+    The tangent eigenvalues are real (L H is similar to L^1/2 H L^1/2); the
+    one of least modulus, the zero of the constants, is dropped.
+    """
+    with mpmath.workdps(50):
+        n = graph.node_count
+        L = mpmath.zeros(n, n)
+        for i, j, w in graph.edges:
+            c = mpmath.mpf(w) * (mpmath.mpf(rho[i]) + mpmath.mpf(rho[j])) / 2
+            L[i, i] += c
+            L[j, j] += c
+            L[i, j] -= c
+            L[j, i] -= c
+        H = mpmath.matrix(model.interaction.tolist())
+        for i in range(n):
+            H[i, i] += mpmath.mpf(model.beta) / mpmath.mpf(rho[i])
+        eigenvalues = sorted(mpmath.eig(L * H, left=False, right=False), key=abs)[1:]
+        return float(min(mpmath.re(z) for z in eigenvalues))
+
+
+def test_linearized_rate_matches_mpmath_near_the_boundary():
+    # three-well equilibria (min rho 5e-16 to 1e-15), a saddle between two of
+    # the wells and densities with two wells emptied to 1e-25..1e-18; the
+    # eigendecomposition of L(rho) got these wrong by up to 14%, or the sign
+    mpmath = pytest.importorskip("mpmath")
+    graph, model = three_well_recipe()
+    n = graph.node_count
+    equilibria = find_all_equilibria(model, corner_starts(n), tol=1e-13, max_iter=500_000)
+    assert len(equilibria) == 3
+    cases = [(model, eq.density) for eq in equilibria]
+
+    W = np.zeros((n, n))
+    for b in range(0, n, 4):
+        W[b : b + 4, b : b + 4] = -13.5
+    even = EnergyModel(W, np.zeros(n), 0.25)
+    x = np.ones(n)
+    x[8:] = 1e-6
+    cases.append((even, gibbs_fixed_point(even, Density(x / x.sum()), tol=1e-14, max_iter=500_000).density))
+
+    rng = np.random.default_rng(3)
+    for b in range(0, n, 4):
+        x = rng.uniform(0.5, 1.5, n)
+        empty = np.r_[0:b, b + 4 : n]
+        x[empty] *= 10.0 ** rng.uniform(-25.0, -18.0, empty.size)
+        cases.append((model, Density(x / x.sum())))
+
+    signs = []
+    for m, rho in cases:
+        ref = mp_tangent_rate(mpmath, graph, m, rho.values)
+        got = linearized_rate(m, graph, rho)
+        assert np.sign(got) == np.sign(ref)
+        assert rel_err(got, ref) <= 1e-10
+        signs.append(np.sign(ref))
+    # the saddle is unstable, the other six are stable
+    assert signs == [1, 1, 1, -1, 1, 1, 1]
+
+
+def test_rates_equilibrium_cli_matches_mpmath(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    graph, model = three_well_recipe()
+    config = {
+        "graph": {"n": graph.node_count, "edges": [[i + 1, j + 1, w] for i, j, w in graph.edges]},
+        "model": {"beta": model.beta, "V": model.potential.tolist(), "W": model.interaction.tolist()},
+        "rates": {"rho0": np.full(graph.node_count, 1.0 / graph.node_count).tolist()},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "out"), "--equilibrium"]) == 0
+    entries = json.loads((tmp_path / "out" / "rates.json").read_text())["equilibria"]
+    assert len(entries) == 3
+    for entry in entries:
+        ref = mp_tangent_rate(mpmath, graph, model, np.array(entry["density"]))
+        assert np.sign(entry["lambda_asymptotic"]) == np.sign(ref)
+        assert rel_err(entry["lambda_asymptotic"], ref) <= 1e-10
