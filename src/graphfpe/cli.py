@@ -571,7 +571,6 @@ def cmd_w2(run: _Run) -> int:
         K=K,
         max_iters=opts.get("max_iters", 5000),
         grad_tol=opts.get("grad_tol", 1e-8),
-        step_init=opts.get("step_init", 1.0),
     )
     payload = dict(run.stamp)
     payload.update(
@@ -580,6 +579,7 @@ def cmd_w2(run: _Run) -> int:
             "action": result.path.action,
             "converged": result.converged,
             "iterations": result.iterations,
+            "backtracks": result.backtracks,
             "grad_norm": result.grad_norm,
             "K": K,
         }

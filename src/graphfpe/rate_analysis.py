@@ -36,7 +36,7 @@ from .free_energy import (
     energy_hessian,
     gibbs_fixed_point,
 )
-from .graph_core import Graph, graph_laplacian, symmetric_eigen
+from .graph_core import Graph, graph_laplacian
 from .simplex_calculus import Density, _gth_solve, laplacian_form, laplacian_matrices
 
 __all__ = [
@@ -153,7 +153,7 @@ def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
 
 
 def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str) -> None:
-    low = float(symmetric_eigen(S).eigenvalues[0])
+    low = float(np.linalg.eigvalsh(S)[0])  # S is symmetric by construction
     if low <= 0.0:
         raise error(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
@@ -241,9 +241,9 @@ def rate_constants(
         raise VacuousCertificate(
             "the invariant-region floor m underflows to 0; the decay certificate is vacuous"
         )
-    hat = symmetric_eigen(graph_laplacian(graph))
-    lam_sec = float(hat.eigenvalues[1])
-    lam_max = float(hat.eigenvalues[-1])
+    hat = np.linalg.eigvalsh(graph_laplacian(graph))
+    lam_sec = float(hat[1])
+    lam_max = float(hat[-1])
     lam_min_hess = cert.lambda_min_bound
     hess_norm1 = float(np.max(np.abs(model.interaction).sum(axis=0))) + model.beta / m
     delta_f = max(energy(model, rho0) - f_inf, 0.0)

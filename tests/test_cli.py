@@ -418,6 +418,22 @@ def test_w2_closed_form_and_path_csv(tmp_path):
     assert len(path_lines) == 1 + 16 + 1  # header + K+1 rows
 
 
+def test_w2_json_reports_newton_steps_and_backtracks(tmp_path):
+    cfg = write_config(tmp_path, CANONICAL)
+    assert run("w2", cfg, tmp_path / "out") == 0
+    payload = read_json(tmp_path / "out" / "w2.json")
+    assert isinstance(payload["iterations"], int) and 1 <= payload["iterations"] <= 10
+    assert isinstance(payload["backtracks"], int) and payload["backtracks"] >= 0
+
+
+def test_w2_step_init_exits_2_and_names_key(tmp_path, capsys):
+    config = dict(CANONICAL)
+    config["w2"] = {"rho0": [0.5, 0.5], "rho1": [0.9, 0.1], "K": 16, "step_init": 1.0}
+    cfg = write_config(tmp_path, config)
+    assert run("w2", cfg, tmp_path / "out") == 2
+    assert "step_init" in capsys.readouterr().err
+
+
 def test_decompose_pure_gradient(tmp_path):
     # the single-edge field [1] is the gradient of (0.5, -0.5)
     cfg = write_config(tmp_path, CANONICAL)

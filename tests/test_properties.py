@@ -1,4 +1,4 @@
-"""Property tests of the L(rho) kernels and solve, the Hodge split, the flow and the tangent rate on generated graphs."""
+"""Property tests of the L(rho) kernels and solve, the Hodge split, the flow, the tangent rate and W2 on generated graphs."""
 
 import numpy as np
 from hypothesis import given
@@ -17,6 +17,7 @@ from graphfpe import (
     invariant_region,
     metric_inner,
     solve_potential,
+    w2_distance,
     weighted_laplacian,
 )
 from graphfpe.fpe_dynamics import _rhs_raw
@@ -31,12 +32,17 @@ small_masses = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
 # log-uniform masses from 1e-12 to 1, for the tangent rate
 tiny_masses = st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
 reals = st.floats(-10.0, 10.0)
+# W2 inputs: mass ratios up to 20 and weight ratios up to 4. Wider ranges
+# reach triples whose discrete geodesic touches the simplex boundary, where
+# w2_distance cannot converge (the strict xfail in test_wasserstein_metric).
+w2_masses = st.floats(0.05, 1.0)
+w2_weights = st.floats(0.5, 2.0)
 
 
 @st.composite
-def graph_density_vector(draw, min_nodes=2, masses=masses):
+def graph_density_vector(draw, min_nodes=2, masses=masses, max_nodes=12, weights=weights):
     """A connected graph (random spanning tree plus extra edges), an interior density and a node vector."""
-    n = draw(st.integers(min_nodes, 12))
+    n = draw(st.integers(min_nodes, max_nodes))
     edges = {(draw(st.integers(0, j - 1)), j): draw(weights) for j in range(1, n)}
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
         if i != j:
@@ -94,6 +100,36 @@ def test_hodge_parts_are_rho_orthogonal(case, data):
     grad = VectorField(graph, field.edge_values - u.edge_values)
     # scaled by |field|^2 >= 2 |grad| |u|: either part may be zero up to rounding
     assert abs(inner_product(grad, u, rho)) <= 1e-9 * inner_product(field, field, rho)
+
+
+@st.composite
+def w2_case(draw):
+    """A connected 2-6 node graph, three interior densities and two segment counts in 4..8."""
+    graph, a, _ = draw(graph_density_vector(max_nodes=6, masses=w2_masses, weights=w2_weights))
+    n = graph.node_count
+    b, c = (np.array(draw(st.lists(w2_masses, min_size=n, max_size=n))) for _ in range(2))
+    triple = (a, Density(b / b.sum()), Density(c / c.sum()))
+    return graph, triple, draw(st.integers(4, 8)), draw(st.integers(4, 8))
+
+
+@given(w2_case())
+def test_w2_symmetric_and_triangle_inequality(case):
+    graph, (a, b, c), K1, K2 = case
+
+    def dist(x, y, K):
+        res = w2_distance(graph, x, y, K=K)
+        assert res.converged, res.grad_norm
+        return res.distance
+
+    d_ab, d_ba = dist(a, b, K1), dist(b, a, K1)
+    assert abs(d_ab - d_ba) <= 1e-6 * d_ab + 1e-12
+    # At one K the discrete distance meets the triangle inequality only up to
+    # its O(K^-2) discretization error. Exactly, the optimal K1- and
+    # K2-segment paths joined end to end form a (K1 + K2)-segment path from a
+    # to c, whose action is (K1 + K2) (d_ab^2 / K1 + d_bc^2 / K2); with
+    # K1 : K2 = d_ab : d_bc that is (d_ab + d_bc)^2.
+    d_bc, d_ac = dist(b, c, K2), dist(a, c, K1 + K2)
+    assert d_ac**2 <= (K1 + K2) * (d_ab**2 / K1 + d_bc**2 / K2) * (1.0 + 1e-6) + 1e-12
 
 
 @st.composite
