@@ -71,6 +71,7 @@ from .rate_analysis import (
     LsiEstimate,
     RateReport,
     asymptotic_rate,
+    equilibrium_rates,
     estimate_lsi_constant,
     fisher_rate,
     hessian_quadratic_rate,

@@ -58,10 +58,8 @@ from .free_energy import (
 )
 from .graph_core import Graph, build_graph
 from .rate_analysis import (
-    asymptotic_rate,
+    equilibrium_rates,
     estimate_lsi_constant,
-    fisher_rate,
-    linearized_rate,
     rate_constants,
     relative_fisher,
     tail_slope,
@@ -155,37 +153,53 @@ def _digest(obj) -> str:
 # -- config loading ----------------------------------------------------------
 
 _JSONSCHEMA_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
+_FAST_KEYWORDS = {"type", "minimum", "exclusiveMinimum", "maximum", "items", "prefixItems", "minItems", "maxItems"}
+
+
+def _accepts_all(schema, values: list) -> bool:
+    """True only if stock Draft 2020-12 finds no error in any of values under schema.
+
+    One pass per schema node, not one jsonschema descent per entry. It knows
+    ``type`` number, integer or array and ``_FAST_KEYWORDS`` by jsonschema's
+    rules: a bool is no number, an integral float is an integer and NaN passes
+    every bound. False only means "let jsonschema decide".
+    """
+    if type(schema) is not dict or not schema.keys() <= _FAST_KEYWORDS:
+        return False
+    kind = schema.get("type")
+    if kind == "array":
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        prefix = schema.get("prefixItems", [])
+        return (
+            all(type(v) is list and low <= len(v) <= high for v in values)
+            and all(_accepts_all(sub, [v[k] for v in values if len(v) > k]) for k, sub in enumerate(prefix))
+            and ("items" not in schema or _accepts_all(schema["items"], [x for v in values for x in v[len(prefix):]]))
+        )
+    if kind not in ("number", "integer"):
+        return False
+    low, above = schema.get("minimum", -math.inf), schema.get("exclusiveMinimum", -math.inf)
+    high = schema.get("maximum", math.inf)
+    return all(
+        (type(x) is int or type(x) is float and (kind == "number" or x.is_integer()))
+        and not (x < low or x <= above or x > high)
+        for x in values
+    )
 
 
 def _number_items(validator, items, instance, schema):
-    """jsonschema's ``items`` with a fast accept for flat arrays of numbers.
-
-    When the item schema is only ``{"type": "number"}``, optionally with a
-    ``minimum``, one loop accepts an array whose entries are all ints or
-    floats not below the minimum: jsonschema's own rule, which rejects bools
-    and lets NaN pass. Any other schema, and any array the loop does not
-    accept, goes to jsonschema's ``items``, so errors and messages are
-    unchanged.
-    """
-    if (
-        type(instance) is list
-        and "prefixItems" not in schema
-        and type(items) is dict
-        and items.get("type") == "number"
-        and items.keys() <= {"type", "minimum"}
-    ):
-        floor = items.get("minimum", -math.inf)
-        if all(type(x) in (int, float) and not x < floor for x in instance):
-            return
+    """jsonschema's ``items``, after a fast accept by :func:`_accepts_all`: errors and messages stay jsonschema's."""
+    if type(instance) is list and _accepts_all(items, instance[len(schema.get("prefixItems", [])):]):
+        return
     yield from _JSONSCHEMA_ITEMS(validator, items, instance, schema)
 
 
 @functools.cache
 def _validator():
-    """The config validator: the schema parsed once, one validator class per process."""
+    """The config validator: the schema parsed once, with its ``$ref``s inlined, one validator per process."""
     text = resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8")
-    cls = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _number_items})
-    return cls(json.loads(text))
+    defs = json.loads(text)["$defs"]
+    schema = json.loads(text, object_hook=lambda d: defs[d["$ref"].removeprefix("#/$defs/")] if "$ref" in d else d)
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _number_items})(schema)
 
 
 def _finite_float(text: str) -> float:
@@ -240,7 +254,7 @@ def _resolve_section(config: dict, key: str, base: Path, fragment: str) -> dict:
     if "path" in section:
         loaded = _load_json(base / section["path"])
         validator = _validator()
-        sub = validator.evolve(schema={"$ref": f"#/$defs/{fragment}", "$defs": validator.schema["$defs"]})
+        sub = validator.evolve(schema=validator.schema["$defs"][fragment])
         err = jsonschema.exceptions.best_match(sub.iter_errors(loaded))
         if err is not None:
             raise ConfigError(f"{section['path']}: {err.message}")
@@ -453,24 +467,18 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
             raise NoConvergence("no equilibrium start converged")
         entries = []
         for res in results:
-            entry = {
-                "density": res.density.values,
-                "energy": energy(run.model, res.density),
-                "residual": res.residual,
-            }
-            try:
-                entry["lambda_asymptotic"] = asymptotic_rate(run.model, run.graph, res.density)
-                entry["hessian_positive"] = True
-            except NonPositiveHessian:
-                # indefinite Hessian: the tangent rate is still defined, and a
-                # negative value flags an unstable equilibrium
-                entry["lambda_asymptotic"] = linearized_rate(run.model, run.graph, res.density)
-                entry["hessian_positive"] = False
-            try:
-                entry["lambda_fisher"] = fisher_rate(run.model, run.graph, res.density)
-            except NonPositiveSymmetrizedJacobian:
-                entry["lambda_fisher"] = None
-            entries.append(entry)
+            # an indefinite Hessian still has a tangent rate; a negative one flags an unstable equilibrium
+            lam, positive, lam_fisher = equilibrium_rates(run.model, run.graph, res.density, strict=False)
+            entries.append(
+                {
+                    "density": res.density.values,
+                    "energy": energy(run.model, res.density),
+                    "residual": res.residual,
+                    "lambda_asymptotic": lam,
+                    "hessian_positive": positive,
+                    "lambda_fisher": lam_fisher,
+                }
+            )
         payload["equilibria"] = entries
         certified = False
         try:
@@ -488,8 +496,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
         gibbs_tol=opts.get("gibbs_tol", 1e-13),
         gibbs_max_iter=opts.get("gibbs_max_iter", 500_000),
     )
-    lam = asymptotic_rate(run.model, run.graph, report.rho_inf)
-    lam_fisher = fisher_rate(run.model, run.graph, report.rho_inf)
+    lam, _, lam_fisher = equilibrium_rates(run.model, run.graph, report.rho_inf)
     payload.update(
         {
             "certified_convex": True,
@@ -654,16 +661,16 @@ def _setup_logging() -> None:
         "debug": logging.DEBUG,
     }
     raw = os.environ.get("GRAPHFPE_LOG", "warn").lower()
-    level = levels.get(raw)
-    if level is None:
-        level = logging.WARNING
+    level = levels.get(raw, logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     logger.setLevel(level)
     if raw not in levels:
         logger.warning("unknown GRAPHFPE_LOG value %r; using 'warn'", raw)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="graphfpe",
         description="Wasserstein calculus and Fokker-Planck dynamics on finite weighted graphs",

@@ -50,6 +50,7 @@ __all__ = [
     "asymptotic_rate",
     "hessian_quadratic_rate",
     "fisher_rate",
+    "equilibrium_rates",
     "estimate_lsi_constant",
     "tail_slope",
 ]
@@ -120,7 +121,16 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     return -dissipation(model, graph, rho)
 
 
-def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
+def _tangent_basis(graph: Graph, rho: Density) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, V, sym X^) of :func:`_tangent_rate` at rho: its one GTH elimination, shared by every S."""
+    order = np.argsort(-rho.values, kind="stable")
+    s = np.sqrt(rho.values[order])
+    V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
+    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
+    return order, V, 0.5 * (X_hat + X_hat.T)
+
+
+def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray, basis=None) -> float:
     """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for symmetric S.
 
     On the zero-sum plane, with basis V = diag(s) Q (s = sqrt(rho), Q
@@ -134,15 +144,12 @@ def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
     eigenvalues of N^1/2 J N^1/2, N = T^T X^ T and J = sign(G). By
     Sylvester's law of inertia the number k of negative entries of G is the
     number of negative rates: the smallest rate is 1/mu_max(N) for k = 0 and
-    otherwise 1/mu_k, the negative mu nearest zero.
+    otherwise 1/mu_k, the negative mu nearest zero. ``basis`` is (graph, rho)'s :func:`_tangent_basis`.
     """
-    order = np.argsort(-rho.values, kind="stable")
-    s = np.sqrt(rho.values[order])
-    V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
-    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
+    order, V, X_sym = _tangent_basis(graph, rho) if basis is None else basis
     gamma, U = np.linalg.eigh(V.T @ S[np.ix_(order, order)] @ V)
     T = U / np.sqrt(np.abs(gamma))
-    N = T.T @ (0.5 * (X_hat + X_hat.T)) @ T
+    N = T.T @ X_sym @ T
     k = int(np.sum(gamma < 0.0))
     if k == 0:
         return float(1.0 / np.linalg.eigvalsh(N)[-1])
@@ -152,10 +159,12 @@ def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
     return float(1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1])
 
 
-def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str) -> None:
+def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str, strict: bool = True) -> bool:
+    """Whether S is positive definite; with strict, raises error instead of returning False."""
     low = float(np.linalg.eigvalsh(S)[0])  # S is symmetric by construction
-    if low <= 0.0:
+    if low <= 0.0 and strict:
         raise error(f"{what} is not positive definite (min eigenvalue {low:.3e})")
+    return low > 0.0
 
 
 def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> float:
@@ -200,10 +209,33 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     """
     if not rho_inf.interior:
         raise BoundaryDensity("Fisher rate needs an interior equilibrium")
-    W = model.interaction
-    sym_jac = W + W.T + 2.0 * model.beta * np.diag(1.0 / rho_inf.values)
+    sym_jac = _symmetrized_jacobian(model, rho_inf)
     _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
     return _tangent_rate(graph, rho_inf, sym_jac)
+
+
+def _symmetrized_jacobian(model: EnergyModel, rho: Density) -> np.ndarray:
+    return model.interaction + model.interaction.T + 2.0 * model.beta * np.diag(1.0 / rho.values)
+
+
+def equilibrium_rates(
+    model: EnergyModel, graph: Graph, rho_inf: Density, strict: bool = True
+) -> tuple[float, bool, float | None]:
+    """(lambda, hessian_positive, lambda_fisher) at rho_inf from one GTH elimination of L(rho_inf).
+
+    The rates are bit for bit those of :func:`asymptotic_rate` and :func:`fisher_rate`. Where Hess F
+    or the symmetrized Jacobian is not positive definite, strict raises as they do; otherwise lambda
+    is :func:`linearized_rate` with hessian_positive False, or lambda_fisher is None.
+    """
+    if not model.is_symmetric:
+        raise NonSymmetricW("Hessian quadratic form requires a symmetric interaction matrix")
+    hess = energy_hessian(model, rho_inf)  # raises BoundaryDensity unless rho_inf is interior
+    sym_jac = _symmetrized_jacobian(model, rho_inf)
+    positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
+    fisher = _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian", strict)
+    basis = _tangent_basis(graph, rho_inf)
+    lam_fisher = _tangent_rate(graph, rho_inf, sym_jac, basis) if fisher else None
+    return _tangent_rate(graph, rho_inf, hess, basis), positive, lam_fisher
 
 
 def rate_constants(

@@ -8,9 +8,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from graphfpe import fpe_dynamics
-from graphfpe.cli import ConfigError, _validate_config, _validator, main
+from graphfpe import cli, fpe_dynamics, rate_analysis, simplex_calculus
+from graphfpe.cli import ConfigError, _parser, _validate_config, _validator, main
 
 CANONICAL = {
     "graph": {"n": 2, "edges": [[1, 2, 1.0]]},
@@ -131,6 +133,35 @@ INVALID = [
     (("graph", "edges", 0, 2), 0),
     (("simulate", "bogus_option"), 1),
     (("model", "extra"), [1.0]),
+    # edge and decompose.field rows: length, row type, slot types, node id 0, weight 0
+    (("graph", "edges", 0), [1, 2]),
+    (("graph", "edges", 0), [1, 2, 1.0, 4]),
+    (("graph", "edges", 0), "1 2 1.0"),
+    (("graph", "edges"), []),
+    (("graph", "edges", 0, 0), True),
+    (("graph", "edges", 0, 1), "2"),
+    (("graph", "edges", 0, 2), False),
+    (("graph", "edges", 0, 2), "1.0"),
+    (("graph", "edges", 0, 0), 0),
+    (("graph", "edges", 0, 1), 1.5),
+    (("graph", "edges", 0, 2), -1.0),
+    (("decompose", "field", 0), [1, 2]),
+    (("decompose", "field", 0), [1, 2, 1.0, 0.0]),
+    (("decompose", "field", 0), 3),
+    (("decompose", "field", 0, 0), False),
+    (("decompose", "field", 0, 1), "2"),
+    (("decompose", "field", 0, 2), True),
+    (("decompose", "field", 0, 2), None),
+    (("decompose", "field", 0, 1), 0),
+    (("decompose", "field", 0, 0), 1.5),
+    # W rows: empty, not a list; rates.starts entries
+    (("model", "W", 1), []),
+    (("model", "W", 0), 0.1),
+    (("model", "W"), []),
+    (("rates", "starts"), [[0.9, 0.1], [0.5, -0.5]]),
+    (("rates", "starts"), [[0.9, 0.1], [0.5]]),
+    (("rates", "starts"), [[0.9, True]]),
+    (("rates", "starts"), [0.9, 0.1]),
 ]
 
 
@@ -152,11 +183,95 @@ def test_validator_messages_match_plain_jsonschema(path, value):
         (("simulate", "rho0", 1), float("inf")),
         (("simulate", "rho0", 1), 10**400),
         (("w2", "rho0", 0), -float("inf")),
+        # accepted by jsonschema: an integral float is an integer, NaN passes exclusiveMinimum,
+        # and the schema does not ask W to be square
+        (("graph", "edges", 0, 0), 1.0),
+        (("decompose", "field", 0, 1), 2.0),
+        (("graph", "edges", 0, 2), float("nan")),
+        (("simulate", "t_end"), float("nan")),
+        (("model", "W", 1), [0.1]),
+        (("model", "W", 0), [0.0, 0.1, 0.2]),
     ],
 )
 def test_validator_accepts_exactly_what_plain_jsonschema_accepts(path, value):
     config = with_change(path, value)
     assert validator_error(config) == plain_jsonschema_error(config)
+
+
+def bench_shaped_config() -> dict:
+    """A config like the benchmark's: a weighted ring, dense W, multi-start sections and a decompose field."""
+    rng = np.random.default_rng(401)
+    n = 5
+    A = rng.normal(0.0, 0.35, (n, n)) / np.sqrt(n)
+    rho = (0.5 / n + 0.5 * rng.dirichlet(np.ones(n))).tolist()
+    corners = [[0.9 if i == k else 0.1 / (n - 1) for i in range(n)] for k in range(n)]
+    config = {
+        "graph": {"n": n, "edges": [[i + 1, (i + 1) % n + 1, float(w)] for i, w in enumerate(rng.uniform(0.75, 1.25, n))]},
+        "model": {"beta": 1.0, "V": rng.uniform(-0.5, 0.5, n).tolist(), "W": (0.5 * (A + A.T)).tolist()},
+        "gibbs": {"tol": 1e-12, "starts": corners},
+        "simulate": {"rho0": rho, "t_end": 2.0, "rel_tol": 1e-8, "record_every": 10},
+        "rates": {"rho0": rho, "starts": corners[:2], "gibbs_tol": 1e-13},
+        "lsi": {"count": 100, "min_mass": 1e-4},
+        "w2": {"rho0": rho, "rho1": corners[0], "K": 4, "grad_tol": 1e-8},
+        "decompose": {"rho": rho, "field": [[1, 2, 0.5], [3, 2, -0.25], [5, 1, 1.0]]},
+        "seed": 401,
+    }
+    return json.loads(json.dumps(config))  # no list shared between entries, as when read from a file
+
+
+def entry_paths(node, prefix=()):
+    """The path of every dict value and list entry below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from entry_paths(value, prefix + (key,))
+
+
+BENCH_SHAPED_PATHS = list(entry_paths(bench_shaped_config()))
+MUTANTS = st.one_of(
+    st.sampled_from([None, True, False, "1", 0, 1, -1, 0.0, -0.0, 1.0, 1.5, 2.0, float("nan"), float("inf")]),
+    st.sampled_from([[], [1], [1, 2], [1, 2, 1.0], [1, 2, 1.0, 4], [[0.5, 0.5]], [0.5, True], {}, {"path": "g.json"}]),
+    st.floats(allow_nan=True),
+    st.integers(-3, 3),
+)
+
+
+@given(st.sampled_from(BENCH_SHAPED_PATHS), st.one_of(st.just("delete"), MUTANTS))
+def test_validator_matches_plain_jsonschema_on_single_entry_mutations(path, value):
+    config = bench_shaped_config()
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    assert validator_error(config) == plain_jsonschema_error(config)
+
+
+def test_large_valid_config_takes_the_fast_path_only(monkeypatch):
+    # a schema edit that turns the fast path off for any of these arrays fails here
+    n = 100
+    edges = [[i + 1, (i + d) % n + 1, 1.0 + d / 16] for i in range(n) for d in range(1, 11)]
+    uniform = [1.0 / n] * n
+    config = {
+        "graph": {"n": n, "edges": edges},
+        "model": {"beta": 1.0, "V": [0.0] * n, "W": (0.01 * np.cos(np.add.outer(np.arange(n), np.arange(n)))).tolist()},
+        "gibbs": {"starts": [[0.5 if i == k else 0.5 / (n - 1) for i in range(n)] for k in range(40)]},
+        "decompose": {"rho": uniform, "field": [[i, j, 0.5] for i, j, _ in edges[:50]]},
+    }
+    assert len(edges) >= 1000
+    stock_items = cli._JSONSCHEMA_ITEMS
+    calls = []
+
+    def counting_items(validator, items, instance, schema):
+        calls.append(items)
+        return stock_items(validator, items, instance, schema)
+
+    monkeypatch.setattr(cli, "_JSONSCHEMA_ITEMS", counting_items)
+    _validate_config(config)
+    assert calls == []
+    assert plain_jsonschema_error(config) is None
 
 
 def test_validator_is_built_once():
@@ -174,6 +289,19 @@ def test_model_file_reference_error_matches_plain_jsonschema(tmp_path, capsys):
     with pytest.raises(jsonschema.exceptions.ValidationError) as info:
         jsonschema.validate(model, {"$ref": "#/$defs/model_inline", "$defs": schema["$defs"]})
     assert capsys.readouterr().err == f"graphfpe: model.json: {info.value.message}\n"
+
+
+def test_graph_file_reference_error_matches_plain_jsonschema(tmp_path, capsys):
+    graph = {"n": 2, "edges": [[1, 2, 0]]}
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    config = dict(CANONICAL)
+    config["graph"] = {"path": "graph.json"}
+    cfg = write_config(tmp_path, config)
+    assert run("gibbs", cfg, tmp_path / "out") == 2
+    schema = json.loads(resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8"))
+    with pytest.raises(jsonschema.exceptions.ValidationError) as info:
+        jsonschema.validate(graph, {"$ref": "#/$defs/graph_inline", "$defs": schema["$defs"]})
+    assert capsys.readouterr().err == f"graphfpe: graph.json: {info.value.message}\n"
 
 
 def test_invalid_json_exits_2(tmp_path):
@@ -374,6 +502,41 @@ def test_rates_nonconvex_equilibrium_flag(tmp_path):
     assert all(e["hessian_positive"] is False for e in entries)
     assert all(e["lambda_asymptotic"] > 0 for e in wells)
     assert saddle[0]["lambda_asymptotic"] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_rates_runs_one_gth_elimination_per_density(tmp_path, monkeypatch):
+    gth_solve = simplex_calculus._gth_solve
+    calls = []
+
+    def counting_gth_solve(L, b):
+        calls.append(L.shape)
+        return gth_solve(L, b)
+
+    monkeypatch.setattr(simplex_calculus, "_gth_solve", counting_gth_solve)
+    monkeypatch.setattr(rate_analysis, "_gth_solve", counting_gth_solve)
+    cfg = write_config(tmp_path, CANONICAL)
+    assert run("rates", cfg, tmp_path / "global") == 0
+    assert len(calls) == 1
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}
+    cfg = write_config(tmp_path, config, "nonconvex.json")
+    calls.clear()
+    assert run("rates", cfg, tmp_path / "equilibria", "--equilibrium") == 0
+    assert len(calls) == len(read_json(tmp_path / "equilibria" / "rates.json")["equilibria"]) == 3
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert _parser() is _parser()
+    cfg = write_config(tmp_path, CANONICAL)
+    assert run("rates", cfg, tmp_path / "equilibria", "--equilibrium") == 0
+    assert "equilibria" in read_json(tmp_path / "equilibria" / "rates.json")
+    assert run("rates", cfg, tmp_path / "global") == 0
+    payload = read_json(tmp_path / "global" / "rates.json")
+    assert "equilibria" not in payload and payload["m"] == 0.05
+    with pytest.raises(SystemExit) as info:
+        main(["rates", "--out", str(tmp_path / "missing")])
+    assert info.value.code == 2
+    assert run("gibbs", cfg, tmp_path / "after") == 0
 
 
 def test_lsi_fixed_seed_reproducible(tmp_path):

@@ -15,6 +15,7 @@ from graphfpe import (
     VacuousCertificate,
     asymptotic_rate,
     build_graph,
+    equilibrium_rates,
     dissipation,
     estimate_lsi_constant,
     find_all_equilibria,
@@ -244,6 +245,21 @@ def test_fisher_rate_doubles_asymptotic_for_symmetric():
         assert abs(
             fisher_rate(model, g, rho_inf) - 2.0 * asymptotic_rate(model, g, rho_inf)
         ) <= 1e-10
+
+
+def test_equilibrium_rates_equal_the_single_rate_functions_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for n in (2, 4, 7):
+        model = random_convex_model(rng, n)
+        g = random_connected_graph(rng, n)
+        rho_inf = gibbs_fixed_point(model, interior_density(rng, n), tol=1e-14).density
+        expected = (asymptotic_rate(model, g, rho_inf), True, fisher_rate(model, g, rho_inf))
+        assert equilibrium_rates(model, g, rho_inf) == expected
+        assert equilibrium_rates(model, g, rho_inf, strict=False) == expected
+    m = EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0)
+    assert equilibrium_rates(m, path2(), UNIFORM2, strict=False) == (linearized_rate(m, path2(), UNIFORM2), False, None)
+    with pytest.raises(NonPositiveHessian):
+        equilibrium_rates(m, path2(), UNIFORM2)
 
 
 def test_fisher_rate_rejects_indefinite_jacobian():
