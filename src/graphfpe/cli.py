@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -438,13 +439,23 @@ def cmd_simulate(run: _Run) -> int:
     return EXIT_OK if completed else EXIT_NUMERIC
 
 
-def _read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _read_trajectory_csv(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """t and energy columns of a ``trajectory.csv`` as ``simulate`` writes it: a header, then rows of n + 3 numbers."""
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without rows; the shape test below refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed trajectory file {path}: {exc}") from exc
+    if raw.shape[0] == 0 or raw.shape[1] != n + 3:
+        found = f"rows of {raw.shape[1]} columns" if raw.size else "no rows"
+        raise ConfigError(
+            f"trajectory file {path} has {found}; simulate writes rows of {n + 3}"
+            f" (t, rho_1..rho_{n}, energy, dissipation) after a header"
+        )
     return raw[:, 0], raw[:, -2]  # t and energy columns
 
 
@@ -454,9 +465,8 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
         raise ConfigError("rates requires 'rho0'")
     rho0 = run.density(opts["rho0"], "rates.rho0")
     payload = dict(run.stamp)
-    equilibria_only = bool(opts.get("equilibria_only", False)) or equilibria_flag
 
-    if equilibria_only:
+    if equilibria_flag:
         starts = (
             [run.density(s, "rates.starts entry") for s in opts["starts"]]
             if "starts" in opts
@@ -519,7 +529,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
         }
     )
     if "trajectory" in opts:
-        times, energies = _read_trajectory_csv(run.base / opts["trajectory"])
+        times, energies = _read_trajectory_csv(run.base / opts["trajectory"], run.graph.node_count)
         check = verify_decay_bound(times, energies, report, report.f_inf)
         payload["bound_holds"] = check.holds
         payload["bound_max_violation"] = check.max_violation
@@ -703,19 +713,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         run = _Run(args)
-        if args.command == "gibbs":
-            return cmd_gibbs(run)
-        if args.command == "simulate":
-            return cmd_simulate(run)
-        if args.command == "rates":
-            return cmd_rates(run, equilibria_flag=getattr(args, "equilibrium", False))
-        if args.command == "lsi":
-            return cmd_lsi(run)
-        if args.command == "w2":
-            return cmd_w2(run)
-        if args.command == "decompose":
-            return cmd_decompose(run)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # built per call, so a handler rebound at module level (as bench/tracer.py does) is the one run
+        handlers = {
+            "gibbs": cmd_gibbs,
+            "simulate": cmd_simulate,
+            "rates": lambda run: cmd_rates(run, equilibria_flag=args.equilibrium),  # only rates has the flag
+            "lsi": cmd_lsi,
+            "w2": cmd_w2,
+            "decompose": cmd_decompose,
+        }
+        return handlers[args.command](run)
     except _CONFIG_ERRORS as exc:
         print(f"graphfpe: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,7 +22,7 @@ from .errors import (
     NoConvergence,
     NonSymmetricW,
 )
-from .graph_core import freeze, symmetric_eigen
+from .graph_core import freeze
 from .simplex_calculus import Density
 
 __all__ = [
@@ -157,7 +157,7 @@ def convexity_certificate(model: EnergyModel) -> ConvexityCertificate:
     """Certify strict convexity via diag(1/rho) >= I on the simplex."""
     if not model.is_symmetric:
         raise NonSymmetricW("convexity certificate requires a symmetric interaction matrix")
-    lam_min_w = float(symmetric_eigen(model.interaction).eigenvalues[0])
+    lam_min_w = float(np.linalg.eigvalsh(model.interaction)[0])  # W is symmetric, checked above
     bound = lam_min_w + model.beta
     return ConvexityCertificate(certified_convex=bound > 0, lambda_min_bound=bound)
 

@@ -110,10 +110,6 @@ class Graph:
         except KeyError:
             raise NotAnEdge(f"({i}, {j}) is not an edge of the graph") from None
 
-    def has_edge(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self._edge_lookup
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:

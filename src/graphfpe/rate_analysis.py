@@ -121,42 +121,41 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     return -dissipation(model, graph, rho)
 
 
-def _tangent_basis(graph: Graph, rho: Density) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, V, sym X^) of :func:`_tangent_rate` at rho: its one GTH elimination, shared by every S."""
-    order = np.argsort(-rho.values, kind="stable")
-    s = np.sqrt(rho.values[order])
-    V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
-    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
-    return order, V, 0.5 * (X_hat + X_hat.T)
-
-
-def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray, basis=None) -> float:
-    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for symmetric S.
+def _tangent_rates(graph: Graph, rho: Density, *S: np.ndarray) -> list[float]:
+    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for each symmetric S, from one GTH elimination.
 
     On the zero-sum plane, with basis V = diag(s) Q (s = sqrt(rho), Q
     orthonormal and orthogonal to s), L(rho) S v = lam v is the pencil
     S^ a = lam X^ a with S^ = V^T S V and X^ = V^T X V, where X is the
     inverse of L(rho) grounded at the heaviest node, from the one GTH
-    elimination (:func:`_gth_solve`). S^ is well conditioned for S = Hess F,
-    as diag(s) S diag(s) = diag(s) W diag(s) + beta I, and GTH gives X
-    entrywise accurately, so tiny masses keep full relative accuracy. With
-    S^ = U G U^T and T = U |G|^-1/2, the reciprocals mu = 1/lam are the
-    eigenvalues of N^1/2 J N^1/2, N = T^T X^ T and J = sign(G). By
-    Sylvester's law of inertia the number k of negative entries of G is the
-    number of negative rates: the smallest rate is 1/mu_max(N) for k = 0 and
-    otherwise 1/mu_k, the negative mu nearest zero. ``basis`` is (graph, rho)'s :func:`_tangent_basis`.
+    elimination (:func:`_gth_solve`) that every S shares. S^ is well
+    conditioned for S = Hess F, as diag(s) S diag(s) = diag(s) W diag(s) +
+    beta I, and GTH gives X entrywise accurately, so tiny masses keep full
+    relative accuracy. With S^ = U G U^T and T = U |G|^-1/2, the reciprocals
+    mu = 1/lam are the eigenvalues of N^1/2 J N^1/2, N = T^T X^ T and
+    J = sign(G). By Sylvester's law of inertia the number k of negative
+    entries of G is the number of negative rates: the smallest rate is
+    1/mu_max(N) for k = 0 and otherwise 1/mu_k, the negative mu nearest zero.
     """
-    order, V, X_sym = _tangent_basis(graph, rho) if basis is None else basis
-    gamma, U = np.linalg.eigh(V.T @ S[np.ix_(order, order)] @ V)
-    T = U / np.sqrt(np.abs(gamma))
-    N = T.T @ X_sym @ T
-    k = int(np.sum(gamma < 0.0))
-    if k == 0:
-        return float(1.0 / np.linalg.eigvalsh(N)[-1])
-    nu, Z = np.linalg.eigh(N)
-    # N is positive semidefinite: clip the rounding-sized negative eigenvalues of its huge-rate modes
-    root = (Z * np.sqrt(np.maximum(nu, 0.0))) @ Z.T
-    return float(1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1])
+    order = np.argsort(-rho.values, kind="stable")
+    s = np.sqrt(rho.values[order])
+    V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
+    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
+    X_sym = 0.5 * (X_hat + X_hat.T)
+    rates = []
+    for S_k in S:
+        gamma, U = np.linalg.eigh(V.T @ S_k[np.ix_(order, order)] @ V)
+        T = U / np.sqrt(np.abs(gamma))
+        N = T.T @ X_sym @ T
+        k = int(np.sum(gamma < 0.0))
+        if k == 0:
+            rates.append(float(1.0 / np.linalg.eigvalsh(N)[-1]))
+            continue
+        nu, Z = np.linalg.eigh(N)
+        # N is positive semidefinite: clip the rounding-sized negative eigenvalues of its huge-rate modes
+        root = (Z * np.sqrt(np.maximum(nu, 0.0))) @ Z.T
+        rates.append(float(1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1]))
+    return rates
 
 
 def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str, strict: bool = True) -> bool:
@@ -177,7 +176,7 @@ def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> fl
         raise NonSymmetricW("Hessian quadratic form requires a symmetric interaction matrix")
     hess = energy_hessian(model, rho)  # raises BoundaryDensity unless rho is interior
     _require_positive_definite(hess, NonPositiveHessian, "Hess F")
-    return _tangent_rate(graph, rho, hess)
+    return _tangent_rates(graph, rho, hess)[0]
 
 
 def asymptotic_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -198,7 +197,7 @@ def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float
     """
     if not model.is_symmetric:
         raise NonSymmetricW("linearized rate requires a symmetric interaction matrix")
-    return _tangent_rate(graph, rho_inf, energy_hessian(model, rho_inf))
+    return _tangent_rates(graph, rho_inf, energy_hessian(model, rho_inf))[0]
 
 
 def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -211,7 +210,7 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
         raise BoundaryDensity("Fisher rate needs an interior equilibrium")
     sym_jac = _symmetrized_jacobian(model, rho_inf)
     _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
-    return _tangent_rate(graph, rho_inf, sym_jac)
+    return _tangent_rates(graph, rho_inf, sym_jac)[0]
 
 
 def _symmetrized_jacobian(model: EnergyModel, rho: Density) -> np.ndarray:
@@ -233,9 +232,10 @@ def equilibrium_rates(
     sym_jac = _symmetrized_jacobian(model, rho_inf)
     positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
     fisher = _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian", strict)
-    basis = _tangent_basis(graph, rho_inf)
-    lam_fisher = _tangent_rate(graph, rho_inf, sym_jac, basis) if fisher else None
-    return _tangent_rate(graph, rho_inf, hess, basis), positive, lam_fisher
+    if not fisher:
+        return _tangent_rates(graph, rho_inf, hess)[0], positive, None
+    lam, lam_fisher = _tangent_rates(graph, rho_inf, hess, sym_jac)
+    return lam, positive, lam_fisher
 
 
 def rate_constants(

@@ -134,18 +134,17 @@ class Potential:
             raise ValueError("potential has non-finite entries")
         object.__setattr__(self, "values", freeze(v))
 
-    def centered(self) -> "Potential":
-        """Canonical mean-zero representative."""
-        return Potential(self.values - self.values.mean())
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedLaplacian:
-    """L(rho) = D^T Theta(rho) D; its spectrum is computed on first access."""
+    """L(rho) = D^T Theta(rho) D; the matrix and its spectrum are computed on first access."""
 
     graph: Graph
     density: Density
-    matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return freeze(laplacian_matrices(self.graph, self.density.values))
 
     @cached_property
     def spectrum(self) -> SymmetricSpectrum:
@@ -275,14 +274,9 @@ def inner_product(v: VectorField, w: VectorField, rho: Density) -> float:
 
 
 def weighted_laplacian(graph: Graph, rho: Density) -> WeightedLaplacian:
-    """Build L(rho) = D^T Theta(rho) D."""
+    """L(rho) = D^T Theta(rho) D, assembled when its ``matrix`` is first read."""
     _check_nodes(graph, rho)
-    matrix = laplacian_matrices(graph, rho.values)
-    return WeightedLaplacian(
-        graph=graph,
-        density=rho,
-        matrix=freeze(matrix),
-    )
+    return WeightedLaplacian(graph=graph, density=rho)
 
 
 def _as_zero_sum(sigma, n: int) -> np.ndarray:

@@ -8,11 +8,15 @@ term d^T L^+(m) d is a partial minimum of a jointly convex perspective
 function and theta is linear in m, so the action is convex in the interior
 points. Its Hessian couples only neighbouring points: it is block
 tridiagonal, and each step solves it on the zero-sum tangent plane by block
-Cholesky. A backtracking line search enforces both Armijo decrease and
-strict interiority; where a pivot block is not positive definite, or the
-Newton step is no descent direction, that iteration steps along -grad. A
-minimizer on the simplex boundary is out of reach: the tangent gradient
-does not vanish there, and the result reports ``converged`` False.
+Cholesky. The action, its gradient and its Hessian blocks at a path all
+come from one stacked solve of L(mid_k)^+ over the K midpoints, and the
+line search keeps that solve for the step it accepts, so each path the
+method visits is eliminated once. A backtracking line search enforces both
+Armijo decrease and strict interiority; where a pivot block is not
+positive definite, or the Newton step is no descent direction, that
+iteration steps along -grad. A minimizer on the simplex boundary is out of
+reach: the tangent gradient does not vanish there, and the result reports
+``converged`` False.
 """
 
 from __future__ import annotations
@@ -90,25 +94,27 @@ class MetricChecksReport:
     rel_tol: float
 
 
-def _segment_solves(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps d_k = rho_{k+1} - rho_k and w_k = L^+(mid_k) d_k + const for every segment k.
+def _path_terms(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(action, w, X) of a path: X_k = L(mid_k)^+, w_k = X_k d_k and the action K sum_k d_k^T w_k.
 
-    One stacked :func:`laplacian_solve` over the K midpoints; it raises
-    :class:`BoundaryDensity` when a midpoint's L degenerates. The action and
-    its gradient use only d^T w and D w, which the constant does not change:
-    d sums to zero and D maps constants to zero.
+    One stacked :func:`laplacian_solve` over the K midpoints with the rows
+    of I - 11^T/n as right-hand sides, centred, so row j of X_k is L^+ e_j;
+    it raises :class:`BoundaryDensity` when a midpoint's L degenerates. The
+    gradient (:func:`_tangent_grad`) reads w and the Hessian blocks
+    (:func:`_hessian_blocks`) read w and X, so one elimination per path
+    serves all three.
     """
+    K, n = points.shape[0] - 1, points.shape[1]
+    mids = 0.5 * (points[:-1] + points[1:])
+    X = laplacian_solve(graph, mids[:, None, :], np.broadcast_to(np.eye(n) - 1.0 / n, (K, n, n)))
+    X -= X.mean(axis=-1, keepdims=True)
     diff = np.diff(points, axis=0)
-    return diff, laplacian_solve(graph, 0.5 * (points[:-1] + points[1:]), diff)
-
-
-def _action_only(graph: Graph, points: np.ndarray) -> float:
-    diff, w = _segment_solves(graph, points)
-    return float(np.sum(diff * w)) * (points.shape[0] - 1)
+    w = np.einsum("kij,kj->ki", X, diff)
+    return float(np.sum(diff * w)) * K, w, X
 
 
 def _tangent_grad(graph: Graph, w: np.ndarray) -> np.ndarray:
-    """Gradient of the action w.r.t. the interior points, tangent-projected, from the segment solves w.
+    """Gradient of the action w.r.t. the interior points, tangent-projected, from :func:`_path_terms`' w.
 
     Per segment k, with d = rho_{k+1} - rho_k, w = L^+(mid) d and y = D w:
     the d-dependence contributes +-(2/dt) w to the adjacent points, and the
@@ -123,13 +129,7 @@ def _tangent_grad(graph: Graph, w: np.ndarray) -> np.ndarray:
     return grad - grad.mean(axis=1, keepdims=True)  # project onto the zero-sum tangent plane
 
 
-def _action_and_grad(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarray]:
-    """Action plus its gradient w.r.t. the interior points, tangent-projected."""
-    diff, w = _segment_solves(graph, points)
-    return float(np.sum(diff * w)) * (points.shape[0] - 1), _tangent_grad(graph, w)
-
-
-def _hessian_blocks(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hessian_blocks(graph: Graph, w: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (K-1, n, n) and upper off-diagonal (K-2, n, n) Hessian blocks of the action in the interior points.
 
     Per segment, f(d, m) = d^T X d with X = L(m)^+, w = X d, y = D w and
@@ -138,16 +138,11 @@ def _hessian_blocks(graph: Graph, points: np.ndarray) -> tuple[np.ndarray, np.nd
     - rho_k and m = (rho_k + rho_{k+1}) / 2 the segment adds, times K,
     2X + G + G^T + S/2 at rho_k, 2X - G - G^T + S/2 at rho_{k+1} and
     -2X + G - G^T + S/2 at (rho_k, rho_{k+1}), with G = XM and S = M^T G.
-    X comes from one stacked :func:`laplacian_solve` over the midpoints
-    with the rows of I - 11^T/n as right-hand sides, centred.
+    w and X are :func:`_path_terms`' own.
     """
-    K, n = points.shape[0] - 1, points.shape[1]
+    K = w.shape[0]
     D = incidence_matrix(graph)
-    mids = 0.5 * (points[:-1] + points[1:])
-    X = laplacian_solve(graph, mids[:, None, :], np.broadcast_to(np.eye(n) - 1.0 / n, (K, n, n)))
-    X -= X.mean(axis=-1, keepdims=True)  # row j is then L^+ e_j
-    y = np.einsum("kij,kj->ki", X, np.diff(points, axis=0)) @ D.T
-    M = D.T @ (y[:, :, None] * (0.5 * (D != 0.0)))
+    M = D.T @ ((w @ D.T)[:, :, None] * (0.5 * (D != 0.0)))
     G = X @ M
     GT = G.transpose(0, 2, 1)
     base = 2.0 * X + 0.5 * (GT @ M)
@@ -194,8 +189,7 @@ def path_action(graph: Graph, path: DiscretePath) -> float:
             )
         if not rho.interior:
             raise BoundaryDensity("path action requires interior densities")
-    points = np.stack([rho.values for rho in path.densities])
-    return _action_only(graph, points)
+    return _path_terms(graph, np.stack([rho.values for rho in path.densities]))[0]
 
 
 def w2_distance(
@@ -233,12 +227,13 @@ def w2_distance(
         points[1:K] = (1.0 - 1e-6) * points[1:K] + 1e-6 / n
 
     if K == 1:
-        act = _action_only(graph, points)
+        act = _path_terms(graph, points)[0]
         path = DiscretePath(densities=(rho0, rho1), action=act)
         return W2Result(math.sqrt(max(act, 0.0)), path, True, 0, 0.0)
 
     Q = np.linalg.qr(np.eye(n)[:, :-1] - 1.0 / n)[0]  # orthonormal basis of the zero-sum plane
-    act, grad = _action_and_grad(graph, points)
+    act, w, X = _path_terms(graph, points)
+    grad = _tangent_grad(graph, w)
     converged = False
     iterations = backtracks = 0
     while True:
@@ -248,7 +243,7 @@ def w2_distance(
             break
         if iterations == max_iters:
             break
-        diag, off = _hessian_blocks(graph, points)
+        diag, off = _hessian_blocks(graph, w, X)
         step = _block_tridiagonal_solve(Q.T @ diag @ Q, Q.T @ off @ Q, -(grad @ Q))
         slope = float(np.sum((grad @ Q) * step)) if step is not None else math.nan
         if slope < 0.0:
@@ -257,23 +252,21 @@ def w2_distance(
             step, slope = -grad, -float(np.sum(grad * grad))
 
         trial = 1.0
-        accepted = False
         while trial >= _MIN_STEP:
             candidate = points.copy()
             candidate[1:K] = points[1:K] + trial * step
             candidate[1:K] /= candidate[1:K].sum(axis=1, keepdims=True)
             if float(candidate[1:K].min()) > 0.0:
-                diff, w = _segment_solves(graph, candidate)
-                act_new = float(np.sum(diff * w)) * K
-                if act_new <= act + _ARMIJO * trial * slope + _ROUNDING * act:
-                    accepted = True
+                terms = _path_terms(graph, candidate)  # kept: the next step's Hessian reads its w and X
+                if terms[0] <= act + _ARMIJO * trial * slope + _ROUNDING * act:
                     break
             trial *= 0.5
             backtracks += 1
-        if not accepted:
+        else:
             break  # no admissible descent step left at this resolution
         iterations += 1
-        points, act, grad = candidate, act_new, _tangent_grad(graph, w)
+        points, (act, w, X) = candidate, terms
+        grad = _tangent_grad(graph, w)
 
     densities = (rho0,) + tuple(Density(points[k]) for k in range(1, K)) + (rho1,)
     path = DiscretePath(densities=densities, action=act)

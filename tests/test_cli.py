@@ -162,6 +162,8 @@ INVALID = [
     (("rates", "starts"), [[0.9, 0.1], [0.5]]),
     (("rates", "starts"), [[0.9, True]]),
     (("rates", "starts"), [0.9, 0.1]),
+    # the removed second spelling of --equilibrium is an unknown key
+    (("rates", "equilibria_only"), True),
 ]
 
 
@@ -477,6 +479,25 @@ def test_rates_comparison_mode(tmp_path):
     payload = read_json(out / "rates.json")
     assert payload["bound_holds"] is True
     assert payload["observed_tail_slope"] == pytest.approx(-4.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t\n0.0\n1.0\n",  # one column
+        "t,rho_1,rho_2,energy,dissipation\n",  # simulate's header, no rows
+        "t,e\n0.0,0.5\n1.0,0.25\n",  # two columns: t would be read as the energy
+    ],
+    ids=["one-column", "header-only", "two-columns"],
+)
+def test_rates_refuses_a_trajectory_file_not_laid_out_as_simulate_writes_it(tmp_path, capsys, text):
+    (tmp_path / "traj.csv").write_text(text)
+    config = dict(CANONICAL)
+    config["rates"] = {"rho0": [0.9, 0.1], "trajectory": "traj.csv"}
+    cfg = write_config(tmp_path, config)
+    assert run("rates", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "traj.csv" in err and "Traceback" not in err
 
 
 def test_rates_nonconvex_exits_4_without_flag(tmp_path):

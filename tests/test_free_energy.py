@@ -115,6 +115,15 @@ def test_convexity_certificate_rejects_nonsymmetric():
         convexity_certificate(EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0))
 
 
+def test_convexity_certificate_takes_every_w_the_model_calls_symmetric():
+    # a small W whose asymmetry is inside the model's absolute 1e-12 but above
+    # 1e-10 of its own scale
+    model = EnergyModel(np.array([[0.0, 1e-5], [1e-5 + 1e-14, 0.0]]), np.zeros(2), 1.0)
+    assert model.is_symmetric
+    cert = convexity_certificate(model)
+    assert cert.certified_convex and cert.lambda_min_bound == pytest.approx(1.0 - 1e-5)
+
+
 def test_gibbs_uniform_for_trivial_model():
     for n in (2, 3, 5):
         res = gibbs_fixed_point(bare_model(n), interior_density(np.random.default_rng(n), n))

@@ -24,6 +24,7 @@ from graphfpe import (
     theta,
     weighted_laplacian,
 )
+from graphfpe import simplex_calculus
 from graphfpe.graph_core import graph_laplacian
 from graphfpe.simplex_calculus import (
     _thetas,
@@ -365,6 +366,21 @@ def test_hodge_idempotent():
     phi2, u2 = hodge_decompose(g, rho, recombined)
     assert np.max(np.abs(phi1.values - phi2.values)) <= 1e-10
     assert np.max(np.abs(u1.edge_values - u2.edge_values)) <= 1e-10
+
+
+def test_hodge_assembles_the_laplacian_once(monkeypatch):
+    assemble = simplex_calculus.laplacian_matrices
+    calls = []
+
+    def counting(graph, values):
+        calls.append(values.shape)
+        return assemble(graph, values)
+
+    monkeypatch.setattr(simplex_calculus, "laplacian_matrices", counting)
+    rng = np.random.default_rng(14)
+    g = random_connected_graph(rng, 6)
+    hodge_decompose(g, interior_density(rng, 6), random_field(rng, g))
+    assert len(calls) == 1
 
 
 def test_lemma7_sandwich():

@@ -12,7 +12,8 @@ from graphfpe import (
     w2_distance,
     w2_metric_checks,
 )
-from graphfpe.wasserstein_metric import _action_and_grad, _action_only, _hessian_blocks
+from graphfpe import simplex_calculus
+from graphfpe.wasserstein_metric import _hessian_blocks, _path_terms, _tangent_grad
 from helpers import interior_density, k3, path2, random_connected_graph
 
 
@@ -118,17 +119,18 @@ def random_path_cases(seed: int, count: int):
 
 
 def pinv_reference(g, points):
-    """Action and tangent-projected gradient, one numpy pinv per segment."""
+    """Action, tangent-projected gradient and each segment's L(mid)^+, one numpy pinv per segment."""
     K, n = points.shape[0] - 1, points.shape[1]
     D = np.zeros((g.edge_count, n))
     for e, (i, j, w) in enumerate(g.edges):
         D[e, i], D[e, j] = math.sqrt(w), -math.sqrt(w)
-    total, ws, ss = 0.0, [], []
+    total, ws, ss, Xs = 0.0, [], [], []
     for k in range(K):
         d = points[k + 1] - points[k]
         mid = 0.5 * (points[k] + points[k + 1])
         th = np.array([0.5 * (mid[i] + mid[j]) for i, j, _ in g.edges])
-        w = np.linalg.pinv(D.T @ np.diag(th) @ D) @ d
+        Xs.append(np.linalg.pinv(D.T @ np.diag(th) @ D))
+        w = Xs[-1] @ d
         total += K * float(d @ w)
         s = np.zeros(n)
         for e, (i, j, _) in enumerate(g.edges):
@@ -139,16 +141,23 @@ def pinv_reference(g, points):
     grad = np.array(
         [2 * K * (ws[j - 1] - ws[j]) - K / 4 * (ss[j - 1] + ss[j]) for j in range(1, K)]
     )
-    return total, grad - grad.mean(axis=1, keepdims=True)
+    return total, grad - grad.mean(axis=1, keepdims=True), Xs
+
+
+def action_and_grad(g, points):
+    act, w, _ = _path_terms(g, points)
+    return act, _tangent_grad(g, w)
 
 
 def test_batched_action_and_gradient_match_pinv_reference():
     for g, points in random_path_cases(31, 25):
-        act, grad = _action_and_grad(g, points)
-        ref_act, ref_grad = pinv_reference(g, points)
+        act, w, X = _path_terms(g, points)
+        grad = _tangent_grad(g, w)
+        ref_act, ref_grad, ref_X = pinv_reference(g, points)
         assert abs(act - ref_act) <= 1e-12 * ref_act
-        assert _action_only(g, points) == act
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        for X_k, ref in zip(X, ref_X, strict=True):
+            assert np.max(np.abs(X_k - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_action_gradient_matches_finite_differences():
@@ -163,7 +172,7 @@ def test_action_gradient_matches_finite_differences():
     cases = [(g, points), *random_path_cases(37, 10)]
     h = 1e-6
     for g, points in cases:
-        _, grad = _action_and_grad(g, points)
+        _, grad = action_and_grad(g, points)
         n, K = points.shape[1], points.shape[0] - 1
         for j in range(1, K):
             raw = rng.standard_normal(n)
@@ -172,7 +181,7 @@ def test_action_gradient_matches_finite_differences():
             bumped_up[j] = points[j] + h * direction
             bumped_dn = points.copy()
             bumped_dn[j] = points[j] - h * direction
-            fd = (_action_only(g, bumped_up) - _action_only(g, bumped_dn)) / (2 * h)
+            fd = (_path_terms(g, bumped_up)[0] - _path_terms(g, bumped_dn)[0]) / (2 * h)
             analytic = float(grad[j - 1] @ direction)
             assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
 
@@ -185,14 +194,14 @@ def test_action_hessian_matches_finite_differences():
     g = build_graph(5, [(1, 2, 1.0), (2, 3, 1.3), (3, 4, 0.8), (4, 5, 1.1), (1, 5, 0.9), (1, 3, 1.2)])
     n, K, j, h = 5, 5, 2, 1e-6
     points = np.stack([interior_density(rng, n, floor=0.05).values for _ in range(K + 1)])
-    diag, off = _hessian_blocks(g, points)
+    diag, off = _hessian_blocks(g, *_path_terms(g, points)[1:])
     proj = np.eye(n) - 1.0 / n
     fd = np.empty((K - 1, n, n))  # fd[i][:, c]: d grad_i / d rho_j along column c of proj
     for c in range(n):
         up, dn = points.copy(), points.copy()
         up[j] += h * proj[:, c]
         dn[j] -= h * proj[:, c]
-        fd[:, :, c] = (_action_and_grad(g, up)[1] - _action_and_grad(g, dn)[1]) / (2 * h)
+        fd[:, :, c] = (action_and_grad(g, up)[1] - action_and_grad(g, dn)[1]) / (2 * h)
     for analytic, numeric in ((diag[j - 1], fd[j - 1]), (off[j - 2], fd[j - 2]), (off[j - 1].T, fd[j])):
         projected = proj @ analytic @ proj
         assert np.max(np.abs(numeric - projected)) <= 1e-6 * np.max(np.abs(projected))
@@ -204,12 +213,10 @@ def test_action_rejects_one_midpoint_near_boundary():
     g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
     ok = np.array([0.3, 0.3, 0.4])
     near = np.array([1e-17, 1e-17, 1.0])
-    _action_only(g, np.stack([ok, ok, near]))
+    _path_terms(g, np.stack([ok, ok, near]))
     points = np.stack([ok, ok, near, near])
     with pytest.raises(BoundaryDensity):
-        _action_only(g, points)
-    with pytest.raises(BoundaryDensity):
-        _action_and_grad(g, points)
+        _path_terms(g, points)
     with pytest.raises(BoundaryDensity):
         path_action(g, DiscretePath(densities=tuple(Density(p) for p in points)))
 
@@ -285,6 +292,25 @@ def test_newton_reaches_tight_tolerance_on_larger_graphs(n, kind):
     for K in (8, 16, 32):
         res = w2_distance(g, a, b, K=K, max_iters=19, grad_tol=1e-10)
         assert res.converged, (K, res.grad_norm)
+
+
+def test_newton_eliminates_each_visited_path_once(monkeypatch):
+    # the start path, then one accepted candidate per step: its solve also
+    # gives the next step's gradient and Hessian
+    gth_solve = simplex_calculus._gth_solve
+    calls = []
+
+    def counting_gth_solve(L, b):
+        calls.append(L.shape)
+        return gth_solve(L, b)
+
+    monkeypatch.setattr(simplex_calculus, "_gth_solve", counting_gth_solve)
+    rng = np.random.default_rng(20)
+    g = ring(rng, 5)
+    a, b = interior_density(rng, 5), interior_density(rng, 5)
+    res = w2_distance(g, a, b, K=8, grad_tol=1e-10)
+    assert res.converged and res.backtracks == 0 and res.iterations >= 2
+    assert len(calls) == 1 + res.iterations
 
 
 @pytest.mark.xfail(
