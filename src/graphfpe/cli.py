@@ -508,25 +508,11 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     )
     lam, _, lam_fisher = equilibrium_rates(run.model, run.graph, report.rho_inf)
     payload.update(
-        {
-            "certified_convex": True,
-            "m": report.m,
-            "lambda_sec_hat": report.lambda_sec_hat,
-            "lambda_max_hat": report.lambda_max_hat,
-            "lambda_min_hess": report.lambda_min_hess,
-            "hess_norm1": report.hess_norm1,
-            "delta_F": report.delta_F,
-            "C1": report.C1,
-            "C2": report.C2,
-            "C3": report.C3,
-            "r": report.r,
-            "C": report.C,
-            "x_star": report.x_star,
-            "rho_inf": report.rho_inf.values,
-            "f_inf": report.f_inf,
-            "lambda_asymptotic": lam,
-            "lambda_fisher": lam_fisher,
-        }
+        vars(report),
+        certified_convex=True,
+        rho_inf=report.rho_inf.values,
+        lambda_asymptotic=lam,
+        lambda_fisher=lam_fisher,
     )
     if "trajectory" in opts:
         times, energies = _read_trajectory_csv(run.base / opts["trajectory"], run.graph.node_count)
@@ -634,6 +620,10 @@ def cmd_decompose(run: _Run) -> int:
         seen.add(e)
         values[e] = float(val) if i0 < j0 else -float(val)
     field = VectorField(graph, values)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing v^2 gives inf, or NaN where theta is 0
+        total = inner_product(field, field, rho)
+    if not math.isfinite(total):
+        raise ConfigError("decompose.field: its squared rho-norm (v, v)_rho overflows a float")
 
     phi, u = hodge_decompose(graph, rho, field)
     residual = divergence(graph, rho, u)
@@ -651,7 +641,7 @@ def cmd_decompose(run: _Run) -> int:
             "div_residual_max": float(np.max(np.abs(residual.values))),
             "u_inf_norm": float(np.max(np.abs(u.edge_values))) if graph.edge_count else 0.0,
             "inner_products": {
-                "total": inner_product(field, field, rho),
+                "total": total,
                 "gradient": inner_product(
                     VectorField(graph, grad_edges), VectorField(graph, grad_edges), rho
                 ),

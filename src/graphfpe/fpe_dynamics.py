@@ -168,6 +168,7 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+@np.errstate(all="ignore")  # not warned about: a non-finite stage or state fails a floor guard
 def integrate(
     model: EnergyModel,
     graph: Graph,
@@ -188,7 +189,8 @@ def integrate(
     must be positive and finite. A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
     below the positivity floor (max(m(rho0)/2, 1e-14) by default; pass
-    ``positivity_floor=1e-14`` to disable the invariant-region guard), if the
+    ``positivity_floor=1e-14`` to disable the invariant-region guard) or is
+    not finite (floating-point overflow is not warned about), if the
     mass drifts by more than 1e-13, or, for symmetric interactions, if the
     free energy would increase by more than ``abs_tol``; a step whose scaled
     error exceeds 1 is retried with a smaller step. The trajectory counts
@@ -258,7 +260,7 @@ def integrate(
         stage_ok = True
         for s in range(1, 6):
             ys = y + h_try * (_STAGE_ROWS[s] @ K[:s])
-            if ys.min() < floor:
+            if not ys.min() >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
                 stage_ok = False
                 break
             K[s] = _rhs_raw(model, graph, ys)
@@ -269,7 +271,7 @@ def integrate(
 
         update, err = _UPDATE @ K
         y_new = y + h_try * update
-        if y_new.min() < floor:
+        if not y_new.min() >= floor:
             rejected_by["step_floor"] += 1
             h = 0.5 * h_try
             continue

@@ -11,6 +11,7 @@ generates the flow).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,14 +164,20 @@ def convexity_certificate(model: EnergyModel) -> ConvexityCertificate:
 
 
 def _gibbs_map(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmin map G(rho)_i = exp(-((W rho)_i + V_i)/beta) / K and the normalizer K."""
-    a = -(model.interaction @ v + model.potential) / model.beta
-    shift = float(a.max())
-    g = np.exp(a - shift)
+    """Softmin map G(rho)_i = exp(-((W rho)_i + V_i)/beta) / K and the normalizer K.
+
+    u = W rho + V is shifted by its minimum before the division by beta, so a
+    tiny beta sends the other exponents to -inf, not to inf - inf. K may
+    overflow to inf or underflow to 0; G is non-finite only if u is.
+    """
+    u = model.interaction @ v + model.potential
+    low = float(u.min())
+    g = np.exp(-(u - low) / model.beta)
     total = float(g.sum())
-    return g / total, float(np.exp(shift) * total)
+    return g / total, float(np.exp(-low / model.beta) * total)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the map overflows for extreme beta, W or V; see _gibbs_map
 def gibbs_fixed_point(
     model: EnergyModel,
     init: Density,
@@ -183,7 +190,7 @@ def gibbs_fixed_point(
     The damping factor halves automatically whenever the residual grows,
     which keeps strongly attractive interactions from oscillating. Raises
     :class:`NoConvergence` with the last iterate attached if ``max_iter``
-    is exhausted.
+    is exhausted or the map is not finite.
     """
     _check_model_density(model, init)
     if not init.interior:
@@ -206,6 +213,8 @@ def gibbs_fixed_point(
                 iterations=k,
                 residual=residual,
             )
+        if math.isnan(residual):  # W rho + V overflows: keep the last finite iterate
+            break
         if residual > prev_residual:
             alpha = max(0.5 * alpha, 2.0**-20)
         prev_residual = residual
@@ -214,11 +223,11 @@ def gibbs_fixed_point(
     partial = GibbsResult(
         density=Density(v / v.sum()),
         normalizer=normalizer,
-        iterations=max_iter,
+        iterations=k,
         residual=residual,
     )
     raise NoConvergence(
-        f"Gibbs iteration residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
+        f"Gibbs iteration residual {residual:.3e} > tol {tol:.3e} after {k} iterations",
         result=partial,
     )
 

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+_LISTED_NODES = 10  # node ids named in a DisconnectedGraph message
+
+
 def freeze(a: np.ndarray) -> np.ndarray:
     """Return a read-only contiguous float copy of ``a``."""
     out = np.array(a, dtype=float, order="C")
@@ -146,6 +149,8 @@ def build_graph(n: int, edge_list) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"edge ({i}, {j}) given more than once")
         seen[key] = w
+    if len(seen) < n - 1:
+        raise DisconnectedGraph(f"graph is not connected; {len(seen)} distinct edges cannot join {n} nodes")
     edges = tuple((i, j, seen[(i, j)]) for i, j in sorted(seen))
     graph = Graph(node_count=int(n), edges=edges)
     _check_connected(graph)
@@ -162,9 +167,10 @@ def _check_connected(graph: Graph) -> None:
                 reached.add(v)
                 stack.append(v)
     if len(reached) != graph.node_count:
-        missing = sorted(set(range(graph.node_count)) - reached)
+        missing = [v + 1 for v in range(graph.node_count) if v not in reached]
+        shown = ", ".join(map(str, missing[:_LISTED_NODES])) + (", ..." if len(missing) > _LISTED_NODES else "")
         raise DisconnectedGraph(
-            f"graph is not connected; nodes {[v + 1 for v in missing]} unreachable from node 1"
+            f"graph is not connected; {len(missing)} nodes unreachable from node 1: {shown}"
         )
 
 

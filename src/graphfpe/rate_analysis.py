@@ -19,6 +19,7 @@ from .errors import (
     BoundaryDensity,
     DimensionMismatch,
     InconsistentRateConstants,
+    NoConvergence,
     NonPositiveHessian,
     NonPositiveSymmetrizedJacobian,
     NonSymmetricW,
@@ -121,49 +122,79 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     return -dissipation(model, graph, rho)
 
 
-def _tangent_rates(graph: Graph, rho: Density, *S: np.ndarray) -> list[float]:
-    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for each symmetric S, from one GTH elimination.
+def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
+    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for a symmetric S, from one GTH elimination.
 
     On the zero-sum plane, with basis V = diag(s) Q (s = sqrt(rho), Q
     orthonormal and orthogonal to s), L(rho) S v = lam v is the pencil
     S^ a = lam X^ a with S^ = V^T S V and X^ = V^T X V, where X is the
-    inverse of L(rho) grounded at the heaviest node, from the one GTH
-    elimination (:func:`_gth_solve`) that every S shares. S^ is well
-    conditioned for S = Hess F, as diag(s) S diag(s) = diag(s) W diag(s) +
-    beta I, and GTH gives X entrywise accurately, so tiny masses keep full
-    relative accuracy. With S^ = U G U^T and T = U |G|^-1/2, the reciprocals
+    inverse of L(rho) grounded at the heaviest node, from one GTH
+    elimination (:func:`_gth_solve`). S^ is well conditioned for
+    S = Hess F, as diag(s) S diag(s) = diag(s) W diag(s) + beta I, and GTH
+    gives X entrywise accurately, so tiny masses keep full relative
+    accuracy. With S^ = U G U^T and T = U |G|^-1/2, the reciprocals
     mu = 1/lam are the eigenvalues of N^1/2 J N^1/2, N = T^T X^ T and
     J = sign(G). By Sylvester's law of inertia the number k of negative
     entries of G is the number of negative rates: the smallest rate is
     1/mu_max(N) for k = 0 and otherwise 1/mu_k, the negative mu nearest zero.
+    Raises :class:`NoConvergence` when S^, N or the rate is not finite.
     """
     order = np.argsort(-rho.values, kind="stable")
     s = np.sqrt(rho.values[order])
     V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
-    X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
-    X_sym = 0.5 * (X_hat + X_hat.T)
-    rates = []
-    for S_k in S:
-        gamma, U = np.linalg.eigh(V.T @ S_k[np.ix_(order, order)] @ V)
+    out_of_range = NoConvergence("the tangent eigenproblem of L(rho) S leaves the float range at this density")
+    with np.errstate(all="ignore"):  # a pencil or rate out of float range is refused, not warned about
+        X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
+        S_hat = V.T @ S[np.ix_(order, order)] @ V
+        if not np.all(np.isfinite(S_hat)):
+            raise out_of_range
+        gamma, U = np.linalg.eigh(S_hat)
         T = U / np.sqrt(np.abs(gamma))
-        N = T.T @ X_sym @ T
+        N = T.T @ (0.5 * (X_hat + X_hat.T)) @ T
+        if not np.all(np.isfinite(N)):
+            raise out_of_range
         k = int(np.sum(gamma < 0.0))
         if k == 0:
-            rates.append(float(1.0 / np.linalg.eigvalsh(N)[-1]))
-            continue
-        nu, Z = np.linalg.eigh(N)
-        # N is positive semidefinite: clip the rounding-sized negative eigenvalues of its huge-rate modes
-        root = (Z * np.sqrt(np.maximum(nu, 0.0))) @ Z.T
-        rates.append(float(1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1]))
-    return rates
+            rate = 1.0 / np.linalg.eigvalsh(N)[-1]
+        else:
+            nu, Z = np.linalg.eigh(N)
+            # N is positive semidefinite: clip the rounding-sized negative eigenvalues of its huge-rate modes
+            root = (Z * np.sqrt(np.maximum(nu, 0.0))) @ Z.T
+            rate = 1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1]
+    if not np.isfinite(rate):
+        raise out_of_range
+    return float(rate)
 
 
 def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str, strict: bool = True) -> bool:
-    """Whether S is positive definite; with strict, raises error instead of returning False."""
+    """Whether S is positive definite; with strict, raises error instead of returning False.
+
+    Raises :class:`NoConvergence` when S is not finite (an entry of S overflowed).
+    """
+    if not np.all(np.isfinite(S)):
+        raise NoConvergence(f"{what} leaves the float range at this density")
     low = float(np.linalg.eigvalsh(S)[0])  # S is symmetric by construction
     if low <= 0.0 and strict:
         raise error(f"{what} is not positive definite (min eigenvalue {low:.3e})")
     return low > 0.0
+
+
+def equilibrium_rates(
+    model: EnergyModel, graph: Graph, rho_inf: Density, strict: bool = True
+) -> tuple[float, bool, float | None]:
+    """(lambda, hessian_positive, lambda_fisher) at rho_inf: one check of Hess F, one tangent eigenproblem.
+
+    lambda is the slowest tangent rate of L(rho_inf) Hess F(rho_inf). For the symmetric W required
+    here the symmetrized Jacobian W + W^T + 2 beta diag(1/rho) is 2 Hess F, so lambda_fisher is
+    2 lambda when Hess F is positive definite and None otherwise. With strict, an indefinite Hess F
+    raises :class:`NonPositiveHessian` instead.
+    """
+    if not model.is_symmetric:
+        raise NonSymmetricW("equilibrium rates require a symmetric interaction matrix")
+    hess = energy_hessian(model, rho_inf)  # raises BoundaryDensity unless rho_inf is interior
+    positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
+    lam = _tangent_rate(graph, rho_inf, hess)
+    return lam, positive, 2.0 * lam if positive else None
 
 
 def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> float:
@@ -172,16 +203,12 @@ def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> fl
     Equals the second-smallest eigenvalue of L(rho) HessF(rho); at an
     equilibrium this is the asymptotic decay rate.
     """
-    if not model.is_symmetric:
-        raise NonSymmetricW("Hessian quadratic form requires a symmetric interaction matrix")
-    hess = energy_hessian(model, rho)  # raises BoundaryDensity unless rho is interior
-    _require_positive_definite(hess, NonPositiveHessian, "Hess F")
-    return _tangent_rates(graph, rho, hess)[0]
+    return equilibrium_rates(model, graph, rho)[0]
 
 
 def asymptotic_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     """lambda = lambda_sec(L(rho_inf) HessF(rho_inf)) governing the decay tail."""
-    return hessian_quadratic_rate(model, graph, rho_inf)
+    return equilibrium_rates(model, graph, rho_inf)[0]
 
 
 def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -192,50 +219,24 @@ def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float
     negative return value flags an unstable equilibrium. The sign comes from
     the tangent inertia: the number of negative rates is the number of
     negative eigenvalues of HessF on the zero-sum plane, so it stays right
-    for masses near the simplex boundary. Equals :func:`asymptotic_rate` bit
-    for bit whenever the Hessian is positive definite.
+    for masses near the simplex boundary.
     """
-    if not model.is_symmetric:
-        raise NonSymmetricW("linearized rate requires a symmetric interaction matrix")
-    return _tangent_rates(graph, rho_inf, energy_hessian(model, rho_inf))[0]
+    return equilibrium_rates(model, graph, rho_inf, strict=False)[0]
 
 
 def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     """lambda = lambda_sec(L(rho_inf) (JF^T + JF)(rho_inf)).
 
     Valid for non-symmetric interaction matrices; JF = W + beta diag(1/rho).
-    With a symmetric W this is exactly twice the asymptotic rate.
+    With a symmetric W this is twice the asymptotic rate, which
+    :func:`equilibrium_rates` reports without a second eigenproblem.
     """
     if not rho_inf.interior:
         raise BoundaryDensity("Fisher rate needs an interior equilibrium")
-    sym_jac = _symmetrized_jacobian(model, rho_inf)
+    W = model.interaction
+    sym_jac = W + W.T + 2.0 * model.beta * np.diag(1.0 / rho_inf.values)
     _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
-    return _tangent_rates(graph, rho_inf, sym_jac)[0]
-
-
-def _symmetrized_jacobian(model: EnergyModel, rho: Density) -> np.ndarray:
-    return model.interaction + model.interaction.T + 2.0 * model.beta * np.diag(1.0 / rho.values)
-
-
-def equilibrium_rates(
-    model: EnergyModel, graph: Graph, rho_inf: Density, strict: bool = True
-) -> tuple[float, bool, float | None]:
-    """(lambda, hessian_positive, lambda_fisher) at rho_inf from one GTH elimination of L(rho_inf).
-
-    The rates are bit for bit those of :func:`asymptotic_rate` and :func:`fisher_rate`. Where Hess F
-    or the symmetrized Jacobian is not positive definite, strict raises as they do; otherwise lambda
-    is :func:`linearized_rate` with hessian_positive False, or lambda_fisher is None.
-    """
-    if not model.is_symmetric:
-        raise NonSymmetricW("Hessian quadratic form requires a symmetric interaction matrix")
-    hess = energy_hessian(model, rho_inf)  # raises BoundaryDensity unless rho_inf is interior
-    sym_jac = _symmetrized_jacobian(model, rho_inf)
-    positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
-    fisher = _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian", strict)
-    if not fisher:
-        return _tangent_rates(graph, rho_inf, hess)[0], positive, None
-    lam, lam_fisher = _tangent_rates(graph, rho_inf, hess, sym_jac)
-    return lam, positive, lam_fisher
+    return _tangent_rate(graph, rho_inf, sym_jac)
 
 
 def rate_constants(
@@ -252,8 +253,8 @@ def rate_constants(
     C3/sqrt(C1 C2) route agree algebraically; both are evaluated and
     cross-checked to 1e-9 relative as an internal consistency guard
     (:class:`InconsistentRateConstants` on failure). Raises
-    :class:`VacuousCertificate` when the floor m or the constant C underflows
-    to 0 or (r + 1)^2 overflows.
+    :class:`VacuousCertificate` when the floor m underflows to 0 or C, C1, C3
+    or lambda_sec is not a positive float (e.g. (r + 1)^2 overflows).
     """
     cert = convexity_certificate(model)
     if not cert.certified_convex:
@@ -276,57 +277,54 @@ def rate_constants(
     hat = np.linalg.eigvalsh(graph_laplacian(graph))
     lam_sec = float(hat[1])
     lam_max = float(hat[-1])
+    if not lam_sec > 0.0:
+        raise VacuousCertificate(
+            f"lambda_sec of the graph Laplacian evaluates to {lam_sec!r}; the decay certificate is vacuous"
+        )
     lam_min_hess = cert.lambda_min_bound
     hess_norm1 = float(np.max(np.abs(model.interaction).sum(axis=0))) + model.beta / m
     delta_f = max(energy(model, rho0) - f_inf, 0.0)
 
+    # deg_w and lam_max enter r and C3 through their ratios to lam_sec, which
+    # edge weights anywhere in the float range leave representable
     deg_w = graph.max_degree * graph.max_weight
+    spread = lam_max / lam_sec
     C2 = 2.0 * m * lam_sec * lam_min_hess
-    C3 = (
-        2.0
-        * math.sqrt(2.0)
-        * deg_w
-        * hess_norm1
-        / math.sqrt(lam_min_hess)
-        * (1.0 - m)
-        / m
-        * lam_max
-        / lam_sec
-    )
+    C3 = 2.0 * math.sqrt(2.0) * deg_w * hess_norm1 / math.sqrt(lam_min_hess) * (1.0 - m) / m * spread
     if delta_f > 0.0:
         C1 = C2 / delta_f
         r = (
             math.sqrt(2.0)
-            * deg_w
+            * (deg_w / lam_sec)
             * hess_norm1
-            / lam_min_hess**1.5
+            / lam_min_hess
+            / math.sqrt(lam_min_hess)
             * (1.0 - m)
             / m
             / m
-            * lam_max
-            / lam_sec**2
+            * spread
             * math.sqrt(delta_f)
         )
-        # rationalized root of C1 x = C2 - C3 sqrt(x); the naive quadratic
-        # formula cancels catastrophically when C3^2 >> C1 C2
-        sqrt_x = 2.0 * C2 / (C3 + math.sqrt(C3 * C3 + 4.0 * C1 * C2))
     else:
         # started at the equilibrium: the far-field branch is vacuous
         C1 = math.inf
         r = 0.0
-        sqrt_x = 0.0
     try:
         C = C2 / (r + 1.0) ** 2
     except OverflowError:
         C = 0.0
-    if C == 0.0:
+    if not (0.0 < C < math.inf and 0.0 < C3 < math.inf and (C1 < math.inf or delta_f == 0.0)):
         raise VacuousCertificate(
-            f"C = C2 / (r + 1)^2 is not representable (r={r!r}, floor m={m!r}); "
-            "the decay certificate is vacuous"
+            f"the rate constants are not representable (C={C!r}, C1={C1!r}, C3={C3!r}, r={r!r}, "
+            f"floor m={m!r}); the decay certificate is vacuous"
         )
+    sqrt_x = 0.0
     c_alt = C2
     if delta_f > 0.0:
-        r_alt = C3 / math.sqrt(C1 * C2)
+        # rationalized root of C1 x = C2 - C3 sqrt(x); the naive quadratic
+        # formula cancels catastrophically when C3^2 >> C1 C2
+        sqrt_x = 2.0 * C2 / (C3 + math.sqrt(C3 * C3 + 4.0 * C1 * C2))
+        r_alt = C3 / math.sqrt(C1) / math.sqrt(C2)
         if abs(r - r_alt) > 1e-9 * max(r, r_alt):
             raise InconsistentRateConstants(
                 f"rate constant inconsistency: r={r!r} vs C3/sqrt(C1 C2)={r_alt!r}"
@@ -407,9 +405,9 @@ def estimate_lsi_constant(
     """Sampled estimate of the largest lambda with H <= I / (2 lambda).
 
     Draws ``count`` points uniformly from the region of the simplex where
-    every coordinate is >= ``min_mass``: flat Dirichlet draws that lie in the
-    region, the others replaced by min_mass + (1 - n min_mass) Dirichlet(1),
-    which never rejects. Minimizes I/(2H) over samples whose entropy gap
+    every coordinate is >= ``min_mass``, as min_mass + (1 - n min_mass)
+    Dirichlet(1): the affine image of the uniform law on the simplex, so
+    nothing is rejected. Minimizes I/(2H) over samples whose entropy gap
     exceeds 1e-12. Deterministic for a fixed seed. The inequality is stated
     for beta = 1; other temperatures are accepted as an extension (both
     functionals carry beta consistently).
@@ -428,15 +426,8 @@ def estimate_lsi_constant(
     if not (0 <= min_mass < 1.0 / n):
         raise ValueError(f"min_mass must lie in [0, 1/n), got {min_mass!r}")
 
-    # Given how many draws land in the region, those draws are uniform on
-    # it, and so are the affine images that replace the others. The kept
-    # draws are the first samples an accept/reject loop on the same seed
-    # returns, so seeded results move little where few draws miss.
     rng = np.random.default_rng(seed)
-    draws = rng.dirichlet(np.ones(n), size=count)
-    kept = draws[draws.min(axis=1) >= min_mass]
-    fill = min_mass + (1.0 - n * min_mass) * rng.dirichlet(np.ones(n), size=count - len(kept))
-    samples = np.concatenate([kept, fill])
+    samples = min_mass + (1.0 - n * min_mass) * rng.dirichlet(np.ones(n), size=count)
 
     f_inf = energy(model, rho_inf)
     ratios = np.empty(count)

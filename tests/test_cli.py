@@ -526,24 +526,36 @@ def test_rates_nonconvex_equilibrium_flag(tmp_path):
 
 
 def test_rates_runs_one_gth_elimination_per_density(tmp_path, monkeypatch):
+    """One elimination and one tangent eigenproblem per density: lambda_fisher is read off as 2 lambda."""
     gth_solve = simplex_calculus._gth_solve
-    calls = []
+    tangent_rate = rate_analysis._tangent_rate
+    calls, rates = [], []
 
     def counting_gth_solve(L, b):
         calls.append(L.shape)
         return gth_solve(L, b)
 
+    def counting_tangent_rate(graph, rho, S):
+        rates.append(rho)
+        return tangent_rate(graph, rho, S)
+
     monkeypatch.setattr(simplex_calculus, "_gth_solve", counting_gth_solve)
     monkeypatch.setattr(rate_analysis, "_gth_solve", counting_gth_solve)
+    monkeypatch.setattr(rate_analysis, "_tangent_rate", counting_tangent_rate)
     cfg = write_config(tmp_path, CANONICAL)
     assert run("rates", cfg, tmp_path / "global") == 0
-    assert len(calls) == 1
+    assert len(calls) == len(rates) == 1
+    payload = read_json(tmp_path / "global" / "rates.json")
+    assert payload["lambda_fisher"] == 2.0 * payload["lambda_asymptotic"]
     config = dict(CANONICAL)
     config["model"] = {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}
     cfg = write_config(tmp_path, config, "nonconvex.json")
     calls.clear()
+    rates.clear()
     assert run("rates", cfg, tmp_path / "equilibria", "--equilibrium") == 0
-    assert len(calls) == len(read_json(tmp_path / "equilibria" / "rates.json")["equilibria"]) == 3
+    entries = read_json(tmp_path / "equilibria" / "rates.json")["equilibria"]
+    assert len(calls) == len(rates) == len(entries) == 3
+    assert all(e["lambda_fisher"] is None for e in entries)  # -3 I + diag(1/rho) is indefinite at all three
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path):
@@ -663,3 +675,65 @@ def test_all_commands_byte_identical_reruns(tmp_path):
             assert run(cmd, cfg, out) == 0, cmd
         digests.append(digest_tree(out))
     assert digests[0] == digests[1]
+
+
+def test_tiny_beta_gibbs_map_keeps_every_command_off_exit_1(tmp_path):
+    config = {
+        "graph": {"n": 2, "edges": [[1, 2, 1.0]]},
+        "model": {"beta": 1e-300, "V": [1e10, 2e10]},
+        "simulate": {"rho0": [0.5, 0.5], "t_end": 1.0},
+        "rates": {"rho0": [0.5, 0.5]},
+        "lsi": {"count": 20},
+    }
+    cfg = write_config(tmp_path, config)
+    assert run("gibbs", cfg, tmp_path / "gibbs") == 0
+    assert read_json(tmp_path / "gibbs" / "gibbs.json")["density"][1] <= 1e-12
+    assert run("simulate", cfg, tmp_path / "simulate") == 3  # the flow is too stiff: step size underflow
+    assert run("lsi", cfg, tmp_path / "lsi") == 0
+    assert run("rates", cfg, tmp_path / "rates") == 4  # the floor m underflows: vacuous certificate
+    assert run("rates", cfg, tmp_path / "equilibria", "--equilibrium") == 0
+
+
+@pytest.mark.parametrize("weight", [1e300, 1e-300])
+def test_rates_with_extreme_edge_weights_scale_the_constants(tmp_path, weight):
+    config = dict(CANONICAL)
+    config["graph"] = {"n": 2, "edges": [[1, 2, weight]]}
+    cfg = write_config(tmp_path, config)
+    assert run("rates", cfg, tmp_path / "extreme") == 0
+    assert run("rates", write_config(tmp_path, CANONICAL, "unit.json"), tmp_path / "unit") == 0
+    got, unit = read_json(tmp_path / "extreme" / "rates.json"), read_json(tmp_path / "unit" / "rates.json")
+    # r is invariant under scaling every weight; C2, C3 and C scale with it
+    assert got["r"] == pytest.approx(unit["r"], rel=1e-14)
+    for key in ("C2", "C3", "C", "lambda_asymptotic"):
+        assert got[key] == pytest.approx(weight * unit[key], rel=1e-12), key
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"n": 2, "edges": [[1, 2, 1.7e308]]},  # the Laplacian and lambda_sec overflow
+        {"n": 3, "edges": [[1, 2, 1e300], [2, 3, 1e-300]]},  # eigvalsh gives lambda_sec = 0.0
+    ],
+)
+def test_rates_with_weights_beyond_the_float_range_exit_4(tmp_path, capsys, graph):
+    config = dict(CANONICAL)
+    config["graph"] = graph
+    config["rates"] = {"rho0": [0.9, 0.1] if graph["n"] == 2 else [0.5, 0.3, 0.2]}
+    assert run("rates", write_config(tmp_path, config), tmp_path / "out") == 4
+    assert "vacuous" in capsys.readouterr().err
+
+
+def test_decompose_field_whose_norm_overflows_exits_2(tmp_path, capsys):
+    config = dict(CANONICAL)
+    config["graph"] = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]}
+    config["decompose"] = {"rho": [0.3, 0.3, 0.4], "field": [[1, 2, 1.7e308], [2, 3, -1.7e308], [1, 3, 1.7e308]]}
+    assert run("decompose", write_config(tmp_path, config), tmp_path / "out") == 2
+    assert "decompose.field" in capsys.readouterr().err
+
+
+def test_huge_node_count_with_too_few_edges_exits_2_at_once(tmp_path, capsys):
+    config = dict(CANONICAL)
+    config["graph"] = {"n": 10**6, "edges": [[1, 2, 1.0]]}
+    assert run("gibbs", write_config(tmp_path, config), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "cannot join 1000000 nodes" in err and len(err) < 200

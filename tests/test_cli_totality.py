@@ -1,0 +1,142 @@
+"""Exit-code totality: every schema-valid config makes the CLI exit 0, 2, 3 or 4, never raise.
+
+Configs are drawn on 2-4 nodes with magnitudes of beta, V, W, edge weights,
+fields and t_end log-uniform over 1e-300 .. 1e300, so they reach overflow,
+underflow and stiffness far outside the usual range. The work per example
+is kept small: few iterations in the config (count <= 50, K <= 4, max_iter
+<= 50), and the budgets the config cannot set are cut for the test (Gibbs
+solves to 200 iterations, integration to 100 attempted steps). A spent
+budget still raises the NoConvergence or StepSizeUnderflow it raises at full
+size. Overflow to +-inf is the float answer at these magnitudes, and the
+CLI writes it as "inf", so numpy overflow warnings are silenced; an invalid
+operation (NaN) or a division by zero still fails the test.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphfpe import cli, fpe_dynamics, free_energy
+from graphfpe.cli import main
+
+positive = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+signed = st.one_of(st.just(0.0), positive, positive.map(lambda x: -x))
+# about 2% of the masses underflow to exactly 0
+masses = st.floats(-330.0, 0.0).map(lambda e: 10.0**e)
+
+
+def run_capped(argv) -> int:
+    real = free_energy.gibbs_fixed_point
+
+    def gibbs(model, init, tol=1e-12, max_iter=10_000, damping=0.5):
+        return real(model, init, tol=tol, max_iter=min(max_iter, 200), damping=damping)
+
+    with (
+        mock.patch.object(cli, "gibbs_fixed_point", gibbs),
+        mock.patch.object(free_energy, "gibbs_fixed_point", gibbs),
+        mock.patch.object(fpe_dynamics, "_STEP_BUDGET", 100),
+        np.errstate(over="ignore"),
+    ):
+        return main(argv)
+
+
+@st.composite
+def densities(draw, n):
+    x = draw(st.lists(masses, min_size=n, max_size=n).filter(lambda v: sum(v) > 0.0))
+    total = sum(x)
+    return [v / total for v in x]
+
+
+@st.composite
+def configs(draw, command):
+    n = draw(st.integers(2, 4))
+    pairs = [(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)]
+    for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2)):
+        if i != j and (min(i, j), max(i, j)) not in pairs:
+            pairs.append((min(i, j), max(i, j)))
+    edges = [[i, j, draw(positive)] for i, j in pairs]
+    model = {"beta": draw(positive)}
+    if draw(st.booleans()):
+        model["V"] = draw(st.lists(signed, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        W = [draw(st.lists(signed, min_size=n, max_size=n)) for _ in range(n)]
+        if draw(st.booleans()):  # the symmetric W that rates and lsi require
+            W = [[W[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        model["W"] = W
+    config = {"graph": {"n": n, "edges": edges}, "model": model, "seed": draw(st.integers(0, 2**31))}
+    rho = densities(n)
+    if command == "gibbs":
+        opts = {"max_iter": draw(st.integers(1, 50))}
+        if draw(st.booleans()):
+            opts["starts"] = draw(st.lists(rho, min_size=1, max_size=3))
+        else:
+            opts["init"] = draw(rho)
+    elif command == "simulate":
+        opts = {"rho0": draw(rho), "t_end": draw(positive), "record_every": draw(st.integers(0, 5))}
+    elif command == "rates":
+        opts = {"rho0": draw(rho), "gibbs_max_iter": draw(st.integers(1, 50))}
+        if draw(st.booleans()):
+            opts["starts"] = draw(st.lists(rho, min_size=1, max_size=3))
+    elif command == "lsi":
+        opts = {"count": draw(st.integers(1, 50)), "min_mass": draw(st.floats(0.0, 0.3))}
+        if draw(st.booleans()):
+            opts["rho0"] = draw(rho)
+    elif command == "w2":
+        opts = {
+            "rho0": draw(rho),
+            "rho1": draw(rho),
+            "K": draw(st.integers(1, 4)),
+            "max_iters": draw(st.integers(1, 5)),
+            "grad_tol": draw(positive),
+        }
+    else:
+        opts = {"rho": draw(rho), "field": [[*draw(st.permutations([i, j])), draw(signed)] for i, j, _ in edges]}
+    config[command] = opts
+    return config
+
+
+def check_exit_code(tmp_path_factory, command, config, *flags):
+    work = tmp_path_factory.mktemp(command)
+    path = work / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = run_capped([command, "--config", str(path), "--out", str(work / "out"), *flags])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(max_examples=25)
+@given(configs("gibbs"))
+def test_gibbs_exit_code_is_total(tmp_path_factory, config):
+    check_exit_code(tmp_path_factory, "gibbs", config)
+
+
+@settings(max_examples=25)
+@given(configs("simulate"))
+def test_simulate_exit_code_is_total(tmp_path_factory, config):
+    check_exit_code(tmp_path_factory, "simulate", config)
+
+
+@settings(max_examples=25)
+@given(configs("rates"), st.booleans())
+def test_rates_exit_code_is_total(tmp_path_factory, config, equilibrium):
+    check_exit_code(tmp_path_factory, "rates", config, *(["--equilibrium"] if equilibrium else []))
+
+
+@settings(max_examples=25)
+@given(configs("lsi"))
+def test_lsi_exit_code_is_total(tmp_path_factory, config):
+    check_exit_code(tmp_path_factory, "lsi", config)
+
+
+@settings(max_examples=25)
+@given(configs("w2"))
+def test_w2_exit_code_is_total(tmp_path_factory, config):
+    check_exit_code(tmp_path_factory, "w2", config)
+
+
+@settings(max_examples=25)
+@given(configs("decompose"))
+def test_decompose_exit_code_is_total(tmp_path_factory, config):
+    check_exit_code(tmp_path_factory, "decompose", config)

@@ -17,7 +17,7 @@ from graphfpe import (
     find_all_equilibria,
     gibbs_fixed_point,
 )
-from graphfpe.free_energy import _drift_raw, _energy_raw
+from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map
 from helpers import bare_model, interior_density, random_convex_model, rel_err
 
 
@@ -214,3 +214,32 @@ def test_gibbs_no_convergence_carries_partial():
 def test_gibbs_rejects_boundary_start():
     with pytest.raises(BoundaryDensity):
         gibbs_fixed_point(bare_model(2), Density([1.0, 0.0]))
+
+
+def test_gibbs_map_at_beta_one_has_the_bits_of_the_max_shifted_softmin():
+    rng = np.random.default_rng(21)
+    for n in (2, 5, 9):
+        model = random_convex_model(rng, n)
+        v = interior_density(rng, n).values
+        a = -(model.interaction @ v + model.potential) / model.beta
+        g = np.exp(a - a.max())
+        got, normalizer = _gibbs_map(model, v)
+        assert np.array_equal(got, g / g.sum())
+        assert normalizer == float(np.exp(a.max()) * g.sum())
+
+
+def test_gibbs_tiny_beta_does_not_form_inf_minus_inf():
+    # -(W v + V)/beta is -inf in every entry: shifting after the division gave NaN
+    model = EnergyModel(np.zeros((2, 2)), np.array([1e10, 2e10]), 1e-300)
+    result = gibbs_fixed_point(model, Density([0.5, 0.5]))
+    assert result.residual <= 1e-12 and result.density.values[1] <= 1e-12
+    assert result.normalizer == 0.0  # exp(-1e310) underflows
+
+
+def test_gibbs_non_finite_map_raises_no_convergence_with_the_last_iterate():
+    # W v + V overflows to inf in every entry, so the map is NaN
+    model = EnergyModel(np.full((2, 2), 1e308), np.full(2, 1e308), 1.0)
+    with pytest.raises(NoConvergence, match="residual nan") as info:
+        gibbs_fixed_point(model, Density([0.5, 0.5]))
+    assert info.value.result.density.values.tolist() == [0.5, 0.5]
+    assert info.value.result.iterations == 0

@@ -34,6 +34,19 @@ def test_build_disconnected_rejected():
         build_graph(3, [(1, 2, 1.0)])
 
 
+def test_build_refuses_too_few_edges_before_any_per_node_work():
+    # 10^6 nodes and one edge: refused from the edge count, without per-node lists
+    with pytest.raises(DisconnectedGraph, match="1 distinct edges cannot join 1000000 nodes"):
+        build_graph(10**6, [(1, 2, 1.0)])
+    # enough edges, but nodes 11..40 are cut off: the message names ten of them
+    edges = [(i, i + 1, 1.0) for i in range(1, 10)] + [(i, i + 1, 1.0) for i in range(11, 40)] + [(1, 10, 1.0)]
+    with pytest.raises(DisconnectedGraph) as info:
+        build_graph(40, edges)
+    assert str(info.value) == (
+        "graph is not connected; 30 nodes unreachable from node 1: 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, ..."
+    )
+
+
 def test_build_validation_errors():
     with pytest.raises(SelfLoop):
         build_graph(2, [(1, 1, 1.0), (1, 2, 1.0)])

@@ -9,6 +9,7 @@ import pytest
 from graphfpe import (
     Density,
     EnergyModel,
+    NoConvergence,
     NonPositiveHessian,
     NonPositiveSymmetrizedJacobian,
     NotCertifiedConvex,
@@ -253,13 +254,28 @@ def test_equilibrium_rates_equal_the_single_rate_functions_bit_for_bit():
         model = random_convex_model(rng, n)
         g = random_connected_graph(rng, n)
         rho_inf = gibbs_fixed_point(model, interior_density(rng, n), tol=1e-14).density
-        expected = (asymptotic_rate(model, g, rho_inf), True, fisher_rate(model, g, rho_inf))
+        expected = (asymptotic_rate(model, g, rho_inf), True, 2.0 * asymptotic_rate(model, g, rho_inf))
         assert equilibrium_rates(model, g, rho_inf) == expected
         assert equilibrium_rates(model, g, rho_inf, strict=False) == expected
     m = EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0)
     assert equilibrium_rates(m, path2(), UNIFORM2, strict=False) == (linearized_rate(m, path2(), UNIFORM2), False, None)
     with pytest.raises(NonPositiveHessian):
         equilibrium_rates(m, path2(), UNIFORM2)
+
+
+def test_equilibrium_rates_out_of_float_range_raise_no_convergence():
+    # the rate, about 1e24 * 1e300, overflows: N underflows to 0
+    huge = EnergyModel(np.zeros((2, 2)), np.zeros(2), 1e300)
+    with pytest.raises(NoConvergence, match="float range"):
+        equilibrium_rates(huge, build_graph(2, [(1, 2, 1e24)]), UNIFORM2)
+    # a 1e-206 bottleneck at beta 1e-206: the rate is ~1e-412 and N overflows
+    tiny = EnergyModel(np.zeros((4, 4)), np.zeros(4), 1e-206)
+    star = build_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1e-206)])
+    with pytest.raises(NoConvergence, match="float range"):
+        equilibrium_rates(tiny, star, Density(np.full(4, 0.25)))
+    # beta / rho overflows in Hess F itself
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="Hess F leaves the float range"):
+        equilibrium_rates(EnergyModel(np.zeros((2, 2)), np.zeros(2), 1e300), path2(), Density([1.0 - 1e-10, 1e-10]))
 
 
 def test_fisher_rate_rejects_indefinite_jacobian():
