@@ -145,10 +145,36 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     logger.info("wrote %s", path)
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _digest(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    return _sha256(_canonical(obj))
+
+
+def _stamp_digests(config: dict, graph_dict: dict, model_dict: dict) -> dict:
+    """The config, graph and model digests (:func:`_digest`), with each top-level config value serialized once.
+
+    The config's canonical string is joined from its parts, and an inline
+    graph or model section is hashed from its part; a section read from a
+    file is serialized on its own.
+    """
+    parts = {key: _canonical(value) for key, value in config.items()}
+    whole = "{" + ",".join(json.dumps(key) + ":" + parts[key] for key in sorted(parts)) + "}"
+
+    def section(key: str, resolved: dict) -> str:
+        return _sha256(parts[key]) if resolved is config[key] else _digest(resolved)
+
+    return {
+        "config_digest": _sha256(whole),
+        "graph_digest": section("graph", graph_dict),
+        "model_digest": section("model", model_dict),
+    }
 
 
 # -- config loading ----------------------------------------------------------
@@ -311,9 +337,7 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
         self.stamp = {
-            "config_digest": _digest(self.config),
-            "graph_digest": _digest(self.graph_dict),
-            "model_digest": _digest(self.model_dict),
+            **_stamp_digests(self.config, self.graph_dict, self.model_dict),
             "version": __version__,
             "seed": self.seed,
         }
@@ -432,6 +456,8 @@ def cmd_simulate(run: _Run) -> int:
             "accepted_steps": traj.accepted_steps,
             "rejected_steps": traj.rejected_steps,
             "rejected_by": dict(traj.rejected_by),
+            "exponential_steps": traj.exponential_steps,
+            "switch_time": traj.switch_time,
             "records": int(traj.times.size),
         }
     )

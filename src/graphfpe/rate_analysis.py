@@ -254,7 +254,9 @@ def rate_constants(
     cross-checked to 1e-9 relative as an internal consistency guard
     (:class:`InconsistentRateConstants` on failure). Raises
     :class:`VacuousCertificate` when the floor m underflows to 0 or C, C1, C3
-    or lambda_sec is not a positive float (e.g. (r + 1)^2 overflows).
+    or lambda_sec is not a positive float (e.g. (r + 1)^2 overflows), and
+    :class:`NoConvergence` when lambda_sec is at most 1e3 n eps lambda_max,
+    below what ``eigvalsh`` resolves.
     """
     cert = convexity_certificate(model)
     if not cert.certified_convex:
@@ -280,6 +282,13 @@ def rate_constants(
     if not lam_sec > 0.0:
         raise VacuousCertificate(
             f"lambda_sec of the graph Laplacian evaluates to {lam_sec!r}; the decay certificate is vacuous"
+        )
+    # eigvalsh is accurate to about eps lambda_max, so a smaller lambda_sec is noise, not a bound
+    resolved = 1e3 * graph.node_count * np.finfo(float).eps * lam_max
+    if math.isfinite(resolved) and lam_sec <= resolved:
+        raise NoConvergence(
+            f"lambda_sec of the graph Laplacian evaluates to {lam_sec:.3e}, below the {resolved:.3e} that "
+            f"eigvalsh resolves next to lambda_max {lam_max:.3e}"
         )
     lam_min_hess = cert.lambda_min_bound
     hess_norm1 = float(np.max(np.abs(model.interaction).sum(axis=0))) + model.beta / m

@@ -353,6 +353,35 @@ def test_graph_from_file_reference(tmp_path):
     assert run("gibbs", cfg, tmp_path / "out") == 0
 
 
+def old_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("referenced", [(), ("graph",), ("model",), ("graph", "model")])
+def test_stamp_digests_equal_one_serialization_of_each_whole(tmp_path, referenced):
+    config = copy.deepcopy(CANONICAL)
+    config["model"] = {"beta": 0.5, "V": [0.25, -1e-300], "W": [[1.0, 0.5], [0.5, 2.0]]}
+    resolved = {key: config[key] for key in ("graph", "model")}
+    for key in referenced:
+        (tmp_path / f"{key}.json").write_text(json.dumps(config[key]))
+        config[key] = {"path": f"{key}.json"}
+    cfg = write_config(tmp_path, config)
+    assert run("gibbs", cfg, tmp_path / "out") == 0
+    stamp = read_json(tmp_path / "out" / "gibbs.json")
+    assert stamp["config_digest"] == old_digest(read_json(cfg))
+    assert stamp["graph_digest"] == old_digest(resolved["graph"])
+    assert stamp["model_digest"] == old_digest(resolved["model"])
+
+
+def test_stamp_config_digest_keeps_json_key_order_and_escapes():
+    config = {"zeta": "caf\u00e9 \"q\"", "graph": {"n": 2, "b": [1e-300, 0.1]}, "model": {}, "Alpha": None}
+    assert cli._stamp_digests(config, config["graph"], {"beta": 1.0}) == {
+        "config_digest": old_digest(config),
+        "graph_digest": old_digest(config["graph"]),
+        "model_digest": old_digest({"beta": 1.0}),
+    }
+
+
 def test_disconnected_graph_exits_2(tmp_path):
     config = dict(CANONICAL)
     config["graph"] = {"n": 3, "edges": [[1, 2, 1.0]]}
@@ -408,10 +437,12 @@ def test_simulate_step_underflow_exits_3_with_dump(tmp_path):
 
 
 def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkeypatch, caplog):
-    # at equilibrium the step stays near the stability limit, so t_end 1e300
-    # would never end; the budget (shrunk here to keep the test short) stops it
+    # a non-symmetric W keeps the run on RKF45, whose step stays near the
+    # stability limit at equilibrium, so t_end 1e300 would never end; the
+    # budget (shrunk here to keep the test short) stops it
     monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 500)
     config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": [[0.0, 0.1], [0.0, 0.0]]}
     config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 1e300}
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -422,6 +453,18 @@ def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkey
     assert summary["completed"] is False
     assert summary["accepted_steps"] + summary["rejected_steps"] == 500
     assert sum(summary["rejected_by"].values()) == summary["rejected_steps"]
+    assert summary["exponential_steps"] == 0 and summary["switch_time"] is None
+
+
+def test_simulate_reports_the_switch_to_exponential_steps(tmp_path):
+    config = dict(CANONICAL)
+    config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 50.0}
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, config), out) == 0
+    summary = read_json(out / "summary.json")
+    assert 0 < summary["switch_time"] < 50.0
+    assert 0 < summary["exponential_steps"] < summary["accepted_steps"]
+    assert max(abs(x - 0.5) for x in summary["final_density"]) <= 1e-12
 
 
 def test_simulate_extreme_potential_exits_cleanly(tmp_path):
@@ -721,6 +764,17 @@ def test_rates_with_weights_beyond_the_float_range_exit_4(tmp_path, capsys, grap
     config["rates"] = {"rho0": [0.9, 0.1] if graph["n"] == 2 else [0.5, 0.3, 0.2]}
     assert run("rates", write_config(tmp_path, config), tmp_path / "out") == 4
     assert "vacuous" in capsys.readouterr().err
+
+
+def test_rates_with_an_unresolved_lambda_sec_exits_3_and_names_it(tmp_path, capsys):
+    # eigvalsh puts lambda_sec of this path near 4e-17, about 1e283 times the true value
+    config = dict(CANONICAL)
+    config["graph"] = {"n": 4, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1e-300]]}
+    config["rates"] = {"rho0": [0.4, 0.3, 0.2, 0.1]}
+    assert run("rates", write_config(tmp_path, config), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "lambda_sec of the graph Laplacian evaluates to" in err and "eigvalsh resolves" in err
+    assert not (tmp_path / "out" / "rates.json").exists()
 
 
 def test_decompose_field_whose_norm_overflows_exits_2(tmp_path, capsys):

@@ -11,12 +11,14 @@ from graphfpe import (
     dissipation,
     energy,
     energy_gradient,
+    energy_hessian,
     fpe_rhs,
     gibbs_fixed_point,
     integrate,
     invariant_region,
     weighted_laplacian,
 )
+from graphfpe import fpe_dynamics
 from graphfpe.fpe_dynamics import (
     _GUARDS,
     _RK_A,
@@ -25,7 +27,11 @@ from graphfpe.fpe_dynamics import (
     _RK_ERR,
     _STAGE_ROWS,
     _UPDATE,
+    _equilibrium_tail,
+    _phi12,
+    _rhs_raw,
 )
+from graphfpe.simplex_calculus import laplacian_matrices
 from helpers import (
     bare_model,
     interior_density,
@@ -310,3 +316,88 @@ def test_nonsymmetric_interaction_integrates_without_energy_guard():
     assert not model_ns.is_symmetric
     traj = integrate(model_ns, g, Density([0.9, 0.1]), 1.0, record_every=0)
     assert traj.times[-1] == 1.0
+
+
+# -- the exponential tail ------------------------------------------------------
+
+
+def test_equilibrium_jacobian_matches_central_differences():
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        n = int(rng.integers(2, 9))
+        g = random_connected_graph(rng, n)
+        model = random_convex_model(rng, n)
+        tail = _equilibrium_tail(model, g, interior_density(rng, n))
+        rho = tail.rho_inf
+        fd = np.empty((n, n))
+        for j in range(n):
+            step = 1e-6 * rho[j]
+            e = np.zeros(n)
+            e[j] = step
+            fd[:, j] = (_rhs_raw(model, g, rho + e) - _rhs_raw(model, g, rho - e)) / (2.0 * step)
+        # the eigenpairs give J on the zero-sum plane, where the dropped mass mode has no part
+        centred = np.eye(n) - 1.0 / n
+        jac = np.array([tail.jac(col) for col in centred]).T
+        assert np.max(np.abs(jac - fd @ centred)) <= 1e-6 * np.max(np.abs(fd))
+        exact = -laplacian_matrices(g, rho) @ energy_hessian(model, Density(rho))
+        assert np.max(np.abs(jac - exact @ centred)) <= 1e-12 * np.max(np.abs(fd))
+
+
+def test_phi_functions_match_their_closed_forms_on_both_branches():
+    z = np.array([0.0, -1e-12, -0.5, -0.999999, -1.000001, -3.0, -40.0, -1e6])
+    phi1, phi2 = _phi12(z)
+    assert phi1[0] == 1.0 and phi2[0] == 0.5
+    for k, zk in enumerate(z[1:], start=1):
+        exact1 = math.expm1(zk) / zk
+        exact2 = (math.expm1(zk) - zk) / (zk * zk) if zk < -1e-3 else 0.5 + zk / 6.0
+        assert rel_err(phi1[k], exact1) <= 1e-14
+        assert rel_err(phi2[k], exact2) <= 1e-12
+
+
+def test_tail_setup_declines_what_it_cannot_build():
+    g = path2()
+    nonsymmetric = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0)
+    assert _equilibrium_tail(nonsymmetric, g, Density([0.9, 0.1])) is None
+    # Hess F = W + diag(1/rho) is indefinite at the symmetric equilibrium of this double well
+    well = EnergyModel(np.array([[0.0, -5.0], [-5.0, 0.0]]), np.zeros(2), 1.0)
+    assert _equilibrium_tail(well, g, Density([0.5, 0.5])) is None
+    # Hess F overflows
+    assert _equilibrium_tail(bare_model(2, beta=1e308), g, Density([0.5, 0.5])) is None
+
+
+def _switching_run(**kwargs):
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng, 6)
+    model = random_convex_model(rng, 6)
+    return integrate(model, g, interior_density(rng, 6), 60.0, record_every=1, **kwargs)
+
+
+def test_tail_keeps_mass_one_and_descends_the_energy():
+    traj = _switching_run()
+    assert traj.switch_time is not None and traj.exponential_steps > 0
+    after = traj.times > traj.switch_time
+    assert np.count_nonzero(after) > 1
+    values = np.array([d.values for d in traj.densities])
+    assert np.max(np.abs(values[after].sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(np.diff(traj.energy) <= 1e-11)
+
+
+def test_tail_switched_off_gives_the_same_records_up_to_the_switch(monkeypatch):
+    traj = _switching_run()
+    monkeypatch.setattr(fpe_dynamics, "_equilibrium_tail", lambda *args: None)
+    plain = _switching_run()
+    assert plain.switch_time is None and plain.exponential_steps == 0
+    assert plain.accepted_steps > traj.accepted_steps
+    upto = np.count_nonzero(traj.times <= traj.switch_time)
+    assert np.array_equal(traj.times[:upto], plain.times[:upto])
+    for a, b in zip(traj.densities[:upto], plain.densities[:upto]):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(traj.energy[:upto], plain.energy[:upto])
+    assert np.max(np.abs(traj.final_density.values - plain.final_density.values)) <= 1e-9
+
+
+def test_tail_honours_max_step_and_lands_on_t_end():
+    traj = _switching_run(max_step=2.0)
+    assert traj.exponential_steps > 0
+    assert np.max(np.diff(traj.times)) <= 2.0
+    assert traj.times[-1] == 60.0

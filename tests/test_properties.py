@@ -1,7 +1,9 @@
 """Property tests of the L(rho) kernels and solve, the Hodge split, the flow, the tangent rate and W2 on generated graphs."""
 
+from unittest.mock import patch
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfpe import (
@@ -20,6 +22,7 @@ from graphfpe import (
     w2_distance,
     weighted_laplacian,
 )
+from graphfpe import fpe_dynamics
 from graphfpe.fpe_dynamics import _rhs_raw
 from graphfpe.free_energy import _drift_raw
 from graphfpe.rate_analysis import _tangent_rate
@@ -161,6 +164,17 @@ def test_flow_keeps_mass_floor_and_energy_descent(case):
     assert float(values.min()) >= region.m - 1e-12
     assert np.all(np.diff(traj.energy) <= 1e-9)
     assert sum(traj.rejected_by.values()) == traj.rejected_steps
+
+
+@settings(max_examples=25)  # two runs per example, one of them RKF45 alone to t = 10
+@given(flow_case())
+def test_exponential_tail_agrees_with_rkf45_alone(case):
+    model, graph, rho0 = case
+    traj = integrate(model, graph, rho0, 10.0, record_every=1)
+    with patch.object(fpe_dynamics, "_equilibrium_tail", lambda *args: None):
+        plain = integrate(model, graph, rho0, 10.0, record_every=0)
+    assert float(np.max(np.abs(traj.final_density.values - plain.final_density.values))) <= 1e-7
+    assert np.all(np.diff(traj.energy) <= 1e-11)  # the energy guard's abs_tol per accepted step
 
 
 @given(flow_case())
