@@ -5,6 +5,7 @@ Usage:
              [--out DIR] [--seed S]
 
 ``--jobs N`` is accepted and ignored, kept for existing command lines.
+A missing command section exits 2; an omitted key takes the library default.
 Every command is deterministic given (config, seed); floats in JSON and CSV
 outputs are written with 17 significant digits so repeated runs are
 byte-identical. Each output embeds the SHA-256 digest of the canonicalized
@@ -71,26 +72,28 @@ from .wasserstein_metric import w2_distance
 
 logger = logging.getLogger("graphfpe")
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    DimensionMismatch,
-    NotAnEdge,
-)
-_PRECONDITION_ERRORS = (
-    NotCertifiedConvex,
-    BoundaryDensity,
-    NonPositiveHessian,
-    NonSymmetricW,
-    NonPositiveSymmetrizedJacobian,
-    NotZeroSum,
-    NoValidSamples,
-    VacuousCertificate,
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_PRECONDITION = 4
+
+# the exit code of each error class main() reports; an error of a class not listed propagates
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    DimensionMismatch: EXIT_CONFIG,
+    NotAnEdge: EXIT_CONFIG,
+    NotCertifiedConvex: EXIT_PRECONDITION,
+    BoundaryDensity: EXIT_PRECONDITION,
+    NonPositiveHessian: EXIT_PRECONDITION,
+    NonSymmetricW: EXIT_PRECONDITION,
+    NonPositiveSymmetrizedJacobian: EXIT_PRECONDITION,
+    NotZeroSum: EXIT_PRECONDITION,
+    NoValidSamples: EXIT_PRECONDITION,
+    VacuousCertificate: EXIT_PRECONDITION,
+    NoConvergence: EXIT_NUMERIC,
+    StepSizeUnderflow: EXIT_NUMERIC,
+    InconsistentRateConstants: EXIT_NUMERIC,
+}
 
 
 # -- stable serialization ----------------------------------------------------
@@ -130,11 +133,6 @@ def _dump_stable(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_dump_stable(payload) + "\n", encoding="utf-8")
-    logger.info("wrote %s", path)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -310,16 +308,6 @@ def _build_model(mdict: dict, n: int) -> EnergyModel:
     return model
 
 
-def _density(values, what: str, n: int) -> Density:
-    try:
-        rho = Density(np.asarray(values, dtype=float))
-    except (GraphFpeError, ValueError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
-    if rho.n != n:
-        raise ConfigError(f"{what} has {rho.n} entries but the graph has {n} nodes")
-    return rho
-
-
 class _Run:
     """Everything shared by the command handlers."""
 
@@ -327,12 +315,11 @@ class _Run:
         config_path = Path(args.config)
         self.config = _load_json(config_path)
         _validate_config(self.config)
-        base = config_path.parent
-        self.graph_dict = _resolve_section(self.config, "graph", base, "graph_inline")
-        self.model_dict = _resolve_section(self.config, "model", base, "model_inline")
+        self.base = config_path.parent
+        self.graph_dict = _resolve_section(self.config, "graph", self.base, "graph_inline")
+        self.model_dict = _resolve_section(self.config, "model", self.base, "model_inline")
         self.graph = _build_graph(self.graph_dict)
         self.model = _build_model(self.model_dict, self.graph.node_count)
-        self.base = base
         self.out = Path(args.out) if args.out else Path(self.config.get("output_dir", "."))
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
@@ -343,25 +330,45 @@ class _Run:
         }
 
     def section(self, name: str) -> dict:
-        return self.config.get(name, {})
+        """The config's ``name`` section; the schema has already checked the keys it requires."""
+        if name not in self.config:
+            raise ConfigError(f"config has no '{name}' section, which the {name} command needs")
+        return self.config[name]
 
     def density(self, values, what: str) -> Density:
-        return _density(values, what, self.graph.node_count)
-
-    def uniform(self) -> Density:
+        """The config density ``values``, checked against the graph; the uniform density where they are None."""
         n = self.graph.node_count
-        return Density(np.full(n, 1.0 / n))
+        if values is None:
+            return Density(np.full(n, 1.0 / n))
+        try:
+            rho = Density(np.asarray(values, dtype=float))
+        except (GraphFpeError, ValueError) as exc:
+            raise ConfigError(f"invalid {what}: {exc}") from exc
+        if rho.n != n:
+            raise ConfigError(f"{what} has {rho.n} entries but the graph has {n} nodes")
+        return rho
 
     def default_starts(self) -> list[Density]:
         """Uniform plus one corner-leaning start per node (mass 0.9 at the corner)."""
         n = self.graph.node_count
-        starts = [self.uniform()]
+        starts = [self.density(None, "uniform start")]
         off = 0.1 / (n - 1)
         for i in range(n):
             v = np.full(n, off)
             v[i] = 0.9
             starts.append(Density(v / v.sum()))
         return starts
+
+    def write(self, name: str, payload: dict) -> None:
+        """Write the output file ``name``: the stamp plus ``payload``, in the stable JSON form."""
+        path = self.out / name
+        path.write_text(_dump_stable({**self.stamp, **payload}) + "\n", encoding="utf-8")
+        logger.info("wrote %s", path)
+
+
+def _given(opts: dict, *keys: str) -> dict:
+    """The keys among ``keys`` that the config section sets; the library's keyword defaults stand for the rest."""
+    return {key: opts[key] for key in keys if key in opts}
 
 
 def _gibbs_payload(result, model) -> dict:
@@ -375,37 +382,27 @@ def _gibbs_payload(result, model) -> dict:
 
 
 def cmd_gibbs(run: _Run) -> int:
-    opts = run.section("gibbs")
-    tol = opts.get("tol", 1e-12)
-    max_iter = opts.get("max_iter", 10_000)
-    damping = opts.get("damping", 0.5)
-    init = run.density(opts["init"], "gibbs.init") if "init" in opts else run.uniform()
-    payload = dict(run.stamp)
+    opts = run.config.get("gibbs", {})  # the one command whose section may be left out
+    solver = _given(opts, "tol", "max_iter", "damping")
+    init = run.density(opts.get("init"), "gibbs.init")
     if "starts" in opts:
         starts = [run.density(s, "gibbs.starts entry") for s in opts["starts"]]
-        results = find_all_equilibria(run.model, starts, tol=tol, max_iter=max_iter, damping=damping)
-        if not results:
-            payload["converged"] = False
-            payload["equilibria"] = []
-            _write_json(run.out / "gibbs.json", payload)
-            return EXIT_NUMERIC
-        payload["converged"] = True
-        payload["equilibria"] = [_gibbs_payload(r, run.model) for r in results]
-        payload.update(_gibbs_payload(results[0], run.model))
-        _write_json(run.out / "gibbs.json", payload)
-        return EXIT_OK
-    try:
-        result = gibbs_fixed_point(run.model, init, tol=tol, max_iter=max_iter, damping=damping)
-    except NoConvergence as exc:
-        payload["converged"] = False
-        payload.update(_gibbs_payload(exc.result, run.model))
-        _write_json(run.out / "gibbs.json", payload)
-        logger.error("gibbs iteration did not converge: %s", exc)
-        return EXIT_NUMERIC
-    payload["converged"] = True
-    payload.update(_gibbs_payload(result, run.model))
-    _write_json(run.out / "gibbs.json", payload)
-    return EXIT_OK
+        results = find_all_equilibria(run.model, starts, **solver)
+        converged = bool(results)
+        payload = {"equilibria": [_gibbs_payload(r, run.model) for r in results]}
+        if results:
+            payload.update(_gibbs_payload(results[0], run.model))
+    else:
+        try:
+            result = gibbs_fixed_point(run.model, init, **solver)
+            converged = True
+        except NoConvergence as exc:
+            result = exc.result
+            converged = False
+            logger.error("gibbs iteration did not converge: %s", exc)
+        payload = _gibbs_payload(result, run.model)
+    run.write("gibbs.json", {**payload, "converged": converged})
+    return EXIT_OK if converged else EXIT_NUMERIC
 
 
 def _trajectory_rows(traj):
@@ -415,28 +412,19 @@ def _trajectory_rows(traj):
 
 def cmd_simulate(run: _Run) -> int:
     opts = run.section("simulate")
-    if "rho0" not in opts or "t_end" not in opts:
-        raise ConfigError("simulate requires 'rho0' and 't_end'")
     rho0 = run.density(opts["rho0"], "simulate.rho0")
-    kwargs = {
-        "rel_tol": opts.get("rel_tol", 1e-8),
-        "abs_tol": opts.get("abs_tol", 1e-11),
-        "max_step": opts.get("max_step"),
-        "record_every": opts.get("record_every", 10),
-        "positivity_floor": opts.get("positivity_floor"),
-    }
+    options = _given(opts, "rel_tol", "abs_tol", "max_step", "record_every", "positivity_floor")
     n = run.graph.node_count
     header = ["t", *[f"rho_{i + 1}" for i in range(n)], "energy", "dissipation"]
     started = time.perf_counter()
     try:
-        traj = integrate(run.model, run.graph, rho0, opts["t_end"], **kwargs)
+        traj = integrate(run.model, run.graph, rho0, opts["t_end"], **options)
         completed = True
     except StepSizeUnderflow as exc:
         traj = exc.trajectory
         completed = False
         logger.error("integration stopped early: %s", exc)
-    elapsed = time.perf_counter() - started
-    logger.info("integration wall time: %.3fs", elapsed)
+    logger.info("integration wall time: %.3fs", time.perf_counter() - started)
 
     _write_csv(run.out / "trajectory.csv", header, _trajectory_rows(traj))
     final = traj.final_density
@@ -445,8 +433,8 @@ def cmd_simulate(run: _Run) -> int:
         rel_entropy = energy(run.model, final) - energy(run.model, gibbs.density)
     except NoConvergence:
         rel_entropy = None
-    payload = dict(run.stamp)
-    payload.update(
+    run.write(
+        "summary.json",
         {
             "completed": completed,
             "final_time": traj.times[-1],
@@ -459,9 +447,8 @@ def cmd_simulate(run: _Run) -> int:
             "exponential_steps": traj.exponential_steps,
             "switch_time": traj.switch_time,
             "records": int(traj.times.size),
-        }
+        },
     )
-    _write_json(run.out / "summary.json", payload)
     return EXIT_OK if completed else EXIT_NUMERIC
 
 
@@ -487,10 +474,7 @@ def _read_trajectory_csv(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     opts = run.section("rates")
-    if "rho0" not in opts:
-        raise ConfigError("rates requires 'rho0'")
     rho0 = run.density(opts["rho0"], "rates.rho0")
-    payload = dict(run.stamp)
 
     if equilibria_flag:
         starts = (
@@ -515,31 +499,23 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
                     "lambda_fisher": lam_fisher,
                 }
             )
-        payload["equilibria"] = entries
         certified = False
         try:
             certified = convexity_certificate(run.model).certified_convex
         except NonSymmetricW:
             pass
-        payload["certified_convex"] = certified
-        _write_json(run.out / "rates.json", payload)
+        run.write("rates.json", {"equilibria": entries, "certified_convex": certified})
         return EXIT_OK
 
-    report = rate_constants(
-        run.model,
-        run.graph,
-        rho0,
-        gibbs_tol=opts.get("gibbs_tol", 1e-13),
-        gibbs_max_iter=opts.get("gibbs_max_iter", 500_000),
-    )
+    report = rate_constants(run.model, run.graph, rho0, **_given(opts, "gibbs_tol", "gibbs_max_iter"))
     lam, _, lam_fisher = equilibrium_rates(run.model, run.graph, report.rho_inf)
-    payload.update(
-        vars(report),
-        certified_convex=True,
-        rho_inf=report.rho_inf.values,
-        lambda_asymptotic=lam,
-        lambda_fisher=lam_fisher,
-    )
+    payload = {
+        **vars(report),
+        "certified_convex": True,
+        "rho_inf": report.rho_inf.values,
+        "lambda_asymptotic": lam,
+        "lambda_fisher": lam_fisher,
+    }
     if "trajectory" in opts:
         times, energies = _read_trajectory_csv(run.base / opts["trajectory"], run.graph.node_count)
         check = verify_decay_bound(times, energies, report, report.f_inf)
@@ -549,19 +525,18 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
             payload["observed_tail_slope"] = tail_slope(times, energies - report.f_inf)
         except ValueError:
             payload["observed_tail_slope"] = None
-    _write_json(run.out / "rates.json", payload)
+    run.write("rates.json", payload)
     return EXIT_OK
 
 
 def cmd_lsi(run: _Run) -> int:
     opts = run.section("lsi")
-    if "count" not in opts:
-        raise ConfigError("lsi requires 'count'")
     n = run.graph.node_count
+    # the library's default too, kept here to refuse a min_mass >= 1/n before the Gibbs solve and to report it
     min_mass = opts.get("min_mass", 1e-4)
     if not min_mass < 1.0 / n:
         raise ConfigError(f"lsi.min_mass is {min_mass!r}; it must be below 1/n = {1.0 / n!r} on {n} nodes")
-    init = run.density(opts["rho0"], "lsi.rho0") if "rho0" in opts else run.uniform()
+    init = run.density(opts.get("rho0"), "lsi.rho0")
     gibbs = gibbs_fixed_point(run.model, init, tol=1e-13, max_iter=500_000)
     estimate = estimate_lsi_constant(
         run.model,
@@ -571,8 +546,8 @@ def cmd_lsi(run: _Run) -> int:
         seed=run.seed,
         min_mass=min_mass,
     )
-    payload = dict(run.stamp)
-    payload.update(
+    run.write(
+        "lsi.json",
         {
             "count": opts["count"],
             "min_mass": min_mass,
@@ -580,29 +555,19 @@ def cmd_lsi(run: _Run) -> int:
             "worst_density": estimate.worst_density.values,
             "samples_retained": estimate.samples_retained,
             "rho_inf": gibbs.density.values,
-        }
+        },
     )
-    _write_json(run.out / "lsi.json", payload)
     return EXIT_OK
 
 
 def cmd_w2(run: _Run) -> int:
     opts = run.section("w2")
-    if "rho0" not in opts or "rho1" not in opts:
-        raise ConfigError("w2 requires 'rho0' and 'rho1'")
     rho0 = run.density(opts["rho0"], "w2.rho0")
     rho1 = run.density(opts["rho1"], "w2.rho1")
-    K = opts.get("K", 16)
-    result = w2_distance(
-        run.graph,
-        rho0,
-        rho1,
-        K=K,
-        max_iters=opts.get("max_iters", 5000),
-        grad_tol=opts.get("grad_tol", 1e-8),
-    )
-    payload = dict(run.stamp)
-    payload.update(
+    result = w2_distance(run.graph, rho0, rho1, **_given(opts, "K", "max_iters", "grad_tol"))
+    K = result.path.segments
+    run.write(
+        "w2.json",
         {
             "distance": result.distance,
             "action": result.path.action,
@@ -611,9 +576,8 @@ def cmd_w2(run: _Run) -> int:
             "backtracks": result.backtracks,
             "grad_norm": result.grad_norm,
             "K": K,
-        }
+        },
     )
-    _write_json(run.out / "w2.json", payload)
     if opts.get("path_csv", False):
         n = run.graph.node_count
         header = ["k", "t", *[f"rho_{i + 1}" for i in range(n)]]
@@ -629,8 +593,6 @@ def cmd_w2(run: _Run) -> int:
 
 def cmd_decompose(run: _Run) -> int:
     opts = run.section("decompose")
-    if "rho" not in opts or "field" not in opts:
-        raise ConfigError("decompose requires 'rho' and 'field'")
     rho = run.density(opts["rho"], "decompose.rho")
     graph = run.graph
     values = np.zeros(graph.edge_count)
@@ -658,8 +620,8 @@ def cmd_decompose(run: _Run) -> int:
     def edge_list(vals) -> list:
         return [[i + 1, j + 1, float(v)] for (i, j, _), v in zip(graph.edges, vals)]
 
-    payload = dict(run.stamp)
-    payload.update(
+    run.write(
+        "hodge.json",
         {
             "potential": phi.values,
             "gradient_field": edge_list(grad_edges),
@@ -673,9 +635,8 @@ def cmd_decompose(run: _Run) -> int:
                 ),
                 "rotational": inner_product(u, u, rho),
             },
-        }
+        },
     )
-    _write_json(run.out / "hodge.json", payload)
     return EXIT_OK
 
 
@@ -739,15 +700,9 @@ def main(argv=None) -> int:
             "decompose": cmd_decompose,
         }
         return handlers[args.command](run)
-    except _CONFIG_ERRORS as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"graphfpe: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _PRECONDITION_ERRORS as exc:
-        print(f"graphfpe: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (NoConvergence, StepSizeUnderflow, InconsistentRateConstants) as exc:
-        print(f"graphfpe: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BoundaryDensity, DimensionMismatch, NoConvergence, StepSizeUnderflow
-from .free_energy import EnergyModel, _drift_raw, _energy_raw, gibbs_fixed_point
+from .free_energy import EnergyModel, _drift_raw, _energy_raw, energy_hessian, gibbs_fixed_point
 from .graph_core import Graph, freeze
 from .simplex_calculus import Density, TangentVector, laplacian_apply, laplacian_form, laplacian_matrices
 
@@ -222,21 +222,21 @@ def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail 
     """The tail's operator at rho_inf = gibbs_fixed_point(model, rho0), from one Cholesky and one eigh.
 
     None where it cannot be built: W not symmetric, no Gibbs convergence
-    within the default 10 000 iterations, Hess F(rho_inf) not finite or not
-    positive definite, or eigenpairs that are not finite.
+    within the default 10 000 iterations, rho_inf on the boundary, Hess F(rho_inf)
+    not finite or not positive definite, or eigenpairs that are not finite.
     """
     if not model.is_symmetric:
         return None
     try:
-        rho_inf = gibbs_fixed_point(model, rho0).density.values
-        R = np.linalg.cholesky(model.interaction + np.diag(model.beta / rho_inf))
-        lam, U = np.linalg.eigh(R.T @ laplacian_matrices(graph, rho_inf) @ R)
+        rho_inf = gibbs_fixed_point(model, rho0).density
+        R = np.linalg.cholesky(energy_hessian(model, rho_inf))
+        lam, U = np.linalg.eigh(R.T @ laplacian_matrices(graph, rho_inf.values) @ R)
         P = np.linalg.solve(R.T, U)
-    except (NoConvergence, np.linalg.LinAlgError):  # a non-finite Hess F fails Cholesky or eigh
+    except (NoConvergence, BoundaryDensity, np.linalg.LinAlgError):  # a non-finite Hess F fails Cholesky or eigh
         return None
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(P))):
         return None
-    return _Tail(rho_inf, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
+    return _Tail(rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
 
 
 @np.errstate(all="ignore")  # not warned about: a non-finite stage or state fails a floor guard

@@ -47,6 +47,17 @@ __all__ = [
 MASS_TOL = 1e-12
 
 
+def _node_vector(obj, what: str) -> np.ndarray:
+    """Check that ``obj.values`` is a nonempty finite 1-D float vector and store it frozen; returns the stored array."""
+    v = np.asarray(obj.values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{what} must be a nonempty vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite entries")
+    object.__setattr__(obj, "values", freeze(v))
+    return obj.values
+
+
 @dataclass(frozen=True, eq=False)
 class Density:
     """Point of the probability simplex over the nodes."""
@@ -54,17 +65,12 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"density must be a nonempty vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("density has non-finite entries")
+        v = _node_vector(self, "density")
         if np.any(v < 0):
             raise ValueError(f"density has negative mass (min {v.min():.3e})")
         total = float(v.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"density mass is {total!r}, not 1 within {MASS_TOL}")
-        object.__setattr__(self, "values", freeze(v))
 
     @property
     def n(self) -> int:
@@ -83,15 +89,9 @@ class TangentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"tangent vector must be a nonempty vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tangent vector has non-finite entries")
-        total = float(v.sum())
+        total = float(_node_vector(self, "tangent vector").sum())
         if abs(total) > MASS_TOL:
             raise NotZeroSum(f"tangent vector sums to {total!r}, not 0 within {MASS_TOL}")
-        object.__setattr__(self, "values", freeze(v))
 
     @property
     def n(self) -> int:
@@ -127,12 +127,7 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"potential must be a nonempty vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential has non-finite entries")
-        object.__setattr__(self, "values", freeze(v))
+        _node_vector(self, "potential")
 
 
 @dataclass(frozen=True, eq=False)

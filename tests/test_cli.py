@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 from importlib import resources
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphfpe import cli, fpe_dynamics, rate_analysis, simplex_calculus
+from graphfpe import cli, errors, fpe_dynamics, rate_analysis, simplex_calculus, wasserstein_metric
 from graphfpe.cli import ConfigError, _parser, _validate_config, _validator, main
 
 CANONICAL = {
@@ -791,3 +792,108 @@ def test_huge_node_count_with_too_few_edges_exits_2_at_once(tmp_path, capsys):
     assert run("gibbs", write_config(tmp_path, config), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "cannot join 1000000 nodes" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates", "lsi", "w2", "decompose"])
+def test_command_without_its_section_exits_2_and_names_it(tmp_path, capsys, command):
+    config = {"graph": CANONICAL["graph"], "model": CANONICAL["model"]}
+    assert run(command, write_config(tmp_path, config), tmp_path / "out") == 2
+    assert f"'{command}' section" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_gibbs_without_its_section_starts_from_uniform(tmp_path):
+    model = {"beta": 1.0, "V": [0.0, math.log(2.0)]}
+    bare = write_config(tmp_path, {"graph": CANONICAL["graph"], "model": model}, "bare.json")
+    uniform = write_config(tmp_path, {"graph": CANONICAL["graph"], "model": model, "gibbs": {"init": [0.5, 0.5]}})
+    assert run("gibbs", bare, tmp_path / "bare") == 0
+    assert run("gibbs", uniform, tmp_path / "uniform") == 0
+    got, want = read_json(tmp_path / "bare" / "gibbs.json"), read_json(tmp_path / "uniform" / "gibbs.json")
+    assert got["converged"] is True
+    assert {k: v for k, v in got.items() if not k.endswith("digest")} == {
+        k: v for k, v in want.items() if not k.endswith("digest")
+    }
+
+
+GIBBS_OPTIONS = {"tol": 1e-11, "max_iter": 5000, "damping": 0.6}
+# (command, the section's other keys, the library function the CLI calls, its optional keys at non-default values)
+LIBRARY_OPTIONS = [
+    ("gibbs", {}, "gibbs_fixed_point", GIBBS_OPTIONS),
+    ("gibbs", {"starts": [[0.9, 0.1], [0.2, 0.8]]}, "find_all_equilibria", GIBBS_OPTIONS),
+    (
+        "simulate",
+        {"rho0": [0.9, 0.1], "t_end": 2.0},
+        "integrate",
+        {"rel_tol": 1e-7, "abs_tol": 1e-10, "max_step": 0.25, "record_every": 3, "positivity_floor": 1e-9},
+    ),
+    ("rates", {"rho0": [0.9, 0.1]}, "rate_constants", {"gibbs_tol": 1e-12, "gibbs_max_iter": 400_000}),
+    ("w2", {"rho0": [0.5, 0.5], "rho1": [0.9, 0.1]}, "w2_distance", {"K": 6, "max_iters": 40, "grad_tol": 1e-7}),
+]
+
+
+@pytest.mark.parametrize("set_options", [True, False], ids=["all-set", "none-set"])
+@pytest.mark.parametrize(
+    "command, section, function, options", LIBRARY_OPTIONS, ids=[f"{c}-{f}" for c, _, f, _ in LIBRARY_OPTIONS]
+)
+def test_each_optional_key_reaches_the_library_by_name(
+    tmp_path, monkeypatch, command, section, function, options, set_options
+):
+    real = getattr(cli, function)
+    keywords = []
+
+    def recorder(*args, **kwargs):
+        keywords.append(kwargs)
+        return real(*args, **kwargs)  # a keyword the library does not take raises TypeError here
+
+    monkeypatch.setattr(cli, function, recorder)
+    given = options if set_options else {}
+    config = {**CANONICAL, command: {**section, **given}}
+    assert run(command, write_config(tmp_path, config), tmp_path / "out") == 0
+    assert keywords == [given]
+
+
+def test_w2_json_reports_the_segment_count_the_library_used(tmp_path):
+    config = {**CANONICAL, "w2": {"rho0": [0.5, 0.5], "rho1": [0.9, 0.1], "path_csv": True}}
+    assert run("w2", write_config(tmp_path, config), tmp_path / "out") == 0
+    K = inspect.signature(wasserstein_metric.w2_distance).parameters["K"].default
+    assert read_json(tmp_path / "out" / "w2.json")["K"] == K
+    assert len((tmp_path / "out" / "w2_path.csv").read_text().splitlines()) == 1 + K + 1
+
+
+EXIT_CODES = [
+    *[(name, 2) for name in ("ConfigError", "DimensionMismatch", "NotAnEdge")],
+    *[
+        (name, 4)
+        for name in (
+            "NotCertifiedConvex",
+            "BoundaryDensity",
+            "NonPositiveHessian",
+            "NonSymmetricW",
+            "NonPositiveSymmetrizedJacobian",
+            "NotZeroSum",
+            "NoValidSamples",
+            "VacuousCertificate",
+        )
+    ],
+    *[(name, 3) for name in ("NoConvergence", "StepSizeUnderflow", "InconsistentRateConstants")],
+]
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES)
+def test_each_reported_error_class_has_its_exit_code(tmp_path, monkeypatch, capsys, name, code):
+    def failing(run):
+        raise getattr(errors, name)("made to fail")
+
+    monkeypatch.setattr(cli, "cmd_decompose", failing)
+    assert run("decompose", write_config(tmp_path, CANONICAL), tmp_path / "out") == code
+    assert "graphfpe: made to fail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [errors.GraphMismatch("unmapped"), OverflowError("unmapped")])
+def test_an_error_without_an_exit_code_propagates(tmp_path, monkeypatch, error):
+    def failing(run):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_decompose", failing)
+    with pytest.raises(type(error), match="unmapped"):
+        run("decompose", write_config(tmp_path, CANONICAL), tmp_path / "out")
