@@ -60,6 +60,8 @@ from .free_energy import (
 )
 from .graph_core import Graph, build_graph
 from .rate_analysis import (
+    GIBBS_MAX_ITER,
+    GIBBS_TOL,
     equilibrium_rates,
     estimate_lsi_constant,
     rate_constants,
@@ -135,12 +137,18 @@ def _dump_stable(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file, creating its directory first; a command that fails before writing leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    logger.info("wrote %s", path)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format(float(x), ".17g") for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    logger.info("wrote %s", path)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _canonical(obj) -> str:
@@ -321,7 +329,6 @@ class _Run:
         self.graph = _build_graph(self.graph_dict)
         self.model = _build_model(self.model_dict, self.graph.node_count)
         self.out = Path(args.out) if args.out else Path(self.config.get("output_dir", "."))
-        self.out.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
         self.stamp = {
             **_stamp_digests(self.config, self.graph_dict, self.model_dict),
@@ -361,9 +368,7 @@ class _Run:
 
     def write(self, name: str, payload: dict) -> None:
         """Write the output file ``name``: the stamp plus ``payload``, in the stable JSON form."""
-        path = self.out / name
-        path.write_text(_dump_stable({**self.stamp, **payload}) + "\n", encoding="utf-8")
-        logger.info("wrote %s", path)
+        _write(self.out / name, _dump_stable({**self.stamp, **payload}) + "\n")
 
 
 def _given(opts: dict, *keys: str) -> dict:
@@ -429,7 +434,9 @@ def cmd_simulate(run: _Run) -> int:
     _write_csv(run.out / "trajectory.csv", header, _trajectory_rows(traj))
     final = traj.final_density
     try:
-        gibbs = gibbs_fixed_point(run.model, final, tol=1e-12, max_iter=100_000)
+        # ten times the library's iteration budget, so that a final state whose damped
+        # iteration needs more than 10 000 steps reports its relative entropy, not null
+        gibbs = gibbs_fixed_point(run.model, final, max_iter=100_000)
         rel_entropy = energy(run.model, final) - energy(run.model, gibbs.density)
     except NoConvergence:
         rel_entropy = None
@@ -537,7 +544,7 @@ def cmd_lsi(run: _Run) -> int:
     if not min_mass < 1.0 / n:
         raise ConfigError(f"lsi.min_mass is {min_mass!r}; it must be below 1/n = {1.0 / n!r} on {n} nodes")
     init = run.density(opts.get("rho0"), "lsi.rho0")
-    gibbs = gibbs_fixed_point(run.model, init, tol=1e-13, max_iter=500_000)
+    gibbs = gibbs_fixed_point(run.model, init, tol=GIBBS_TOL, max_iter=GIBBS_MAX_ITER)
     estimate = estimate_lsi_constant(
         run.model,
         run.graph,

@@ -25,10 +25,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BoundaryDensity, DimensionMismatch, NoConvergence, StepSizeUnderflow
+from .errors import BoundaryDensity, NoConvergence, StepSizeUnderflow
 from .free_energy import EnergyModel, _drift_raw, _energy_raw, energy_hessian, gibbs_fixed_point
 from .graph_core import Graph, freeze
-from .simplex_calculus import Density, TangentVector, laplacian_apply, laplacian_form, laplacian_matrices
+from .simplex_calculus import Density, TangentVector, _require, laplacian_apply, laplacian_form, laplacian_matrices
 
 __all__ = [
     "Trajectory",
@@ -116,17 +116,6 @@ class InvariantRegion:
     M: float
 
 
-def _check_inputs(model: EnergyModel, graph: Graph, rho: Density) -> None:
-    if model.n != graph.node_count:
-        raise DimensionMismatch(
-            f"model has {model.n} nodes, graph has {graph.node_count}"
-        )
-    if rho.n != graph.node_count:
-        raise DimensionMismatch(
-            f"density has {rho.n} entries, graph has {graph.node_count} nodes"
-        )
-
-
 def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
     """-L(rho) F(rho) per row, (..., n) -> (..., n); the only right-hand-side path.
 
@@ -144,17 +133,13 @@ def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np
 
 def fpe_rhs(model: EnergyModel, graph: Graph, rho: Density) -> TangentVector:
     """Time derivative of the density: equals -L(rho) F(rho), zero-sum."""
-    _check_inputs(model, graph, rho)
-    if not rho.interior:
-        raise BoundaryDensity("FPE right-hand side needs an interior density")
+    _require(graph.node_count, interior=("rho",), model=model, rho=rho)
     return TangentVector(_rhs_raw(model, graph, rho.values))
 
 
 def dissipation(model: EnergyModel, graph: Graph, rho: Density) -> float:
     """Energy production -F^T L(rho) F <= 0 (equals dF/dt along the flow)."""
-    _check_inputs(model, graph, rho)
-    if not rho.interior:
-        raise BoundaryDensity("dissipation needs an interior density")
+    _require(graph.node_count, interior=("rho",), model=model, rho=rho)
     return float(_dissipation_raw(model, graph, rho.values))
 
 
@@ -166,9 +151,7 @@ def invariant_region(model: EnergyModel, graph: Graph, rho0: Density) -> Invaria
     m = c^(n-2) min(c, min rho0)/2. Extreme models give M = inf and c = 0,
     hence zero epsilons and m, instead of an overflow.
     """
-    _check_inputs(model, graph, rho0)
-    if not rho0.interior:
-        raise BoundaryDensity("invariant region needs an interior starting density")
+    _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
     n = model.n
     mag = float(np.max(np.abs(model.potential)[:, None] + np.abs(model.interaction)))
     c = 1.0 / (1.0 + _exp_or_inf((math.log(2.0) + 2.0 * mag) / model.beta))
@@ -277,9 +260,7 @@ def integrate(
     final state. A run that underflows the step size or attempts 100 000
     steps raises :class:`StepSizeUnderflow` carrying the partial trajectory.
     """
-    _check_inputs(model, graph, rho0)
-    if not rho0.interior:
-        raise BoundaryDensity("integration starts from an interior density")
+    _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if record_every < 0:

@@ -17,14 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BoundaryDensity,
-    DimensionMismatch,
-    NoConvergence,
-    NonSymmetricW,
-)
+from .errors import DimensionMismatch, NoConvergence, NonSymmetricW
 from .graph_core import freeze
-from .simplex_calculus import Density
+from .simplex_calculus import Density, _require
 
 __all__ = [
     "EnergyModel",
@@ -100,11 +95,6 @@ class ConvexityCertificate:
     lambda_min_bound: float
 
 
-def _check_model_density(model: EnergyModel, rho: Density) -> None:
-    if rho.n != model.n:
-        raise DimensionMismatch(f"density has {rho.n} entries, model expects {model.n}")
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product along the last axis, one BLAS call per row: a row of a batch gives a single call's bits."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -130,7 +120,7 @@ def _drift_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
 
 def energy(model: EnergyModel, rho: Density) -> float:
     """Free energy F(rho); 0 log 0 is taken as 0."""
-    _check_model_density(model, rho)
+    _require(model.n, rho=rho)
     return float(_energy_raw(model, rho.values))
 
 
@@ -140,17 +130,13 @@ def energy_gradient(model: EnergyModel, rho: Density) -> np.ndarray:
     Only differences F_i - F_j enter the dynamics, so the constant beta term
     is harmless.
     """
-    _check_model_density(model, rho)
-    if not rho.interior:
-        raise BoundaryDensity("energy gradient needs strictly positive mass everywhere")
+    _require(model.n, interior=("rho",), rho=rho)
     return _drift_raw(model, rho.values)
 
 
 def energy_hessian(model: EnergyModel, rho: Density) -> np.ndarray:
     """Hess F(rho) = W + beta diag(1/rho); needs an interior rho."""
-    _check_model_density(model, rho)
-    if not rho.interior:
-        raise BoundaryDensity("energy Hessian needs strictly positive mass everywhere")
+    _require(model.n, interior=("rho",), rho=rho)
     return model.interaction + model.beta * np.diag(1.0 / rho.values)
 
 
@@ -192,9 +178,7 @@ def gibbs_fixed_point(
     :class:`NoConvergence` with the last iterate attached if ``max_iter``
     is exhausted or the map is not finite.
     """
-    _check_model_density(model, init)
-    if not init.interior:
-        raise BoundaryDensity("fixed-point iteration starts from an interior density")
+    _require(model.n, interior=("init",), init=init)
     if not (0 < damping <= 1):
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     if tol <= 0:

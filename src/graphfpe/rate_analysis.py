@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundaryDensity,
-    DimensionMismatch,
     InconsistentRateConstants,
     NoConvergence,
     NonPositiveHessian,
@@ -27,7 +25,7 @@ from .errors import (
     NoValidSamples,
     VacuousCertificate,
 )
-from .fpe_dynamics import dissipation, invariant_region
+from .fpe_dynamics import _dissipation_raw, invariant_region
 from .free_energy import (
     EnergyModel,
     _drift_raw,
@@ -38,7 +36,7 @@ from .free_energy import (
     gibbs_fixed_point,
 )
 from .graph_core import Graph, graph_laplacian
-from .simplex_calculus import Density, _gth_solve, laplacian_form, laplacian_matrices
+from .simplex_calculus import Density, _gth_solve, _require, laplacian_form, laplacian_matrices
 
 __all__ = [
     "RateReport",
@@ -57,6 +55,11 @@ __all__ = [
 ]
 
 _LSI_BLOCK = 256  # sample rows per batched evaluation; bounds the (rows x edges) temporaries
+
+# the Gibbs budget of a certificate (rate_constants) and of an LSI estimate
+# (the lsi command): tighter and longer than gibbs_fixed_point's defaults
+GIBBS_TOL = 1e-13
+GIBBS_MAX_ITER = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +110,7 @@ class LsiEstimate:
 
 def relative_entropy(model: EnergyModel, rho: Density, rho_inf: Density) -> float:
     """H(rho | rho_inf) = F(rho) - F(rho_inf)."""
+    _require(model.n, rho=rho, rho_inf=rho_inf)
     return energy(model, rho) - energy(model, rho_inf)
 
 
@@ -117,9 +121,8 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     :func:`relative_entropy`; the functional depends on it only through the
     drift already encoded in the model.
     """
-    if rho_inf is not None and rho_inf.n != rho.n:
-        raise DimensionMismatch("rho and rho_inf have different lengths")
-    return -dissipation(model, graph, rho)
+    _require(graph.node_count, interior=("rho",), model=model, rho=rho, rho_inf=rho_inf)
+    return -float(_dissipation_raw(model, graph, rho.values))
 
 
 def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
@@ -189,26 +192,25 @@ def equilibrium_rates(
     2 lambda when Hess F is positive definite and None otherwise. With strict, an indefinite Hess F
     raises :class:`NonPositiveHessian` instead.
     """
+    _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
     if not model.is_symmetric:
         raise NonSymmetricW("equilibrium rates require a symmetric interaction matrix")
-    hess = energy_hessian(model, rho_inf)  # raises BoundaryDensity unless rho_inf is interior
+    hess = energy_hessian(model, rho_inf)
     positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
     lam = _tangent_rate(graph, rho_inf, hess)
     return lam, positive, 2.0 * lam if positive else None
 
 
-def hessian_quadratic_rate(model: EnergyModel, graph: Graph, rho: Density) -> float:
-    """min over potentials of Phi^T L HessF L Phi subject to Phi^T L Phi = 1.
-
-    Equals the second-smallest eigenvalue of L(rho) HessF(rho); at an
-    equilibrium this is the asymptotic decay rate.
-    """
-    return equilibrium_rates(model, graph, rho)[0]
-
-
 def asymptotic_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
-    """lambda = lambda_sec(L(rho_inf) HessF(rho_inf)) governing the decay tail."""
+    """lambda_sec(L(rho) HessF(rho)) = min over potentials of Phi^T L HessF L Phi subject to Phi^T L Phi = 1.
+
+    Bound to both names: ``hessian_quadratic_rate`` at any interior rho, and
+    at an equilibrium rho_inf the asymptotic rate governing the decay tail.
+    """
     return equilibrium_rates(model, graph, rho_inf)[0]
+
+
+hessian_quadratic_rate = asymptotic_rate
 
 
 def linearized_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
@@ -231,8 +233,7 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     With a symmetric W this is twice the asymptotic rate, which
     :func:`equilibrium_rates` reports without a second eigenproblem.
     """
-    if not rho_inf.interior:
-        raise BoundaryDensity("Fisher rate needs an interior equilibrium")
+    _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
     W = model.interaction
     sym_jac = W + W.T + 2.0 * model.beta * np.diag(1.0 / rho_inf.values)
     _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
@@ -243,8 +244,8 @@ def rate_constants(
     model: EnergyModel,
     graph: Graph,
     rho0: Density,
-    gibbs_tol: float = 1e-13,
-    gibbs_max_iter: int = 500_000,
+    gibbs_tol: float = GIBBS_TOL,
+    gibbs_max_iter: int = GIBBS_MAX_ITER,
 ) -> RateReport:
     """Assemble every explicit constant of the global decay bound.
 
@@ -258,13 +259,12 @@ def rate_constants(
     :class:`NoConvergence` when lambda_sec is at most 1e3 n eps lambda_max,
     below what ``eigvalsh`` resolves.
     """
+    _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
     cert = convexity_certificate(model)
     if not cert.certified_convex:
         raise NotCertifiedConvex(
             f"convexity certificate failed (lambda_min(W) + beta = {cert.lambda_min_bound:.6g})"
         )
-    if not rho0.interior:
-        raise BoundaryDensity("rate constants need an interior starting density")
 
     gibbs = gibbs_fixed_point(model, rho0, tol=gibbs_tol, max_iter=gibbs_max_iter)
     rho_inf = gibbs.density
@@ -421,14 +421,13 @@ def estimate_lsi_constant(
     for beta = 1; other temperatures are accepted as an extension (both
     functionals carry beta consistently).
     """
+    _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
     cert = convexity_certificate(model)
     if not cert.certified_convex:
         raise NotCertifiedConvex(
             f"LSI estimation requires a certified-convex model "
             f"(lambda_min(W) + beta = {cert.lambda_min_bound:.6g})"
         )
-    if not rho_inf.interior:
-        raise BoundaryDensity("LSI estimation needs an interior equilibrium")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     n = model.n

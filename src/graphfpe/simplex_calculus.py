@@ -4,6 +4,8 @@ Sign convention: the node-weighted Laplacian is the positive semidefinite
 form L(rho) = D^T Theta(rho) D, so that L(rho) Phi = -div(rho grad Phi).
 Potentials are defined up to an additive constant; the canonical
 representative returned by :func:`solve_potential` has mean zero.
+:func:`_require` checks the argument contract of every public function of
+the package that takes a graph or a model with node vectors.
 """
 
 from __future__ import annotations
@@ -58,8 +60,16 @@ def _node_vector(obj, what: str) -> np.ndarray:
     return obj.values
 
 
+class _NodeVector:
+    """Base of the vectors with one entry per node."""
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+
 @dataclass(frozen=True, eq=False)
-class Density:
+class Density(_NodeVector):
     """Point of the probability simplex over the nodes."""
 
     values: np.ndarray
@@ -73,17 +83,13 @@ class Density:
             raise ValueError(f"density mass is {total!r}, not 1 within {MASS_TOL}")
 
     @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
     def interior(self) -> bool:
         """True iff every node carries strictly positive mass."""
         return float(self.values.min()) > 0.0
 
 
 @dataclass(frozen=True, eq=False)
-class TangentVector:
+class TangentVector(_NodeVector):
     """Zero-sum perturbation of a density."""
 
     values: np.ndarray
@@ -92,10 +98,6 @@ class TangentVector:
         total = float(_node_vector(self, "tangent vector").sum())
         if abs(total) > MASS_TOL:
             raise NotZeroSum(f"tangent vector sums to {total!r}, not 0 within {MASS_TOL}")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +123,7 @@ class VectorField:
 
 
 @dataclass(frozen=True, eq=False)
-class Potential:
+class Potential(_NodeVector):
     """Node function, meaningful up to an additive constant."""
 
     values: np.ndarray
@@ -146,11 +148,20 @@ class WeightedLaplacian:
         return symmetric_eigen(self.matrix)
 
 
-def _check_nodes(graph: Graph, rho: Density) -> None:
-    if rho.n != graph.node_count:
-        raise DimensionMismatch(
-            f"density has {rho.n} entries for a graph with {graph.node_count} nodes"
-        )
+def _require(n: int, interior: tuple[str, ...] = (), **args) -> None:
+    """The argument contract: each of ``args`` but None has n nodes, and each named in ``interior`` is interior.
+
+    ``args`` maps argument names to node vectors or an ``EnergyModel``.
+    Raises :class:`DimensionMismatch` or :class:`BoundaryDensity`, naming
+    the argument. Every public function that takes a graph or a model with
+    such arguments calls it once at entry, or forwards them to one that does.
+    """
+    for name, arg in args.items():
+        if arg is not None and arg.n != n:
+            raise DimensionMismatch(f"{name} has {arg.n} nodes where {n} are expected")
+    for name in interior:
+        if not args[name].interior:
+            raise BoundaryDensity(f"{name} must be interior: it has a node without mass")
 
 
 def _thetas(graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -166,7 +177,7 @@ def theta(graph: Graph, rho: Density, i: int, j: int) -> float:
 
 def edge_thetas(graph: Graph, rho: Density) -> np.ndarray:
     """theta_ij for every canonical edge, aligned with ``graph.edges``."""
-    _check_nodes(graph, rho)
+    _require(graph.node_count, rho=rho)
     return _thetas(graph, rho.values)
 
 
@@ -245,63 +256,49 @@ def _gth_solve(L: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def graph_gradient(graph: Graph, phi: Potential) -> VectorField:
     """Potential field with edge values sqrt(w_ij) (Phi_i - Phi_j)."""
-    if phi.values.size != graph.node_count:
-        raise DimensionMismatch(
-            f"potential has {phi.values.size} entries for {graph.node_count} nodes"
-        )
+    _require(graph.node_count, phi=phi)
     return VectorField(graph, incidence_matrix(graph) @ phi.values)
 
 
 def divergence(graph: Graph, rho: Density, field: VectorField) -> TangentVector:
     """div(rho v) at each node: -sum_j sqrt(w_ij) v_ij theta_ij. Always zero-sum."""
+    _require(graph.node_count, rho=rho)
     if field.graph != graph:
         raise GraphMismatch("vector field belongs to a different graph")
-    th = edge_thetas(graph, rho)
-    return TangentVector(-incidence_matrix(graph).T @ (th * field.edge_values))
+    return TangentVector(-incidence_matrix(graph).T @ (_thetas(graph, rho.values) * field.edge_values))
 
 
 def inner_product(v: VectorField, w: VectorField, rho: Density) -> float:
     """Flux inner product (v, w)_rho = sum over undirected edges of v w theta."""
+    _require(v.graph.node_count, rho=rho)
     if v.graph != w.graph:
         raise GraphMismatch("fields belong to different graphs")
-    th = edge_thetas(v.graph, rho)
-    return float(np.dot(v.edge_values * w.edge_values, th))
+    return float(np.dot(v.edge_values * w.edge_values, _thetas(v.graph, rho.values)))
 
 
 def weighted_laplacian(graph: Graph, rho: Density) -> WeightedLaplacian:
     """L(rho) = D^T Theta(rho) D, assembled when its ``matrix`` is first read."""
-    _check_nodes(graph, rho)
+    _require(graph.node_count, rho=rho)
     return WeightedLaplacian(graph=graph, density=rho)
 
 
-def _as_zero_sum(sigma, n: int) -> np.ndarray:
-    if isinstance(sigma, TangentVector):
-        v = sigma.values
-    else:
-        v = np.asarray(sigma, dtype=float)
-        if abs(float(v.sum())) > MASS_TOL:
-            raise NotZeroSum(f"vector sums to {float(v.sum())!r}, not 0 within {MASS_TOL}")
-    if v.shape != (n,):
-        raise DimensionMismatch(f"expected a vector of length {n}, got shape {v.shape}")
-    return v
+def _as_zero_sum(lap: WeightedLaplacian, **sigmas) -> list[np.ndarray]:
+    """The values of each of ``sigmas`` as a :class:`TangentVector`, checked for a solve with ``lap``."""
+    vectors = {name: s if isinstance(s, TangentVector) else TangentVector(s) for name, s in sigmas.items()}
+    _require(lap.graph.node_count, interior=("lap.density",), **{"lap.density": lap.density}, **vectors)
+    return [v.values for v in vectors.values()]
 
 
 def solve_potential(lap: WeightedLaplacian, sigma) -> Potential:
     """Unique mean-zero Phi with L(rho) Phi = sigma (rho interior)."""
-    if not lap.density.interior:
-        raise BoundaryDensity("potential solve requires an interior density")
-    v = _as_zero_sum(sigma, lap.graph.node_count)
+    (v,) = _as_zero_sum(lap, sigma=sigma)
     phi = laplacian_solve(lap.graph, lap.density.values, v)
     return Potential(phi - phi.mean())
 
 
 def metric_inner(sigma1, sigma2, lap: WeightedLaplacian) -> float:
     """Wasserstein metric tensor g(sigma1, sigma2) = sigma1^T L^+(rho) sigma2."""
-    if not lap.density.interior:
-        raise BoundaryDensity("metric tensor requires an interior density")
-    n = lap.graph.node_count
-    a = _as_zero_sum(sigma1, n)
-    b = _as_zero_sum(sigma2, n)
+    a, b = _as_zero_sum(lap, sigma1=sigma1, sigma2=sigma2)
     return float(a @ laplacian_solve(lap.graph, lap.density.values, b))
 
 
@@ -310,8 +307,7 @@ def hodge_decompose(graph: Graph, rho: Density, field: VectorField) -> tuple[Pot
 
     Returns (Phi, u) with v = grad Phi + u, div(rho u) = 0, and Phi mean-zero.
     """
-    if not rho.interior:
-        raise BoundaryDensity("Hodge decomposition requires an interior density")
+    _require(graph.node_count, interior=("rho",), rho=rho)
     if field.graph != graph:
         raise GraphMismatch("vector field belongs to a different graph")
     lap = weighted_laplacian(graph, rho)

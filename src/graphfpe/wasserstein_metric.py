@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryDensity, DimensionMismatch, NoConvergence
+from .errors import NoConvergence
 from .graph_core import Graph, incidence_matrix
-from .simplex_calculus import Density, laplacian_solve
+from .simplex_calculus import Density, _require, laplacian_solve
 
 __all__ = [
     "DiscretePath",
@@ -182,13 +182,8 @@ def path_action(graph: Graph, path: DiscretePath) -> float:
     """Midpoint-discretized action of a simplex curve (all points interior)."""
     if path.segments < 1:
         raise ValueError("path needs at least one segment")
-    for rho in path.densities:
-        if rho.n != graph.node_count:
-            raise DimensionMismatch(
-                f"path density has {rho.n} entries for {graph.node_count} nodes"
-            )
-        if not rho.interior:
-            raise BoundaryDensity("path action requires interior densities")
+    points = {f"path.densities[{k}]": rho for k, rho in enumerate(path.densities)}
+    _require(graph.node_count, interior=tuple(points), **points)
     return _path_terms(graph, np.stack([rho.values for rho in path.densities]))[0]
 
 
@@ -208,11 +203,7 @@ def w2_distance(
     gradient dropped below ``grad_tol``; on failure the best iterate found
     is returned.
     """
-    for name, rho in (("rho0", rho0), ("rho1", rho1)):
-        if rho.n != graph.node_count:
-            raise DimensionMismatch(f"{name} has {rho.n} entries for {graph.node_count} nodes")
-        if not rho.interior:
-            raise BoundaryDensity(f"{name} must be interior")
+    _require(graph.node_count, interior=("rho0", "rho1"), rho0=rho0, rho1=rho1)
     if K < 1:
         raise ValueError(f"need K >= 1 segments, got {K!r}")
 

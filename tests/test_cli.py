@@ -799,7 +799,15 @@ def test_command_without_its_section_exits_2_and_names_it(tmp_path, capsys, comm
     config = {"graph": CANONICAL["graph"], "model": CANONICAL["model"]}
     assert run(command, write_config(tmp_path, config), tmp_path / "out") == 2
     assert f"'{command}' section" in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rho0", [[0.5, 0.6], [0.2, 0.3, 0.5]])
+def test_simulate_with_an_invalid_rho0_exits_2_and_leaves_no_output_directory(tmp_path, capsys, rho0):
+    config = {**CANONICAL, "simulate": {**CANONICAL["simulate"], "rho0": rho0}}
+    assert run("simulate", write_config(tmp_path, config), tmp_path / "out") == 2
+    assert "simulate.rho0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gibbs_without_its_section_starts_from_uniform(tmp_path):
