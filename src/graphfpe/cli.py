@@ -382,6 +382,7 @@ def _gibbs_payload(result, model) -> dict:
         "K": result.normalizer,
         "iterations": result.iterations,
         "residual": result.residual,
+        "damping": result.damping,
         "energy": energy(model, result.density),
     }
 

@@ -73,15 +73,29 @@ class EnergyModel:
         scale = max(1.0, float(np.max(np.abs(W))) if W.size else 0.0)
         return float(np.max(np.abs(W - W.T))) <= SYMMETRY_TOL * scale
 
+    @cached_property
+    def interaction_spectrum(self) -> np.ndarray | None:
+        """Ascending eigenvalues of a symmetric W from one ``eigvalsh`` per model; None for a non-symmetric W.
+
+        Raises ``LinAlgError`` where LAPACK does not converge.
+        """
+        return freeze(np.linalg.eigvalsh(self.interaction)) if self.is_symmetric else None
+
 
 @dataclass(frozen=True, eq=False)
 class GibbsResult:
-    """Converged (or best partial) Gibbs fixed point."""
+    """Converged (or best partial) Gibbs fixed point.
+
+    ``damping`` is the factor a of the last update rho <- (1-a) rho + a G(rho)
+    (of the first one when the start has converged): 1.0 on the undamped path,
+    the ``damping`` argument times 2^-k after k halvings otherwise.
+    """
 
     density: Density
     normalizer: float
     iterations: int
     residual: float
+    damping: float
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,7 @@ def convexity_certificate(model: EnergyModel) -> ConvexityCertificate:
     """Certify strict convexity via diag(1/rho) >= I on the simplex."""
     if not model.is_symmetric:
         raise NonSymmetricW("convexity certificate requires a symmetric interaction matrix")
-    lam_min_w = float(np.linalg.eigvalsh(model.interaction)[0])  # W is symmetric, checked above
+    lam_min_w = float(model.interaction_spectrum[0])  # W is symmetric, checked above
     bound = lam_min_w + model.beta
     return ConvexityCertificate(certified_convex=bound > 0, lambda_min_bound=bound)
 
@@ -163,6 +177,27 @@ def _gibbs_map(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, float]:
     return g / total, float(np.exp(-low / model.beta) * total)
 
 
+def _undamped(model: EnergyModel) -> bool:
+    """Whether -2 beta < lambda(W) < 2 beta / 3 for a symmetric W with a finite spectrum.
+
+    DG(rho) = -(1/beta) C W with C = diag g - g g^T, the covariance of a
+    categorical law, so 0 <= C <= I/2. The eigenvalues mu of DG are those of
+    -(1/beta) C^(1/2) W C^(1/2) and lie in [-lambda_max(W)/(2 beta),
+    -lambda_min(W)/(2 beta)] widened to contain 0; here that is [-1/3, 1).
+    G is then a global 2-norm contraction (||W||_2 < 2 beta), so every start
+    reaches its one fixed point, and on every mode the undamped factor |mu|
+    is at most the factor 1 - a (1 - mu) of every damping a <= 1/2. A
+    repulsive W whose mu come near -1 contracts faster under a = 1/2, so it
+    keeps the damped loop.
+    """
+    try:
+        lam = model.interaction_spectrum
+    except np.linalg.LinAlgError:
+        return False
+    # a non-finite spectrum fails both comparisons
+    return lam is not None and bool(-2.0 * model.beta < lam[0] and lam[-1] < 2.0 * model.beta / 3.0)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the map overflows for extreme beta, W or V; see _gibbs_map
 def gibbs_fixed_point(
     model: EnergyModel,
@@ -171,12 +206,19 @@ def gibbs_fixed_point(
     max_iter: int = 10_000,
     damping: float = 0.5,
 ) -> GibbsResult:
-    """Damped fixed-point iteration rho <- (1-a) rho + a G(rho).
+    """Fixed-point iteration rho <- (1-a) rho + a G(rho) for the Gibbs state rho = G(rho).
 
-    The damping factor halves automatically whenever the residual grows,
-    which keeps strongly attractive interactions from oscillating. Raises
-    :class:`NoConvergence` with the last iterate attached if ``max_iter``
-    is exhausted or the map is not finite.
+    For a symmetric W with -2 beta < lambda(W) < 2 beta / 3, G contracts on
+    the whole simplex and every mode converges at least as fast undamped as
+    with a damping of 1/2 or less (see :func:`_undamped`), so the update
+    takes a = 1. Every other model (a non-symmetric W, a spectrum outside
+    that range, not finite or not computable) takes a = ``damping``, which
+    halves whenever the residual grows, down to 2^-20; that keeps strongly
+    attractive interactions from oscillating. An update whose G(rho) has an
+    entry that underflows to 0 takes the damped a on both paths, so no
+    iterate lands on the boundary. Raises :class:`NoConvergence` with the
+    last iterate attached if ``max_iter`` is exhausted or the map is not
+    finite.
     """
     _require(model.n, interior=("init",), init=init)
     if not (0 < damping <= 1):
@@ -184,8 +226,10 @@ def gibbs_fixed_point(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
+    undamped = _undamped(model)
     v = init.values.copy()
     alpha = damping
+    step = 1.0 if undamped else alpha
     prev_residual = np.inf
     for k in range(max_iter + 1):
         g, normalizer = _gibbs_map(model, v)
@@ -196,19 +240,22 @@ def gibbs_fixed_point(
                 normalizer=normalizer,
                 iterations=k,
                 residual=residual,
+                damping=step,
             )
         if math.isnan(residual):  # W rho + V overflows: keep the last finite iterate
             break
         if residual > prev_residual:
             alpha = max(0.5 * alpha, 2.0**-20)
         prev_residual = residual
-        v = (1.0 - alpha) * v + alpha * g
+        step = 1.0 if undamped and g.min() > 0.0 else alpha
+        v = (1.0 - step) * v + step * g
         v /= v.sum()
     partial = GibbsResult(
         density=Density(v / v.sum()),
         normalizer=normalizer,
         iterations=k,
         residual=residual,
+        damping=step,
     )
     raise NoConvergence(
         f"Gibbs iteration residual {residual:.3e} > tol {tol:.3e} after {k} iterations",

@@ -74,6 +74,20 @@ def test_gibbs_multistart_nonconvex(tmp_path):
     assert len(payload["equilibria"]) == 3
 
 
+def test_gibbs_json_reports_the_damping_of_the_last_update(tmp_path):
+    # W = 0 contracts: undamped; -3 I is attractive beyond 2 beta: damped from 0.5, halved as the residual grows
+    assert run("gibbs", write_config(tmp_path, CANONICAL), tmp_path / "free") == 0
+    assert read_json(tmp_path / "free" / "gibbs.json")["damping"] == 1.0
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}
+    config["gibbs"] = {"starts": [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]], "damping": 0.75}
+    assert run("gibbs", write_config(tmp_path, config, "wells.json"), tmp_path / "wells") == 0
+    payload = read_json(tmp_path / "wells" / "gibbs.json")
+    for entry in [payload, *payload["equilibria"]]:
+        halvings = math.log2(0.75 / entry["damping"])
+        assert halvings == int(halvings) and 0 <= halvings <= 20
+
+
 def test_malformed_config_exits_2_and_names_key(tmp_path, capsys):
     config = dict(CANONICAL)
     config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 5.0, "bogus_option": 1}

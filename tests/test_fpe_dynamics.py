@@ -354,6 +354,22 @@ def test_phi_functions_match_their_closed_forms_on_both_branches():
         assert rel_err(phi2[k], exact2) <= 1e-12
 
 
+def test_phi_functions_are_within_a_few_ulp_of_mpmath_on_the_tail_range():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    # log-uniform over [-1e3, -1e-16], plus a dense band about the branch point |z| = 1
+    z = -np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 1500), rng.uniform(0.9, 1.1, 500), [1.0, 1e3]])
+    phi1, phi2 = _phi12(z)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for zk, p1, p2 in zip(z, phi1, phi2):
+            x = mpmath.mpf(float(zk))
+            e = mpmath.expm1(x)
+            exact1, exact2 = e / x, (e - x) / (x * x)
+            assert abs(p1 - exact1) <= 4 * eps * exact1, zk
+            assert abs(p2 - exact2) <= 4 * eps * exact2, zk
+
+
 def test_tail_setup_declines_what_it_cannot_build():
     g = path2()
     nonsymmetric = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0)

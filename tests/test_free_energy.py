@@ -1,7 +1,10 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphfpe import (
     BoundaryDensity,
@@ -17,7 +20,7 @@ from graphfpe import (
     find_all_equilibria,
     gibbs_fixed_point,
 )
-from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map
+from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map, _undamped
 from helpers import bare_model, interior_density, random_convex_model, rel_err
 
 
@@ -243,3 +246,136 @@ def test_gibbs_non_finite_map_raises_no_convergence_with_the_last_iterate():
         gibbs_fixed_point(model, Density([0.5, 0.5]))
     assert info.value.result.density.values.tolist() == [0.5, 0.5]
     assert info.value.result.iterations == 0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def damped_reference(model, init, tol=1e-12, max_iter=10_000, damping=0.5):
+    """The damped loop gibbs_fixed_point runs for every model it does not iterate undamped.
+
+    Returns (density values or None without convergence, iterations,
+    residual, factor of the last update).
+    """
+    v = init.values.copy()
+    alpha = damping
+    prev_residual = np.inf
+    for k in range(max_iter + 1):
+        g, _ = _gibbs_map(model, v)
+        residual = float(np.max(np.abs(v - g)))
+        if residual <= tol:
+            return Density(v / v.sum()).values, k, residual, alpha
+        if math.isnan(residual):
+            break
+        if residual > prev_residual:
+            alpha = max(0.5 * alpha, 2.0**-20)
+        prev_residual = residual
+        v = (1.0 - alpha) * v + alpha * g
+        v /= v.sum()
+    return None, k, residual, alpha
+
+
+def well_model(n=16, wells=4, seed=5):
+    """Benchmark-shaped 4-well model: W = -6 U(0.9, 1.1) on each diagonal block, so ||W||_2 is about 25."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n))
+    for blk in np.array_split(np.arange(n), wells):
+        W[np.ix_(blk, blk)] = -6.0 * rng.uniform(0.9, 1.1)
+    return EnergyModel(W, rng.uniform(-0.05, 0.05, n), 1.0)
+
+
+@st.composite
+def contracting_case(draw):
+    """A symmetric W scaled to ||W||_2 <= 1.99 beta on 2-12 nodes, log-uniform beta and an interior start."""
+    n = draw(st.integers(2, 12))
+    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    W = 0.5 * (A + A.T)
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+    if radius > 0.0:
+        W *= draw(st.floats(0.0, 1.99)) * beta / radius
+    V = beta * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    m = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return EnergyModel(W, V, beta), Density(m / m.sum())
+
+
+@given(contracting_case())
+def test_gibbs_on_contracting_models_meets_the_damped_reference_in_no_more_iterations(case):
+    model, init = case
+    tol = 1e-12
+    result = gibbs_fixed_point(model, init, tol=tol)
+    want, iterations, _, _ = damped_reference(model, init, tol=tol)
+    assert result.residual <= tol
+    assert np.max(np.abs(result.density.values - want)) <= 10.0 * tol
+    assert result.iterations <= iterations
+    assert result.damping == (1.0 if _undamped(model) else 0.5)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        well_model(),
+        EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0),
+        EnergyModel(np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.1], [0.2, 0.0, 0.0]]), np.zeros(3), 1.0),
+        # repulsive, ||W||_2 = 1.99 beta: the map's slope at the uniform state is -0.995,
+        # where damping by 1/2 takes 6 iterations and the undamped update 5092
+        EnergyModel(0.995 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), 1.0),
+    ],
+    ids=["wells-16", "minus-3I", "nonsymmetric", "repulsive-1.99"],
+)
+def test_gibbs_outside_the_undamped_range_keeps_the_damped_loop_bit_for_bit(model):
+    assert not _undamped(model)
+    n = model.n
+    x = np.full(n, 0.1 / (n - 1))
+    x[1] = 0.9  # a corner start, as the multi-start equilibrium search takes
+    init = Density(x / x.sum())
+    result = gibbs_fixed_point(model, init)
+    want, iterations, residual, alpha = damped_reference(model, init)
+    assert np.array_equal(result.density.values, want)
+    assert (result.iterations, result.residual, result.damping) == (iterations, residual, alpha)
+
+
+def test_gibbs_without_a_spectrum_keeps_the_damped_loop():
+    model = EnergyModel(np.array([[0.0, 0.2], [0.2, 0.0]]), np.array([0.0, 0.3]), 1.0)
+    init = Density([0.9, 0.1])
+    with patch.object(np.linalg, "eigvalsh", side_effect=np.linalg.LinAlgError("no convergence")):
+        assert not _undamped(model)
+        result = gibbs_fixed_point(model, init)
+    want, iterations, residual, _ = damped_reference(model, init)
+    assert np.array_equal(result.density.values, want) and result.damping == 0.5
+    assert (result.iterations, result.residual) == (iterations, residual)
+    assert _undamped(model) and gibbs_fixed_point(model, init).iterations < iterations
+
+
+def test_gibbs_on_a_benchmark_shaped_convex_model_at_n_100_takes_at_most_10_iterations():
+    # W = sym(N(0, 0.35^2))/sqrt(n), V ~ U(-0.5, 0.5), beta = 1; the damped loop takes 36
+    rng = np.random.default_rng(401)
+    n = 100
+    A = rng.normal(0.0, 0.35, size=(n, n)) / np.sqrt(n)
+    model = EnergyModel(0.5 * (A + A.T), rng.uniform(-0.5, 0.5, n), 1.0)
+    init = Density(np.full(n, 1.0 / n))
+    result = gibbs_fixed_point(model, init, tol=1e-13)
+    assert result.iterations <= 10 and result.damping == 1.0
+    want, iterations, _, _ = damped_reference(model, init, tol=1e-13)
+    assert iterations >= 30 and np.max(np.abs(result.density.values - want)) <= 1e-12
+
+
+def test_gibbs_damps_an_update_whose_map_entry_underflows_to_zero():
+    # W = 0 contracts for every beta, but G(rho) = (1, 0) here: an undamped update would land on the boundary
+    model = EnergyModel(np.zeros((2, 2)), np.array([1e10, 2e10]), 1e-300)
+    assert _undamped(model)
+    result = gibbs_fixed_point(model, Density([0.5, 0.5]))
+    assert result.density.values[1] > 0.0 and result.damping == 0.5
+
+
+def test_convexity_certificate_reads_the_one_cached_spectrum():
+    rng = np.random.default_rng(8)
+    A = rng.normal(0.0, 0.35, size=(6, 6))
+    W = 0.5 * (A + A.T)
+    model = EnergyModel(W, rng.uniform(-1.0, 1.0, 6), 1.0)
+    with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        gibbs_fixed_point(model, interior_density(rng, 6))
+        cert = convexity_certificate(model)
+        convexity_certificate(model)
+    assert eig.call_count == 1
+    assert cert.lambda_min_bound == float(np.linalg.eigvalsh(W)[0]) + model.beta
+    assert not model.interaction_spectrum.flags.writeable
+    assert EnergyModel(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0).interaction_spectrum is None
