@@ -65,6 +65,7 @@ from .rate_analysis import (
     equilibrium_rates,
     estimate_lsi_constant,
     rate_constants,
+    relative_entropy,
     relative_fisher,
     tail_slope,
     verify_decay_bound,
@@ -324,14 +325,14 @@ class _Run:
         self.config = _load_json(config_path)
         _validate_config(self.config)
         self.base = config_path.parent
-        self.graph_dict = _resolve_section(self.config, "graph", self.base, "graph_inline")
-        self.model_dict = _resolve_section(self.config, "model", self.base, "model_inline")
-        self.graph = _build_graph(self.graph_dict)
-        self.model = _build_model(self.model_dict, self.graph.node_count)
+        graph_dict = _resolve_section(self.config, "graph", self.base, "graph_inline")
+        model_dict = _resolve_section(self.config, "model", self.base, "model_inline")
+        self.graph = _build_graph(graph_dict)
+        self.model = _build_model(model_dict, self.graph.node_count)
         self.out = Path(args.out) if args.out else Path(self.config.get("output_dir", "."))
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
         self.stamp = {
-            **_stamp_digests(self.config, self.graph_dict, self.model_dict),
+            **_stamp_digests(self.config, graph_dict, model_dict),
             "version": __version__,
             "seed": self.seed,
         }
@@ -438,7 +439,7 @@ def cmd_simulate(run: _Run) -> int:
         # ten times the library's iteration budget, so that a final state whose damped
         # iteration needs more than 10 000 steps reports its relative entropy, not null
         gibbs = gibbs_fixed_point(run.model, final, max_iter=100_000)
-        rel_entropy = energy(run.model, final) - energy(run.model, gibbs.density)
+        rel_entropy = relative_entropy(run.model, final, gibbs.density)
     except NoConvergence:
         rel_entropy = None
     run.write(
@@ -477,6 +478,8 @@ def _read_trajectory_csv(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
             f"trajectory file {path} has {found}; simulate writes rows of {n + 3}"
             f" (t, rho_1..rho_{n}, energy, dissipation) after a header"
         )
+    if not (np.all(np.isfinite(raw[:, [0, -2]])) and raw[0, 0] >= 0.0 and np.all(np.diff(raw[:, 0]) >= 0.0)):
+        raise ConfigError(f"trajectory file {path} needs finite times and energies, the times from 0 up")
     return raw[:, 0], raw[:, -2]  # t and energy columns
 
 
@@ -507,11 +510,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
                     "lambda_fisher": lam_fisher,
                 }
             )
-        certified = False
-        try:
-            certified = convexity_certificate(run.model).certified_convex
-        except NonSymmetricW:
-            pass
+        certified = run.model.is_symmetric and convexity_certificate(run.model).certified_convex
         run.write("rates.json", {"equilibria": entries, "certified_convex": certified})
         return EXIT_OK
 
@@ -623,7 +622,7 @@ def cmd_decompose(run: _Run) -> int:
 
     phi, u = hodge_decompose(graph, rho, field)
     residual = divergence(graph, rho, u)
-    grad_edges = field.edge_values - u.edge_values
+    grad = VectorField(graph, field.edge_values - u.edge_values)
 
     def edge_list(vals) -> list:
         return [[i + 1, j + 1, float(v)] for (i, j, _), v in zip(graph.edges, vals)]
@@ -632,15 +631,13 @@ def cmd_decompose(run: _Run) -> int:
         "hodge.json",
         {
             "potential": phi.values,
-            "gradient_field": edge_list(grad_edges),
+            "gradient_field": edge_list(grad.edge_values),
             "rotational_field": edge_list(u.edge_values),
             "div_residual_max": float(np.max(np.abs(residual.values))),
             "u_inf_norm": float(np.max(np.abs(u.edge_values))) if graph.edge_count else 0.0,
             "inner_products": {
                 "total": total,
-                "gradient": inner_product(
-                    VectorField(graph, grad_edges), VectorField(graph, grad_edges), rho
-                ),
+                "gradient": inner_product(grad, grad, rho),
                 "rotational": inner_product(u, u, rho),
             },
         },

@@ -99,7 +99,7 @@ class InconsistentRateConstants(GraphFpeError, RuntimeError):
 class StepSizeUnderflow(GraphFpeError):
     """Adaptive step fell below the representable floor, or the run spent its step budget.
 
-    ``trajectory`` holds everything recorded up to the last good state.
+    ``trajectory`` holds every record so far and ends at the last accepted state.
     """
 
     def __init__(self, message: str, trajectory=None):

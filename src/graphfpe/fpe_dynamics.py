@@ -268,7 +268,8 @@ def integrate(
     are renormalized onto the simplex. States are recorded every
     ``record_every`` accepted steps (0 = initial and final only), plus the
     final state. A run that underflows the step size or attempts 100 000
-    steps raises :class:`StepSizeUnderflow` carrying the partial trajectory.
+    steps raises :class:`StepSizeUnderflow` carrying the partial trajectory,
+    which ends at the last accepted state.
     """
     _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
     if not 0 < t_end < math.inf:
@@ -289,18 +290,8 @@ def integrate(
     t = 0.0
     current_energy = float(_energy_raw(model, y))
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    energies: list[float] = []
-    dissipations: list[float] = []
-
-    def record(time: float, values: np.ndarray, e: float | None = None) -> None:
-        times.append(time)
-        states.append(values.copy())
-        energies.append(float(_energy_raw(model, values)) if e is None else e)
-        dissipations.append(float(_dissipation_raw(model, graph, values)))
-
-    record(0.0, y, current_energy)
+    # the (t, state) records; an accepted step binds y to a new array, so no kept state is written to
+    times, states = [0.0], [y]
 
     K = np.empty((6, y.size))  # stage derivatives; K[0] is reused across rejections of one state
     K[0] = _rhs_raw(model, graph, y)
@@ -310,17 +301,21 @@ def integrate(
     t_tiny = 1e-15 * max(1.0, t_end)
 
     eq = _equilibrium_tail(model, graph, rho0)
-    tail = None  # eq once the run has switched to exponential steps
-    switch_time = None
+    switch_time = None  # the run takes exponential steps on eq once this is set
     exponential = 0
     stiff = 0  # consecutive accepted RKF45 steps that passed the switch test
 
-    def trajectory() -> Trajectory:  # the run so far
+    def trajectory(end: float) -> Trajectory:
+        """The run so far, ending at (end, y) unless y was just recorded; one batched energy and dissipation call."""
+        if times[-1] != end:
+            times.append(end)
+            states.append(y)
+        stacked = np.array(states)
         return Trajectory(
             times=freeze(times),
             densities=tuple(Density(s) for s in states),
-            energy=freeze(energies),
-            dissipation=freeze(dissipations),
+            energy=freeze(_energy_raw(model, stacked)),
+            dissipation=freeze(_dissipation_raw(model, graph, stacked)),
             accepted_steps=accepted,
             rejected_steps=sum(rejected_by.values()),
             rejected_by=MappingProxyType(dict(rejected_by)),
@@ -328,21 +323,16 @@ def integrate(
             switch_time=switch_time,
         )
 
-    attempts = 0
     while t < t_end - t_tiny:
         if h < 1e-14 * max(1.0, t):
-            raise StepSizeUnderflow(
-                f"step size underflow at t={t!r} (h={h!r})", trajectory=trajectory()
-            )
-        if attempts == _STEP_BUDGET:
-            raise StepSizeUnderflow(
-                f"step budget of {_STEP_BUDGET} attempted steps spent at t={t!r}", trajectory=trajectory()
-            )
-        attempts += 1
+            raise StepSizeUnderflow(f"step size underflow at t={t!r} (h={h!r})", trajectory=trajectory(t))
+        if accepted + sum(rejected_by.values()) == _STEP_BUDGET:
+            message = f"step budget of {_STEP_BUDGET} attempted steps spent at t={t!r}"
+            raise StepSizeUnderflow(message, trajectory=trajectory(t))
         h_try = min(h, t_end - t)
 
         y_new = None  # stays None when a stage point fails the floor
-        if tail is None:
+        if switch_time is None:
             for s in range(1, 6):
                 ys = y + h_try * (_STAGE_ROWS[s] @ K[:s])
                 if not ys.min() >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
@@ -354,11 +344,11 @@ def integrate(
             order = 5.0
         else:
             # ETD2RK: a = y + h phi_1 f(y), y+ = a + h phi_2 (f(a) - f(y) - J (a - y)); the phi_2 term is the error
-            phi1, phi2 = _phi12(-h_try * tail.lam)
-            a = y + h_try * tail.apply(phi1, K[0])
+            phi1, phi2 = _phi12(-h_try * eq.lam)
+            a = y + h_try * eq.apply(phi1, K[0])
             if a.min() >= floor:
                 K[1] = _rhs_raw(model, graph, a)
-                err = h_try * tail.apply(phi2, K[1] - K[0] - tail.jac(a - y))
+                err = h_try * eq.apply(phi2, K[1] - K[0] - eq.jac(a - y))
                 y_new = a + err
             order = 2.0
         if y_new is None:
@@ -395,18 +385,18 @@ def integrate(
         y = y_new
         t += h_try
         accepted += 1
-        exponential += tail is not None
+        exponential += switch_time is not None
         K[0] = _rhs_raw(model, graph, y)
         h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** (-1.0 / order), 0.2), 5.0), h_cap)
-        if tail is None and eq is not None and t < t_end - t_tiny:
+        if switch_time is None and eq is not None and t < t_end - t_tiny:
             stiff = stiff + 1 if (
                 h_try * eq.lam[-1] >= _TAIL_STIFF
                 and np.max(np.abs(K[0] - eq.jac(y - eq.rho_inf))) <= _TAIL_LINEAR * np.max(np.abs(K[0]))
             ) else 0
             if stiff == _TAIL_STEPS:
-                tail, switch_time = eq, t
+                switch_time = t
         if record_every > 0 and accepted % record_every == 0 and t < t_end - t_tiny:
-            record(t, y, current_energy if guard_energy else None)
+            times.append(t)
+            states.append(y)
 
-    record(t_end, y, current_energy if guard_energy else None)
-    return trajectory()
+    return trajectory(t_end)

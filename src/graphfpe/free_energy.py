@@ -11,7 +11,6 @@ generates the flow).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,15 +233,7 @@ def gibbs_fixed_point(
     for k in range(max_iter + 1):
         g, normalizer = _gibbs_map(model, v)
         residual = float(np.max(np.abs(v - g)))
-        if residual <= tol:
-            return GibbsResult(
-                density=Density(v / v.sum()),
-                normalizer=normalizer,
-                iterations=k,
-                residual=residual,
-                damping=step,
-            )
-        if math.isnan(residual):  # W rho + V overflows: keep the last finite iterate
+        if not residual > tol:  # converged, or NaN where W rho + V overflows: keep the last finite iterate
             break
         if residual > prev_residual:
             alpha = max(0.5 * alpha, 2.0**-20)
@@ -250,16 +241,12 @@ def gibbs_fixed_point(
         step = 1.0 if undamped and g.min() > 0.0 else alpha
         v = (1.0 - step) * v + step * g
         v /= v.sum()
-    partial = GibbsResult(
-        density=Density(v / v.sum()),
-        normalizer=normalizer,
-        iterations=k,
-        residual=residual,
-        damping=step,
-    )
+    result = GibbsResult(Density(v / v.sum()), normalizer=normalizer, iterations=k, residual=residual, damping=step)
+    if residual <= tol:
+        return result
     raise NoConvergence(
         f"Gibbs iteration residual {residual:.3e} > tol {tol:.3e} after {k} iterations",
-        result=partial,
+        result=result,
     )
 
 

@@ -57,16 +57,8 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def edge_tail(self) -> np.ndarray:
-        return np.array([e[0] for e in self.edges], dtype=int)
-
-    @cached_property
-    def edge_head(self) -> np.ndarray:
-        return np.array([e[1] for e in self.edges], dtype=int)
-
-    @cached_property
-    def edge_ends(self) -> np.ndarray:
-        return np.stack((self.edge_tail, self.edge_head))
+    def edge_ends(self) -> np.ndarray:  # (2, E): the tails, then the heads
+        return np.array([[e[0] for e in self.edges], [e[1] for e in self.edges]], dtype=int)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -96,8 +88,7 @@ class Graph:
     def _incidence(self) -> np.ndarray:
         D = np.zeros((self.edge_count, self.node_count))
         s = np.sqrt(self.weights)
-        D[np.arange(self.edge_count), self.edge_tail] = s
-        D[np.arange(self.edge_count), self.edge_head] = -s
+        D[np.arange(self.edge_count), self.edge_ends] = (s, -s)  # +sqrt(w) at the tail, -sqrt(w) at the head
         return freeze(D)
 
     @cached_property

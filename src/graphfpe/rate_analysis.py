@@ -28,7 +28,6 @@ from .errors import (
 from .fpe_dynamics import _dissipation_raw, invariant_region
 from .free_energy import (
     EnergyModel,
-    _drift_raw,
     _energy_raw,
     convexity_certificate,
     energy,
@@ -36,7 +35,7 @@ from .free_energy import (
     gibbs_fixed_point,
 )
 from .graph_core import Graph, graph_laplacian
-from .simplex_calculus import Density, _gth_solve, _require, laplacian_form, laplacian_matrices
+from .simplex_calculus import Density, _gth_solve, _require, laplacian_matrices
 
 __all__ = [
     "RateReport",
@@ -442,7 +441,7 @@ def estimate_lsi_constant(
     for start in range(0, count, _LSI_BLOCK):
         block = samples[start : start + _LSI_BLOCK]
         gap = _energy_raw(model, block) - f_inf
-        fisher = laplacian_form(graph, block, _drift_raw(model, block))
+        fisher = -_dissipation_raw(model, graph, block)
         ratios[start : start + _LSI_BLOCK] = np.divide(
             fisher, 2.0 * gap, out=np.full_like(gap, math.inf), where=gap >= 1e-12
         )

@@ -90,14 +90,15 @@ class Density(_NodeVector):
 
 @dataclass(frozen=True, eq=False)
 class TangentVector(_NodeVector):
-    """Zero-sum perturbation of a density."""
+    """Zero-sum perturbation of a density: its sum is within MASS_TOL max(1, |v|_1) of 0, a rounding-sized margin."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        total = float(_node_vector(self, "tangent vector").sum())
-        if abs(total) > MASS_TOL:
-            raise NotZeroSum(f"tangent vector sums to {total!r}, not 0 within {MASS_TOL}")
+        v = _node_vector(self, "tangent vector")
+        total = float(v.sum())
+        if abs(total) > MASS_TOL * max(1.0, float(np.abs(v).sum())):
+            raise NotZeroSum(f"tangent vector sums to {total!r}, not 0 within {MASS_TOL} times max(1, its 1-norm)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,5 +314,5 @@ def hodge_decompose(graph: Graph, rho: Density, field: VectorField) -> tuple[Pot
     lap = weighted_laplacian(graph, rho)
     div_v = divergence(graph, rho, field)
     phi = solve_potential(lap, -div_v.values)
-    u = VectorField(graph, field.edge_values - incidence_matrix(graph) @ phi.values)
+    u = VectorField(graph, field.edge_values - graph_gradient(graph, phi).edge_values)
     return phi, u

@@ -10,7 +10,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from graphfpe import (
     Density,
@@ -29,7 +28,6 @@ from graphfpe import (
     integrate,
     invariant_region,
     rate_constants,
-    relative_entropy,
     relative_fisher,
     symmetric_eigen,
     tail_slope,

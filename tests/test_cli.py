@@ -471,6 +471,25 @@ def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkey
     assert summary["exponential_steps"] == 0 and summary["switch_time"] is None
 
 
+def test_simulate_stopped_run_reports_its_last_accepted_state(tmp_path, monkeypatch, caplog):
+    # 483 of the 503 attempted steps are accepted, and the default record_every of 10
+    # leaves the last 3 of them unrecorded until the stop
+    monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 503)
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": [[0.0, 0.1], [0.0, 0.0]]}
+    config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 1e300}
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, config), out) == 3
+    summary = read_json(out / "summary.json")
+    assert summary["accepted_steps"] % 10 != 0
+    stopped_at = float(caplog.text.split("step budget of 503 attempted steps spent at t=")[1].split()[0])
+    assert summary["final_time"] == stopped_at
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert summary["records"] == rows.shape[0] == summary["accepted_steps"] // 10 + 2
+    assert rows[-1, 0] == stopped_at and list(rows[-1, 1:3]) == summary["final_density"]
+    assert rows[-1, -1] == -summary["relative_fisher"]
+
+
 def test_simulate_reports_the_switch_to_exponential_steps(tmp_path):
     config = dict(CANONICAL)
     config["simulate"] = {"rho0": [0.9, 0.1], "t_end": 50.0}
@@ -545,8 +564,11 @@ def test_rates_comparison_mode(tmp_path):
         "t\n0.0\n1.0\n",  # one column
         "t,rho_1,rho_2,energy,dissipation\n",  # simulate's header, no rows
         "t,e\n0.0,0.5\n1.0,0.25\n",  # two columns: t would be read as the energy
+        "t,rho_1,rho_2,energy,dissipation\n-1e4,0.5,0.5,0.1,0\n0,0.5,0.5,0.1,0\n",  # e^{-Ct} overflows
+        "t,rho_1,rho_2,energy,dissipation\n0,0.5,0.5,0.1,0\n2,0.5,0.5,0.1,0\n1,0.5,0.5,0.1,0\n",
+        "t,rho_1,rho_2,energy,dissipation\n0,0.5,0.5,nan,0\n1,0.5,0.5,0.1,0\n",
     ],
-    ids=["one-column", "header-only", "two-columns"],
+    ids=["one-column", "header-only", "two-columns", "negative-time", "falling-time", "nan-energy"],
 )
 def test_rates_refuses_a_trajectory_file_not_laid_out_as_simulate_writes_it(tmp_path, capsys, text):
     (tmp_path / "traj.csv").write_text(text)

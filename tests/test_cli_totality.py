@@ -1,7 +1,10 @@
 """Exit-code totality: every schema-valid config makes the CLI exit 0, 2, 3 or 4, never raise.
 
-Configs are drawn on 2-4 nodes with magnitudes of beta, V, W, edge weights,
-fields and t_end log-uniform over 1e-300 .. 1e300, so they reach overflow,
+Configs are drawn on 2-4 nodes, with the graph or the model sometimes in a
+file of its own ({"path": ...}), a ``rates`` config sometimes pointing to a
+trajectory CSV that is valid, malformed or has the wrong column count, and
+magnitudes of beta, V, W, edge weights, fields and t_end log-uniform over
+1e-300 .. 1e300, so they reach overflow,
 underflow and stiffness far outside the usual range. The work per example
 is kept small: few iterations in the config (count <= 50, K <= 4, max_iter
 <= 50), and the budgets the config cannot set are cut for the test (Gibbs
@@ -51,7 +54,26 @@ def densities(draw, n):
 
 
 @st.composite
+def trajectory_csv(draw, n):
+    """(kind, text) of a trajectory file: rows as simulate writes them, unparsable cells, or rows of a wrong width."""
+    kind = draw(st.sampled_from(["valid", "malformed", "columns"]))
+    width = n + 3 if kind != "columns" else draw(st.sampled_from([1, n + 2, n + 4]))
+    rows = draw(st.lists(st.lists(signed, min_size=width, max_size=width), min_size=1, max_size=4))
+    if kind == "valid":  # times from 0 up, as simulate records them
+        t = 0.0
+        for row in rows:
+            row[0] = t
+            t += draw(positive)
+    lines = [",".join(repr(x) for x in row) for row in rows]
+    if kind == "malformed":
+        cells = st.text(alphabet=st.sampled_from(list("0123456789.,-+eE naif#x")), max_size=12)
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(cells)
+    return kind, "\n".join(["t," + ",".join(f"rho_{i + 1}" for i in range(n)) + ",energy,dissipation", *lines]) + "\n"
+
+
+@st.composite
 def configs(draw, command):
+    """(config, files): a schema-valid config and the files it refers to, by name."""
     n = draw(st.integers(2, 4))
     pairs = [(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)]
     for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2)):
@@ -67,6 +89,11 @@ def configs(draw, command):
             W = [[W[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         model["W"] = W
     config = {"graph": {"n": n, "edges": edges}, "model": model, "seed": draw(st.integers(0, 2**31))}
+    files = {}
+    for key in ("graph", "model"):
+        if draw(st.booleans()):
+            files[f"{key}.json"] = json.dumps(config[key])
+            config[key] = {"path": f"{key}.json"}
     rho = densities(n)
     if command == "gibbs":
         opts = {"max_iter": draw(st.integers(1, 50))}
@@ -80,6 +107,9 @@ def configs(draw, command):
         opts = {"rho0": draw(rho), "gibbs_max_iter": draw(st.integers(1, 50))}
         if draw(st.booleans()):
             opts["starts"] = draw(st.lists(rho, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            files["trajectory.csv"] = draw(trajectory_csv(n))[1]
+            opts["trajectory"] = "trajectory.csv"
     elif command == "lsi":
         opts = {"count": draw(st.integers(1, 50)), "min_mass": draw(st.floats(0.0, 0.3))}
         if draw(st.booleans()):
@@ -95,11 +125,14 @@ def configs(draw, command):
     else:
         opts = {"rho": draw(rho), "field": [[*draw(st.permutations([i, j])), draw(signed)] for i, j, _ in edges]}
     config[command] = opts
-    return config
+    return config, files
 
 
-def check_exit_code(tmp_path_factory, command, config, *flags):
+def check_exit_code(tmp_path_factory, command, case, *flags):
+    config, files = case
     work = tmp_path_factory.mktemp(command)
+    for name, text in files.items():
+        (work / name).write_text(text)
     path = work / "cfg.json"
     path.write_text(json.dumps(config))
     code = run_capped([command, "--config", str(path), "--out", str(work / "out"), *flags])
@@ -108,35 +141,51 @@ def check_exit_code(tmp_path_factory, command, config, *flags):
 
 @settings(max_examples=25)
 @given(configs("gibbs"))
-def test_gibbs_exit_code_is_total(tmp_path_factory, config):
-    check_exit_code(tmp_path_factory, "gibbs", config)
+def test_gibbs_exit_code_is_total(tmp_path_factory, case):
+    check_exit_code(tmp_path_factory, "gibbs", case)
 
 
 @settings(max_examples=25)
 @given(configs("simulate"))
-def test_simulate_exit_code_is_total(tmp_path_factory, config):
-    check_exit_code(tmp_path_factory, "simulate", config)
+def test_simulate_exit_code_is_total(tmp_path_factory, case):
+    check_exit_code(tmp_path_factory, "simulate", case)
 
 
 @settings(max_examples=25)
 @given(configs("rates"), st.booleans())
-def test_rates_exit_code_is_total(tmp_path_factory, config, equilibrium):
-    check_exit_code(tmp_path_factory, "rates", config, *(["--equilibrium"] if equilibrium else []))
+def test_rates_exit_code_is_total(tmp_path_factory, case, equilibrium):
+    check_exit_code(tmp_path_factory, "rates", case, *(["--equilibrium"] if equilibrium else []))
 
 
 @settings(max_examples=25)
 @given(configs("lsi"))
-def test_lsi_exit_code_is_total(tmp_path_factory, config):
-    check_exit_code(tmp_path_factory, "lsi", config)
+def test_lsi_exit_code_is_total(tmp_path_factory, case):
+    check_exit_code(tmp_path_factory, "lsi", case)
 
 
 @settings(max_examples=25)
 @given(configs("w2"))
-def test_w2_exit_code_is_total(tmp_path_factory, config):
-    check_exit_code(tmp_path_factory, "w2", config)
+def test_w2_exit_code_is_total(tmp_path_factory, case):
+    check_exit_code(tmp_path_factory, "w2", case)
 
 
 @settings(max_examples=25)
 @given(configs("decompose"))
-def test_decompose_exit_code_is_total(tmp_path_factory, config):
-    check_exit_code(tmp_path_factory, "decompose", config)
+def test_decompose_exit_code_is_total(tmp_path_factory, case):
+    check_exit_code(tmp_path_factory, "decompose", case)
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), trajectory_csv(n))), st.sampled_from([0.5, 0.9]))
+def test_rates_trajectory_file_exit_code_is_total(tmp_path_factory, case, corner):
+    # a certified-convex model on a path, so that every example reaches the trajectory reader;
+    # rho0 is the Gibbs state (delta_F = 0) when n = 2 and corner = 0.5
+    n, (kind, text) = case
+    graph = {"n": n, "edges": [[i, i + 1, 1.0] for i in range(1, n)]}
+    rho0 = [corner] + [(1.0 - corner) / (n - 1)] * (n - 1)
+    config = {"graph": graph, "model": {"beta": 1.0}, "rates": {"rho0": rho0, "trajectory": "trajectory.csv"}}
+    work = tmp_path_factory.mktemp("rates")
+    (work / "trajectory.csv").write_text(text)
+    (work / "cfg.json").write_text(json.dumps(config))
+    code = run_capped(["rates", "--config", str(work / "cfg.json"), "--out", str(work / "out")])
+    assert code == {"valid": 0, "columns": 2}.get(kind, code) and code in (0, 2)

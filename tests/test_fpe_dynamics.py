@@ -27,10 +27,12 @@ from graphfpe.fpe_dynamics import (
     _RK_ERR,
     _STAGE_ROWS,
     _UPDATE,
+    _dissipation_raw,
     _equilibrium_tail,
     _phi12,
     _rhs_raw,
 )
+from graphfpe.free_energy import _energy_raw
 from graphfpe.simplex_calculus import laplacian_matrices
 from helpers import (
     bare_model,
@@ -381,11 +383,15 @@ def test_tail_setup_declines_what_it_cannot_build():
     assert _equilibrium_tail(bare_model(2, beta=1e308), g, Density([0.5, 0.5])) is None
 
 
-def _switching_run(**kwargs):
+def _switching_case(**kwargs):
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 6)
     model = random_convex_model(rng, 6)
-    return integrate(model, g, interior_density(rng, 6), 60.0, record_every=1, **kwargs)
+    return model, g, integrate(model, g, interior_density(rng, 6), 60.0, record_every=1, **kwargs)
+
+
+def _switching_run(**kwargs):
+    return _switching_case(**kwargs)[2]
 
 
 def test_tail_keeps_mass_one_and_descends_the_energy():
@@ -417,3 +423,62 @@ def test_tail_honours_max_step_and_lands_on_t_end():
     assert traj.exponential_steps > 0
     assert np.max(np.diff(traj.times)) <= 2.0
     assert traj.times[-1] == 60.0
+
+
+def _budget_stop(monkeypatch, record_every):
+    # a non-symmetric W keeps the run on RKF45, whose step stays near the
+    # stability limit at equilibrium, so t_end 1e300 spends the (shrunk) budget
+    monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 503)
+    model, g = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0), path2()
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate(model, g, Density([0.9, 0.1]), 1e300, record_every=record_every)
+    return model, g, info.value
+
+
+@pytest.mark.parametrize("record_every", [0, 7, 10])
+def test_a_stopped_run_ends_at_its_last_accepted_state(monkeypatch, record_every):
+    _, _, every = _budget_stop(monkeypatch, record_every=1)
+    _, _, stop = _budget_stop(monkeypatch, record_every=record_every)
+    full, traj = every.trajectory, stop.trajectory
+    # records do not change the steps: the run with a record per step shows every accepted state
+    assert traj.accepted_steps == full.accepted_steps == full.times.size - 1
+    # the last accepted step is due for a record at 7 (kept once), not at 10 or 0 (added at the stop)
+    assert full.accepted_steps % 7 == 0 and full.accepted_steps % 10 != 0
+    assert traj.times[-1] == full.times[-1] and f"at t={float(traj.times[-1])!r}" in str(stop)
+    assert np.array_equal(traj.final_density.values, full.final_density.values)
+    expected = full.times[:: record_every or full.times.size]
+    if expected[-1] != full.times[-1]:
+        expected = np.append(expected, full.times[-1])
+    assert np.array_equal(traj.times, expected)
+    for k, rho in zip(range(0, full.times.size, record_every or full.times.size), traj.densities):
+        assert np.array_equal(rho.values, full.densities[k].values)
+
+
+def _rkf45_run():
+    rng = np.random.default_rng(12)
+    g = random_connected_graph(rng, 12)
+    W = 0.3 * rng.standard_normal((12, 12))
+    model = EnergyModel(W, rng.uniform(-0.5, 0.5, 12), 1.0)
+    assert not model.is_symmetric
+    return model, g, integrate(model, g, interior_density(rng, 12), 3.0, record_every=1)
+
+
+def _partial_run():
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 9)
+    model = EnergyModel(np.zeros((9, 9)), rng.uniform(-1.0, 1.0, 9), 1.0)
+    rho0 = interior_density(rng, 9, floor=0.05)
+    with pytest.raises(StepSizeUnderflow) as info:  # the floor at 0.05 stops the drift toward low-V nodes
+        integrate(model, g, rho0, 10.0, positivity_floor=0.049, record_every=3)
+    return model, g, info.value.trajectory
+
+
+@pytest.mark.parametrize("make_run", [_rkf45_run, _switching_case, _partial_run], ids=["rkf45", "tail", "partial"])
+def test_recorded_energy_and_dissipation_are_the_per_state_values_bit_for_bit(make_run):
+    model, g, traj = make_run()
+    assert (traj.switch_time is not None) == (make_run is _switching_case)
+    assert traj.times.size == len(traj.densities) == traj.energy.size == traj.dissipation.size > 3
+    for k, rho in enumerate(traj.densities):
+        assert traj.energy[k] == _energy_raw(model, rho.values)
+        assert traj.dissipation[k] == _dissipation_raw(model, g, rho.values)
+        assert traj.dissipation[k] == dissipation(model, g, rho)

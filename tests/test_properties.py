@@ -3,16 +3,20 @@
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from graphfpe import (
+    BoundaryDensity,
     Density,
     EnergyModel,
+    Potential,
     TangentVector,
     VectorField,
     build_graph,
     convexity_certificate,
+    divergence,
+    graph_gradient,
     hodge_decompose,
     inner_product,
     integrate,
@@ -35,6 +39,8 @@ small_masses = st.floats(-10.0, 0.0).map(lambda e: 10.0**e)
 # log-uniform masses from 1e-12 to 1, for the tangent rate
 tiny_masses = st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
 reals = st.floats(-10.0, 10.0)
+# log-uniform edge weights from 1e-4 to 1e4
+wide_weights = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
 # W2 inputs: mass ratios up to 20 and weight ratios up to 4. Wider ranges
 # reach triples whose discrete geodesic touches the simplex boundary, where
 # w2_distance cannot converge (the strict xfail in test_wasserstein_metric).
@@ -78,6 +84,24 @@ def test_solve_potential_residual_near_the_boundary(case):
     # per node, relative to the sum of |terms| of its row of L(rho) phi - sigma
     scale = np.abs(laplacian_matrices(graph, rho.values)) @ np.abs(phi) + np.abs(sigma.values)
     assert np.all(np.abs(residual) <= 1e-10 * scale)
+
+
+@given(graph_density_vector(masses=small_masses, weights=wide_weights), st.data())
+def test_laplacian_is_minus_divergence_of_rho_times_gradient(case, data):
+    graph, rho, x = case
+    L = laplacian_matrices(graph, rho.values)
+    # per node, the sum of |terms| of its row of L(rho) x times a few n eps, plus the subnormal range
+    bound = 1e-13 * graph.node_count * (np.abs(L) @ np.abs(x)) + np.finfo(float).tiny
+    applied = laplacian_apply(graph, rho.values, x)
+    assert np.all(np.abs(L @ x - applied) <= bound)
+    assert np.all(np.abs(-divergence(graph, rho, graph_gradient(graph, Potential(x))).values - applied) <= bound)
+    values = np.array(data.draw(st.lists(reals, min_size=graph.edge_count, max_size=graph.edge_count)))
+    try:
+        phi, u = hodge_decompose(graph, rho, VectorField(graph, values))
+    except BoundaryDensity:  # the documented refusal of a pivot of L(rho) below 1e-14 of its largest diagonal
+        reject()
+    grad = graph_gradient(graph, phi).edge_values
+    assert np.all(np.abs(grad + u.edge_values - values) <= 1e-15 * (np.abs(grad) + np.abs(u.edge_values)))
 
 
 @given(graph_density_vector(masses=small_masses), st.data())

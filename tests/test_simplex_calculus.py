@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -54,6 +52,22 @@ def test_tangent_vector_zero_sum():
     TangentVector([1.0, -1.0])
     with pytest.raises(NotZeroSum):
         TangentVector([1.0, -0.5])
+
+
+def test_tangent_vector_zero_sum_margin_scales_with_the_entries():
+    TangentVector([1e6, -1e6 + 1e-9])  # the sum's rounding grows with the entries
+    with pytest.raises(NotZeroSum):
+        TangentVector([1e6, -1e6 + 1e-3])
+    with pytest.raises(NotZeroSum):
+        TangentVector([1e-3, -1e-3 + 2e-12])  # below a 1-norm of 1 the margin stays MASS_TOL
+
+
+def test_divergence_of_a_gradient_across_a_heavy_edge_is_a_tangent_vector():
+    # the sum of this divergence rounds to about 1e-12, more than an absolute MASS_TOL allows
+    g = build_graph(5, [(1, 2, 1.0), (1, 3, 1.0), (1, 5, 1.0), (2, 4, 1e4)])
+    rho = Density(np.full(5, 0.2))
+    div = divergence(g, rho, graph_gradient(g, Potential(np.array([0.0, 5.0, 1.0, 0.0, 1.0]))))
+    assert np.allclose(-div.values, laplacian_apply(g, rho.values, np.array([0.0, 5.0, 1.0, 0.0, 1.0])))
 
 
 def test_theta_examples():
