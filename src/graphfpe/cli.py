@@ -525,7 +525,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     }
     if "trajectory" in opts:
         times, energies = _read_trajectory_csv(run.base / opts["trajectory"], run.graph.node_count)
-        check = verify_decay_bound(times, energies, report, report.f_inf)
+        check = verify_decay_bound(times, energies, report)
         payload["bound_holds"] = check.holds
         payload["bound_max_violation"] = check.max_violation
         try:

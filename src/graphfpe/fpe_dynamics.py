@@ -7,10 +7,12 @@ One batched right-hand-side kernel, ``_rhs_raw``, evaluates it for
 Fehlberg 4(5) pair in array form (the six stages are rows of one array,
 each stage point and the update with its error estimate are matrix
 products with the tableau). For symmetric W the run switches, once the flow
-is linear and RKF45's step sits at its stability limit, to exponential
-ETD2RK steps (Cox & Matthews, J. Comput. Phys. 2002) whose linear part is
-the equilibrium Jacobian J = -L(rho_inf) Hess F(rho_inf), applied through
-one eigendecomposition per run. Both methods reject a step on any of four
+is linear to within 5e-2 and RKF45's step sits at its stability limit, to
+fourth-order exponential ETDRK4 steps (Cox & Matthews, J. Comput. Phys.
+2002) whose linear part is the equilibrium Jacobian
+J = -L(rho_inf) Hess F(rho_inf), taken in the modal coordinates of one
+eigendecomposition per run; their error is estimated by step doubling.
+Both methods reject a step on any of four
 guards: a positivity floor derived from the invariant region (at each stage
 and at the new state), scaled local error, the mass budget and, for gradient
 flows, monotonicity of the free energy.
@@ -70,14 +72,17 @@ _STEP_BUDGET = 100_000
 
 # Switch to the exponential tail once _TAIL_STEPS accepted RKF45 steps in a
 # row find |f(y) - J (y - rho_inf)| <= _TAIL_LINEAR |f(y)| (the flow is
-# linear) and h lambda_max(-J) >= _TAIL_STIFF (RKF45's real stability
-# boundary is about 3); one such step while h still grows is not yet a limit.
-_TAIL_LINEAR = 1e-3
+# nearly linear; the fourth-order tail follows what remains of N(y) with
+# the error control) and h lambda_max(-J) >= _TAIL_STIFF (RKF45's real
+# stability boundary is about 3); one such step while h still grows is not
+# yet a limit.
+_TAIL_LINEAR = 5e-2
 _TAIL_STIFF = 2.0
 _TAIL_STEPS = 2
-# Taylor coefficients 1/(j + 2)! of phi_2, lowest power first; for |z| < 1 the
-# first term left out, z^17/19!, is below 2^-55 of phi_2(z) > 1/e
-_PHI2_TAYLOR = np.array([1.0 / math.factorial(j + 2) for j in range(17)])
+# Taylor coefficients 1/(j + 3)! of phi_3, lowest power first, used for
+# |z| < 1.25 (the closed form of phi_3 loses up to 4 ulp just above |z| = 1);
+# the first term left out, z^18/21!, is below 2^-55 of phi_3(z) > 0.12 there
+_PHI3_TAYLOR = np.array([1.0 / math.factorial(j + 3) for j in range(18)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,44 +175,104 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(e^z, phi_1(z), phi_2(z), phi_3(z)) entrywise for z <= 0, phi_{k+1}(z) = (phi_k(z) - 1/k!)/z, phi_0 = e^z.
+
+    Where |z| < 1.25, phi_3 is its Taylor sum, one power table times the
+    coefficients, and the recurrence runs downward (phi_2 = 1/2 + z phi_3,
+    phi_1 = 1 + z phi_2); elsewhere it runs upward from phi_1 = expm1(z)/z
+    in the closed forms. Each is within 3 ulp.
+    """
+    small = np.abs(z) < 1.25
+    w = np.where(small, 1.0, z)
+    phi1 = np.expm1(w) / w
+    phi2 = (phi1 - 1.0) / w
+    phi3 = (phi2 - 0.5) / w
+    zs = z[small]
+    phi3[small] = np.vander(zs, _PHI3_TAYLOR.size, increasing=True) @ _PHI3_TAYLOR
+    phi2[small] = 0.5 + zs * phi3[small]
+    phi1[small] = 1.0 + zs * phi2[small]
+    return np.exp(z), phi1, phi2, phi3
+
+
 @dataclass(frozen=True, eq=False)
 class _Tail:
-    """The equilibrium Jacobian J = -L(rho_inf) H, H = Hess F(rho_inf), through its eigenpairs.
+    """The exponential tail of one flow, on the equilibrium Jacobian J = -L(rho_inf) H, H = Hess F(rho_inf).
 
     With H = R R^T (Cholesky) and R^T L(rho_inf) R = U diag(lam) U^T,
-    J = -P diag(lam) Q for P = R^-T U and Q = U^T R^T = P^-1, so
-    phi_k(h J) v = P (phi_k(-h lam) * (Q v)). The first eigenpair, lam = 0
-    with Q-row proportional to 1^T, carries the mass; zero-sum v have no part
-    in it, so it is dropped, and every product below stays zero-sum.
+    J = -P diag(lam) Q for P = R^-T U and Q = U^T R^T = P^-1: in the modal
+    coordinates Q v, J and every phi_k(h J) act entrywise. The first
+    eigenpair, lam = 0 with Q-row proportional to 1^T, carries the mass;
+    zero-sum v have no part in it, so it is dropped, and every P product
+    stays zero-sum.
     """
 
+    model: EnergyModel
+    graph: Graph
     rho_inf: np.ndarray
     lam: np.ndarray
     P: np.ndarray
     Q: np.ndarray
 
-    def apply(self, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.P @ (coeffs * (self.Q @ v))
-
     def jac(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(-self.lam, v)
+        return self.P @ (-self.lam * (self.Q @ v))
 
+    def step(self, y: np.ndarray, fy: np.ndarray, h: float, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """One step of size h from y (fy = f(y)): (y+, error estimate), or None if a stage point fails the floor.
 
-def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_1(z), phi_2(z)) entrywise for z <= 0, phi_1 = (e^z - 1)/z and phi_2 = (phi_1 - 1)/z.
+        Step doubling: y+ is two ETDRK4 steps of h/2, and the error estimate
+        is (y+ - y_h)/15 against one step of h, the leading term of the
+        local error of y+ (which is O(h^5)). The phi values of both step
+        sizes, at z/4, z/2 and z for z = -h lam, come from one :func:`_phi`
+        call; the first half step and the whole step, which both start at
+        y, share their right-hand-side calls as stacked rows. The half-step
+        state meets the floor as the stage points do.
+        """
+        _, phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
+        f0 = self.Q @ fy
+        # row 0 the first half step, row 1 the whole step: each takes phi_1 at half its z, and phi_k at its z
+        first = self._etdrk4(y, f0, np.array([[0.5 * h], [h]]), phi1[:2], phi1[1:], phi2[1:], phi3[1:], floor)
+        if first is None:
+            return None
+        half, whole = first
+        y_mid = y + self.P @ half
+        if not y_mid.min() >= floor:
+            return None
+        f_mid = self.Q @ _rhs_raw(self.model, self.graph, y_mid)
+        second = self._etdrk4(y_mid, f_mid, 0.5 * h, phi1[0], phi1[1], phi2[1], phi3[1], floor)
+        if second is None:
+            return None
+        return y_mid + self.P @ second, self.P @ ((half + second - whole) / 15.0)
 
-    Where |z| < 1, phi_2 is its Taylor sum, one power table times the
-    coefficients, and phi_1 = 1 + z phi_2; elsewhere both are the closed
-    forms, which lose no digits there. Each is within a few ulp.
-    """
-    small = np.abs(z) < 1.0
-    w = np.where(small, 1.0, z)
-    phi1 = np.expm1(w) / w
-    phi2 = (phi1 - 1.0) / w
-    zs = z[small]
-    phi2[small] = np.vander(zs, _PHI2_TAYLOR.size, increasing=True) @ _PHI2_TAYLOR
-    phi1[small] = 1.0 + zs * phi2[small]
-    return phi1, phi2
+    def _etdrk4(self, y, f0, h, half1, phi1, phi2, phi3, floor: float) -> np.ndarray | None:
+        """Modal increments Q (y+ - y) of Cox-Matthews ETDRK4 steps, one per row, or None if a stage point fails the floor.
+
+        In modal coordinates the flow is f = J (y - rho_inf) + N(y) with
+        J = -diag(lam), so for a stage point x = y + P d the nonlinear
+        difference N(x) - N(y) is D = Q f(x) - Q f(y) + lam d. With
+        z = -h lam, phi_k = phi_k(z) and half1 = phi_1(z/2), the stage
+        formulas of Cox & Matthews, written as increments of y, read
+            a = h/2 half1 f0,  b = a + h/2 half1 D_a,  c = h (phi_1 f0 + half1 D_b),
+            y+ - y = h (phi_1 f0 + (2 phi_2 - 4 phi_3)(D_a + D_b) + (4 phi_3 - phi_2) D_c).
+        Each stage is one P product, one right-hand side of the stacked
+        rows and one Q product. ``y`` and ``f0 = Q f(y)`` are one state or a
+        row per step, ``h`` a scalar or a column of step sizes.
+        """
+
+        def difference(d):
+            x = y + d @ self.P.T
+            if not x.min() >= floor:  # NaN fails it too
+                return None
+            return _rhs_raw(self.model, self.graph, x) @ self.Q.T - f0 + self.lam * d
+
+        a = 0.5 * h * half1 * f0
+        if (d_a := difference(a)) is None:
+            return None
+        if (d_b := difference(a + 0.5 * h * half1 * d_a)) is None:
+            return None
+        if (d_c := difference(h * (phi1 * f0 + half1 * d_b))) is None:
+            return None
+        return h * (phi1 * f0 + (2.0 * phi2 - 4.0 * phi3) * (d_a + d_b) + (4.0 * phi3 - phi2) * d_c)
 
 
 @np.errstate(all="ignore")  # a non-finite Hess F or pencil is refused, not warned about
@@ -229,7 +294,7 @@ def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail 
         return None
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(P))):
         return None
-    return _Tail(rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
+    return _Tail(model, graph, rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
 
 
 @np.errstate(all="ignore")  # not warned about: a non-finite stage or state fails a floor guard
@@ -251,10 +316,14 @@ def integrate(
     and one product of the stacked 4th-order and error weights with the
     stage array gives the update and the local error estimate. For symmetric
     W, once two accepted steps in a row find the flow linear about rho_inf
-    and h lambda_max(-J) >= 2, the rest of the run takes ETD2RK steps
-    a = y + h phi_1(hJ) f(y), y+ = a + h phi_2(hJ) (f(a) - f(y) - J (a - y))
-    on the equilibrium Jacobian J (see :class:`_Tail`), with the phi_2 term
-    as error estimate, a as stage point and the same guards. ``t_end``
+    to within 5e-2 (|f(y) - J (y - rho_inf)| <= 5e-2 |f(y)|) and
+    h lambda_max(-J) >= 2, the rest of the run takes Cox-Matthews ETDRK4
+    steps on the equilibrium Jacobian J (see :class:`_Tail` and
+    :meth:`_Tail.step`) in its modal coordinates. Their error is estimated by
+    step doubling: two h/2 steps are propagated, and their difference from
+    one h step, over 15, is the error estimate; both methods size the next
+    step for an O(h^5) local error. Every stage point of either method, and
+    the tail's half-step state, meets the same guards. ``t_end``
     must be positive and finite. A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
     below the positivity floor (max(m(rho0)/2, 1e-14) by default; pass
@@ -341,16 +410,8 @@ def integrate(
             else:
                 update, err = _UPDATE @ K
                 y_new, err = y + h_try * update, h_try * err
-            order = 5.0
-        else:
-            # ETD2RK: a = y + h phi_1 f(y), y+ = a + h phi_2 (f(a) - f(y) - J (a - y)); the phi_2 term is the error
-            phi1, phi2 = _phi12(-h_try * eq.lam)
-            a = y + h_try * eq.apply(phi1, K[0])
-            if a.min() >= floor:
-                K[1] = _rhs_raw(model, graph, a)
-                err = h_try * eq.apply(phi2, K[1] - K[0] - eq.jac(a - y))
-                y_new = a + err
-            order = 2.0
+        elif (step := eq.step(y, K[0], h_try, floor)) is not None:
+            y_new, err = step
         if y_new is None:
             rejected_by["stage_floor"] += 1
             h = 0.5 * h_try
@@ -364,7 +425,7 @@ def integrate(
         err_norm = float(np.max(np.abs(err) / (abs_tol + rel_tol * np.abs(y))))
         if err_norm > 1.0:
             rejected_by["error"] += 1
-            h = h_try * min(max(0.9 * err_norm ** (-1.0 / order), 0.2), 1.0)
+            h = h_try * min(max(0.9 * err_norm**-0.2, 0.2), 1.0)  # both error estimates are O(h^5)
             continue
 
         mass = float(y_new.sum())
@@ -387,7 +448,7 @@ def integrate(
         accepted += 1
         exponential += switch_time is not None
         K[0] = _rhs_raw(model, graph, y)
-        h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** (-1.0 / order), 0.2), 5.0), h_cap)
+        h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** -0.2, 0.2), 5.0), h_cap)
         if switch_time is None and eq is not None and t < t_end - t_tiny:
             stiff = stiff + 1 if (
                 h_try * eq.lam[-1] >= _TAIL_STIFF

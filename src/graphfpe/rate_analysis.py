@@ -361,12 +361,13 @@ def rate_constants(
     )
 
 
-def verify_decay_bound(times, energies, report: RateReport, f_inf: float) -> DecayCheck:
-    """Check F(rho(t)) - F_inf <= e^{-Ct} (F(rho0) - F_inf) at every recorded time.
+def verify_decay_bound(times, energies, report: RateReport) -> DecayCheck:
+    """Check F(rho(t)) - F_inf <= e^{-Ct} (F(rho0) - F_inf) at every recorded time, with F_inf = ``report.f_inf``.
 
     ``times`` and ``energies`` are arrays of the recorded samples, for
     instance a :class:`Trajectory`'s ``times`` and ``energy``.
     """
+    f_inf = report.f_inf
     gaps = energies - f_inf
     bounds = np.exp(-report.C * times) * report.delta_F
     worst = -math.inf

@@ -209,7 +209,7 @@ def test_criterion_5_theorem4_bound():
     runs = get_runs()
     for run in runs:
         report = rate_constants(run.model, run.graph, run.rho0)
-        check = verify_decay_bound(run.times, run.energies, report, report.f_inf)
+        check = verify_decay_bound(run.times, run.energies, report)
         assert check.holds, f"decay bound violated by {check.max_violation:.3e}"
 
     oracle = _canonical_constants_oracle()

@@ -8,6 +8,8 @@ from graphfpe import (
     Density,
     EnergyModel,
     StepSizeUnderflow,
+    asymptotic_rate,
+    build_graph,
     dissipation,
     energy,
     energy_gradient,
@@ -29,7 +31,7 @@ from graphfpe.fpe_dynamics import (
     _UPDATE,
     _dissipation_raw,
     _equilibrium_tail,
-    _phi12,
+    _phi,
     _rhs_raw,
 )
 from graphfpe.free_energy import _energy_raw
@@ -347,7 +349,7 @@ def test_equilibrium_jacobian_matches_central_differences():
 
 def test_phi_functions_match_their_closed_forms_on_both_branches():
     z = np.array([0.0, -1e-12, -0.5, -0.999999, -1.000001, -3.0, -40.0, -1e6])
-    phi1, phi2 = _phi12(z)
+    _, phi1, phi2, _ = _phi(z)
     assert phi1[0] == 1.0 and phi2[0] == 0.5
     for k, zk in enumerate(z[1:], start=1):
         exact1 = math.expm1(zk) / zk
@@ -359,9 +361,9 @@ def test_phi_functions_match_their_closed_forms_on_both_branches():
 def test_phi_functions_are_within_a_few_ulp_of_mpmath_on_the_tail_range():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(15)
-    # log-uniform over [-1e3, -1e-16], plus a dense band about the branch point |z| = 1
+    # log-uniform over [-1e3, -1e-16], plus a dense band about |z| = 1
     z = -np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 1500), rng.uniform(0.9, 1.1, 500), [1.0, 1e3]])
-    phi1, phi2 = _phi12(z)
+    _, phi1, phi2, _ = _phi(z)
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for zk, p1, p2 in zip(z, phi1, phi2):
@@ -370,6 +372,24 @@ def test_phi_functions_are_within_a_few_ulp_of_mpmath_on_the_tail_range():
             exact1, exact2 = e / x, (e - x) / (x * x)
             assert abs(p1 - exact1) <= 4 * eps * exact1, zk
             assert abs(p2 - exact2) <= 4 * eps * exact2, zk
+
+
+def test_phi_3_and_the_exponential_are_within_4_ulp_of_mpmath_on_the_tail_range():
+    # (e^z - 1 - z - z^2/2)/z^3 cancels about 32 digits at |z| = 1e-16, so the reference needs more than 40
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(16)
+    # log-uniform over [-1e3, -1e-16], plus dense bands about |z| = 1 and the branch point |z| = 1.25
+    z = -np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 1500), rng.uniform(0.9, 1.4, 1000), [1.0, 1.25, 1e3]])
+    # one call on the stacked [z/4, z/2, z], as the tail makes it
+    stacked = np.multiply.outer((0.25, 0.5, 1.0), z)
+    exp, _, _, phi3 = _phi(stacked)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal  # e^z underflows below z = -745
+    with mpmath.workdps(60):
+        for zk, ek, p3 in zip(stacked.ravel(), exp.ravel(), phi3.ravel()):
+            x = mpmath.mpf(float(zk))
+            exact0, exact3 = mpmath.exp(x), (mpmath.expm1(x) - x - x * x / 2) / (x * x * x)
+            assert abs(ek - exact0) <= 4 * eps * exact0 + tiny, zk
+            assert abs(p3 - exact3) <= 4 * eps * exact3, zk
 
 
 def test_tail_setup_declines_what_it_cannot_build():
@@ -423,6 +443,69 @@ def test_tail_honours_max_step_and_lands_on_t_end():
     assert traj.exponential_steps > 0
     assert np.max(np.diff(traj.times)) <= 2.0
     assert traj.times[-1] == 60.0
+
+
+def _weak_interaction_model(rng, n):
+    """W = sym(N(0, 0.35^2))/sqrt(n) with lambda_min(W) >= -1/2, V ~ U(-1/2, 1/2), beta = 1: convex at every size."""
+    while True:
+        A = rng.normal(0.0, 0.35, (n, n)) / np.sqrt(n)
+        W = 0.5 * (A + A.T)
+        if np.linalg.eigvalsh(W)[0] >= -0.5:
+            return EnergyModel(W, rng.uniform(-0.5, 0.5, n), 1.0)
+
+
+def _rk4_steps(model, g, y, h, substep):
+    """Classical RK4 from each row of y over its own step h (a column), in equal substeps of at most ``substep``."""
+    count = int(np.ceil(np.max(h) / substep))
+    dt = h / count
+    for _ in range(count):
+        k1 = _rhs_raw(model, g, y)
+        k2 = _rhs_raw(model, g, y + 0.5 * dt * k1)
+        k3 = _rhs_raw(model, g, y + 0.5 * dt * k2)
+        k4 = _rhs_raw(model, g, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("seed, n", [(1, 10), (2, 24), (3, 50)])
+def test_step_doubling_tracks_the_true_local_error_of_the_first_tail_steps(seed, n):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    model = _weak_interaction_model(rng, n)
+    rho0 = interior_density(rng, n)
+    traj = integrate(model, g, rho0, 200.0, record_every=1)
+    assert traj.switch_time is not None and traj.exponential_steps >= 5
+    first = int(np.searchsorted(traj.times, traj.switch_time))
+    ys = np.array([d.values for d in traj.densities[first : first + 6]])
+    y, h = ys[:-1], np.diff(traj.times[first : first + 6])[:, None]
+    tail = _equilibrium_tail(model, g, rho0)
+    # the reference: RK4 in substeps of 0.05/lambda_max from each accepted state over its step
+    reference = _rk4_steps(model, g, y, h, 0.05 / tail.lam[-1])
+    scale = 1e-11 + 1e-8 * np.abs(y)  # the scaled norm of integrate at its default tolerances
+    true = np.max(np.abs(ys[1:] - reference) / scale, axis=1)
+    floor = max(invariant_region(model, g, rho0).m / 2.0, 1e-14)
+    estimate = np.array(
+        [np.max(np.abs(tail.step(yk, _rhs_raw(model, g, yk), hk, floor)[1]) / sk) for yk, hk, sk in zip(y, h[:, 0], scale)]
+    )
+    assert np.all(true <= 1.0), true
+    big = true > 0.01
+    assert np.all((estimate[big] >= true[big] / 8.0) & (estimate[big] <= 8.0 * true[big])), (true, estimate)
+
+
+def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
+    # a 24-node ring as the benchmark's flow builds it, with its t_end: within 1e-6 of Gibbs by the asymptotic rate;
+    # RKF45 up to an order-2 tail switched on at a 1e-3 linear residual took 210 attempted steps here
+    rng = np.random.default_rng(0)
+    n = 24
+    g = build_graph(n, [(i + 1, (i + 1) % n + 1, float(rng.uniform(0.75, 1.25))) for i in range(n)])
+    model = _weak_interaction_model(rng, n)
+    rho0 = Density(0.5 / n + 0.5 * rng.dirichlet(np.ones(n)))
+    rho_inf = gibbs_fixed_point(model, rho0).density
+    gap = float(np.max(np.abs(rho0.values - rho_inf.values)))
+    t_end = 1.2 * math.log(gap / 1e-6) / asymptotic_rate(model, g, rho_inf)
+    traj = integrate(model, g, rho0, t_end)
+    assert traj.accepted_steps + traj.rejected_steps <= 130
+    assert np.max(np.abs(traj.final_density.values - rho_inf.values)) <= 1e-6
 
 
 def _budget_stop(monkeypatch, record_every):

@@ -169,19 +169,19 @@ def test_rate_constants_at_equilibrium_start():
 def test_verify_decay_bound_holds_and_inflated_fails():
     rep = canonical_report()
     traj = integrate(bare_model(2), path2(), Density([0.9, 0.1]), 8.0, record_every=1)
-    check = verify_decay_bound(traj.times, traj.energy, rep, rep.f_inf)
+    check = verify_decay_bound(traj.times, traj.energy, rep)
     assert check.holds
     assert check.max_violation <= 1e-9
 
     inflated = dataclasses.replace(rep, C=rep.C * 1e9)
-    assert not verify_decay_bound(traj.times, traj.energy, inflated, rep.f_inf).holds
+    assert not verify_decay_bound(traj.times, traj.energy, inflated).holds
 
 
 def test_verify_decay_bound_constant_trajectory():
     model = bare_model(2)
     rep = rate_constants(model, path2(), UNIFORM2)
     traj = integrate(model, path2(), UNIFORM2, 1.0, record_every=1)
-    check = verify_decay_bound(traj.times, traj.energy, rep, rep.f_inf)
+    check = verify_decay_bound(traj.times, traj.energy, rep)
     assert check.holds
 
 
