@@ -634,7 +634,7 @@ def cmd_decompose(run: _Run) -> int:
             "gradient_field": edge_list(grad.edge_values),
             "rotational_field": edge_list(u.edge_values),
             "div_residual_max": float(np.max(np.abs(residual.values))),
-            "u_inf_norm": float(np.max(np.abs(u.edge_values))) if graph.edge_count else 0.0,
+            "u_inf_norm": float(np.max(np.abs(u.edge_values))),
             "inner_products": {
                 "total": total,
                 "gradient": inner_product(grad, grad, rho),

@@ -12,10 +12,9 @@ fourth-order exponential ETDRK4 steps (Cox & Matthews, J. Comput. Phys.
 2002) whose linear part is the equilibrium Jacobian
 J = -L(rho_inf) Hess F(rho_inf), taken in the modal coordinates of one
 eigendecomposition per run; their error is estimated by step doubling.
-Both methods reject a step on any of four
-guards: a positivity floor derived from the invariant region (at each stage
-and at the new state), scaled local error, the mass budget and, for gradient
-flows, monotonicity of the free energy.
+Both methods reject a step on any of four guards: a positivity floor derived
+from the invariant region (at each stage and at the new state), scaled local
+error, the mass budget and, for gradient flows, monotonicity of the free energy.
 """
 
 from __future__ import annotations

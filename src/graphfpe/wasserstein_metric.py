@@ -8,15 +8,12 @@ term d^T L^+(m) d is a partial minimum of a jointly convex perspective
 function and theta is linear in m, so the action is convex in the interior
 points. Its Hessian couples only neighbouring points: it is block
 tridiagonal, and each step solves it on the zero-sum tangent plane by block
-Cholesky. The action, its gradient and its Hessian blocks at a path all
-come from one stacked solve of L(mid_k)^+ over the K midpoints, and the
-line search keeps that solve for the step it accepts, so each path the
-method visits is eliminated once. A backtracking line search enforces both
-Armijo decrease and strict interiority; where a pivot block is not
-positive definite, or the Newton step is no descent direction, that
-iteration steps along -grad. A minimizer on the simplex boundary is out of
-reach: the tangent gradient does not vanish there, and the result reports
-``converged`` False.
+Cholesky. Each path the method visits is eliminated once (:func:`_path_terms`).
+A backtracking line search enforces both Armijo decrease and strict
+interiority; where a pivot block is not positive definite, or the Newton
+step is no descent direction, that iteration steps along -grad. A minimizer
+on the simplex boundary is out of reach: the tangent gradient does not
+vanish there, and the result reports ``converged`` False.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .graph_core import Graph, incidence_matrix
+from .graph_core import Graph, _edge_assembly, _edge_diff, _scatter
 from .simplex_calculus import Density, _require, laplacian_solve
 
 __all__ = [
@@ -100,9 +97,7 @@ def _path_terms(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarray, np
     One stacked :func:`laplacian_solve` over the K midpoints with the rows
     of I - 11^T/n as right-hand sides, centred, so row j of X_k is L^+ e_j;
     it raises :class:`BoundaryDensity` when a midpoint's L degenerates. The
-    gradient (:func:`_tangent_grad`) reads w and the Hessian blocks
-    (:func:`_hessian_blocks`) read w and X, so one elimination per path
-    serves all three.
+    gradient and the Hessian blocks read w and X: one elimination per path.
     """
     K, n = points.shape[0] - 1, points.shape[1]
     mids = 0.5 * (points[:-1] + points[1:])
@@ -116,15 +111,15 @@ def _path_terms(graph: Graph, points: np.ndarray) -> tuple[float, np.ndarray, np
 def _tangent_grad(graph: Graph, w: np.ndarray) -> np.ndarray:
     """Gradient of the action w.r.t. the interior points, tangent-projected, from :func:`_path_terms`' w.
 
-    Per segment k, with d = rho_{k+1} - rho_k, w = L^+(mid) d and y = D w:
-    the d-dependence contributes +-(2/dt) w to the adjacent points, and the
-    midpoint dependence contributes -(1/(4 dt)) * s where s_m sums y_e^2
-    over the edges incident to node m (theta is the average, so dL/d mid_m
-    is half the sum of outer products d_e d_e^T over incident edges).
+    Per segment k, with d = rho_{k+1} - rho_k and w = L^+(mid) d: the
+    d-dependence contributes +-(2/dt) w to the adjacent points, and the
+    midpoint dependence -(1/(4 dt)) s, s scattering omega_e (w_i - w_j)^2 to both
+    ends of each edge e = (i, j) of weight omega_e (dL/d mid_m is half the edge terms of L at m).
     """
     K = w.shape[0]
-    D = incidence_matrix(graph)
-    s = ((w @ D.T) ** 2) @ (D != 0.0)
+    d = _edge_diff(graph, w)
+    y2 = graph.weights * d * d  # (omega d) d: unlike d^2, no intermediate exceeds the result
+    s = _scatter(graph.edge_ends.ravel(), np.concatenate((y2, y2), axis=-1), graph.node_count)
     grad = (2.0 * K) * (w[:-1] - w[1:]) - (0.25 * K) * (s[:-1] + s[1:])
     return grad - grad.mean(axis=1, keepdims=True)  # project onto the zero-sum tangent plane
 
@@ -132,17 +127,16 @@ def _tangent_grad(graph: Graph, w: np.ndarray) -> np.ndarray:
 def _hessian_blocks(graph: Graph, w: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (K-1, n, n) and upper off-diagonal (K-2, n, n) Hessian blocks of the action in the interior points.
 
-    Per segment, f(d, m) = d^T X d with X = L(m)^+, w = X d, y = D w and
-    M = D^T diag(y) P, P = (D != 0) / 2, whose column i is (dL/dm_i) w.
+    Per segment, f(d, m) = d^T X d with X = L(m)^+, w = X d and
+    M = sum_e (omega_e (w_i - w_j) / 2)(e_i - e_j)(e_i + e_j)^T over the
+    edges e = (i, j) of weight omega_e, whose column m is (dL/dm_m) w.
     Then f_dd = 2X, f_dm = -2XM and f_mm = 2 M^T X M. Through d = rho_{k+1}
     - rho_k and m = (rho_k + rho_{k+1}) / 2 the segment adds, times K,
     2X + G + G^T + S/2 at rho_k, 2X - G - G^T + S/2 at rho_{k+1} and
     -2X + G - G^T + S/2 at (rho_k, rho_{k+1}), with G = XM and S = M^T G.
-    w and X are :func:`_path_terms`' own.
     """
     K = w.shape[0]
-    D = incidence_matrix(graph)
-    M = D.T @ ((w @ D.T)[:, :, None] * (0.5 * (D != 0.0)))
+    M = _edge_assembly(graph, 0.5 * graph.weights * _edge_diff(graph, w), head=1)
     G = X @ M
     GT = G.transpose(0, 2, 1)
     base = 2.0 * X + 0.5 * (GT @ M)

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphfpe import cli, errors, fpe_dynamics, rate_analysis, simplex_calculus, wasserstein_metric
+from graphfpe import cli, errors, fpe_dynamics, graph_core, rate_analysis, simplex_calculus, wasserstein_metric
 from graphfpe.cli import ConfigError, _parser, _validate_config, _validator, main
 
 CANONICAL = {
@@ -728,6 +729,34 @@ def test_decompose_rejects_non_edge(tmp_path):
     config["decompose"] = {"rho": [0.9, 0.1], "field": [[2, 1, 1.0], [1, 2, 1.0]]}
     cfg = write_config(tmp_path, config)
     assert run("decompose", cfg, tmp_path / "out") == 2  # duplicate edge listed twice
+
+
+def test_every_command_runs_without_the_dense_incidence_matrix(tmp_path, monkeypatch):
+    # the library builds every operator from the edge list; D is only for callers
+    def refuse(graph):
+        raise AssertionError("the dense incidence matrix was built")
+
+    dense = graph_core.incidence_matrix
+    for name, module in list(sys.modules.items()):
+        if name == "graphfpe" or name.startswith("graphfpe."):
+            for attr, value in list(vars(module).items()):
+                if value is dense:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert graph_core.incidence_matrix is refuse
+    config = {
+        "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 2.0], [1, 3, 0.5]]},
+        "model": {"beta": 1.0},
+        "gibbs": {"tol": 1e-12},
+        "simulate": {"rho0": [0.6, 0.3, 0.1], "t_end": 2.0, "record_every": 5},
+        "rates": {"rho0": [0.6, 0.3, 0.1]},
+        "lsi": {"count": 50},
+        "w2": {"rho0": [0.5, 0.3, 0.2], "rho1": [0.2, 0.3, 0.5], "K": 8},
+        "decompose": {"rho": [0.5, 0.3, 0.2], "field": [[1, 2, 1.0], [2, 3, -0.5], [1, 3, 0.25]]},
+        "seed": 11,
+    }
+    cfg = write_config(tmp_path, config)
+    for cmd in ALL_COMMANDS:
+        assert run(cmd, cfg, tmp_path / cmd) == 0, cmd
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):

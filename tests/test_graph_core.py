@@ -12,7 +12,17 @@ from graphfpe import (
     incidence_matrix,
     symmetric_eigen,
 )
-from helpers import k3, path2
+from graphfpe.simplex_calculus import (
+    Density,
+    Potential,
+    VectorField,
+    divergence,
+    edge_thetas,
+    graph_gradient,
+    laplacian_matrices,
+)
+from graphfpe.wasserstein_metric import _hessian_blocks, _tangent_grad
+from helpers import interior_density, k3, path2, random_connected_graph
 
 
 def test_build_smallest_graph():
@@ -60,6 +70,14 @@ def test_build_validation_errors():
         build_graph(1, [])
     with pytest.raises(ValueError):
         build_graph(2, [(1, 3, 1.0)])
+
+
+def test_edge_ends_are_read_only():
+    g = k3()
+    assert g.edge_ends.dtype.kind == "i"
+    with pytest.raises(ValueError):
+        g.edge_ends[1, 0] = 2
+    assert g.edge_ends.tolist() == [[0, 0, 1], [1, 2, 2]]
 
 
 def test_incidence_single_edge():
@@ -218,3 +236,70 @@ def test_eigen_stack_symmetry_checked_per_matrix():
         symmetric_eigen(np.stack([big, small]))
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((2, 3)))
+
+
+def dense_tangent_grad(D, w, sign):
+    """The parent formula of the W2 gradient from a dense D; sign +1 on |D|, |w| gives the sum of |terms|."""
+    K = w.shape[0]
+    s = ((w @ D.T) ** 2) @ (D != 0.0)
+    grad = (2.0 * K) * (w[:-1] + sign * w[1:]) + sign * (0.25 * K) * (s[:-1] + s[1:])
+    return grad + sign * grad.mean(axis=1, keepdims=True)
+
+
+def dense_hessian_blocks(D, w, X, sign):
+    """The W2 Hessian blocks from M = D^T diag(D w) (D != 0) / 2; sign +1 on |D|, |w|, |X| gives the sum of |terms|."""
+    K = w.shape[0]
+    M = D.T @ ((w @ D.T)[:, :, None] * (0.5 * (D != 0.0)))
+    G = X @ M
+    GT = G.transpose(0, 2, 1)
+    base = 2.0 * X + 0.5 * (GT @ M)
+    diag = K * ((base[:-1] + sign * (G[:-1] + GT[:-1])) + (base[1:] + G[1:] + GT[1:]))
+    off = K * (G[1:-1] + sign * GT[1:-1] + sign * 4.0 * X[1:-1] + base[1:-1])
+    return diag, off
+
+
+def wide_weight_cases(seed, count):
+    """Random graphs with weights log-uniform in 1e-150..1e150, then weights of 1e-155 under potentials of 2e154."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        edges = [(i + 1, j + 1, 10.0 ** rng.uniform(-150.0, 150.0)) for i, j, _ in random_connected_graph(rng, n).edges]
+        yield rng, build_graph(n, edges), rng.standard_normal((int(rng.integers(2, 6)), n))
+    # w(w_i - w_j)^2 overflows here if the difference is squared first
+    yield rng, build_graph(3, [(1, 2, 1e-155), (2, 3, 1e-155)]), np.array([[2e154, -2e154, 2e154]] * 3)
+
+
+def test_edge_kernels_match_the_dense_incidence_form():
+    # every operator is an edge-list kernel; each agrees with its dense D^T/D form
+    # to 1e-12 of the sum of |terms| of that form
+    for rng, g, w in wide_weight_cases(17, 40):
+        n, K = g.node_count, w.shape[0]
+        D = incidence_matrix(g)
+        A = np.abs(D)
+        rho = interior_density(rng, n)
+        theta = edge_thetas(g, rho)
+        phi = rng.standard_normal(n)
+        v = rng.standard_normal(g.edge_count)
+
+        grad = graph_gradient(g, Potential(phi)).edge_values
+        assert np.all(np.abs(grad - D @ phi) <= 1e-12 * (A @ np.abs(phi)))
+        div = divergence(g, rho, VectorField(g, v)).values
+        assert np.all(np.abs(div + D.T @ (theta * v)) <= 1e-12 * (A.T @ np.abs(theta * v)))
+
+        rows = np.stack([interior_density(rng, n).values for _ in range(3)])
+        thetas = np.stack([edge_thetas(g, Density(r)) for r in rows])
+        L = laplacian_matrices(g, rows)
+        assert np.all(np.abs(L - D.T @ (thetas[:, :, None] * D)) <= 1e-12 * (A.T @ (thetas[:, :, None] * A)))
+        assert np.all(np.abs(graph_laplacian(g) - D.T @ D) <= 1e-12 * (A.T @ A))
+
+        tgrad = _tangent_grad(g, w)
+        assert np.all(np.isfinite(tgrad))
+        assert np.all(np.abs(tgrad - dense_tangent_grad(D, w, -1.0)) <= 1e-12 * dense_tangent_grad(A, np.abs(w), 1.0))
+        if K > 2:
+            X = rng.standard_normal((K, n, n))
+            diag, off = _hessian_blocks(g, w, X)
+            for got, want, bound in zip(
+                (diag, off), dense_hessian_blocks(D, w, X, -1.0), dense_hessian_blocks(A, np.abs(w), np.abs(X), 1.0)
+            ):
+                assert np.all(np.isfinite(got))
+                assert np.all(np.abs(got - want) <= 1e-12 * bound)
