@@ -382,6 +382,7 @@ def _gibbs_payload(result, model) -> dict:
         "density": result.density.values,
         "K": result.normalizer,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
         "residual": result.residual,
         "damping": result.damping,
         "energy": energy(model, result.density),
@@ -505,6 +506,9 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
                     "density": res.density.values,
                     "energy": energy(run.model, res.density),
                     "residual": res.residual,
+                    "iterations": res.iterations,
+                    "newton_steps": res.newton_steps,
+                    "damping": res.damping,
                     "lambda_asymptotic": lam,
                     "hessian_positive": positive,
                     "lambda_fisher": lam_fisher,

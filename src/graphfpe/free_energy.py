@@ -88,6 +88,7 @@ class GibbsResult:
     ``damping`` is the factor a of the last update rho <- (1-a) rho + a G(rho)
     (of the first one when the start has converged): 1.0 on the undamped path,
     the ``damping`` argument times 2^-k after k halvings otherwise.
+    ``newton_steps`` counts the Newton steps kept among the ``iterations``.
     """
 
     density: Density
@@ -95,6 +96,7 @@ class GibbsResult:
     iterations: int
     residual: float
     damping: float
+    newton_steps: int
 
 
 @dataclass(frozen=True)
@@ -162,18 +164,31 @@ def convexity_certificate(model: EnergyModel) -> ConvexityCertificate:
     return ConvexityCertificate(certified_convex=bound > 0, lambda_min_bound=bound)
 
 
-def _gibbs_map(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmin map G(rho)_i = exp(-((W rho)_i + V_i)/beta) / K and the normalizer K.
+def _softmin(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G(rho)_i = exp(-((W rho)_i + V_i)/beta) / K at each row, (..., n), with the shift and sum that give K.
 
-    u = W rho + V is shifted by its minimum before the division by beta, so a
-    tiny beta sends the other exponents to -inf, not to inf - inf. K may
-    overflow to inf or underflow to 0; G is non-finite only if u is.
+    u = W rho + V is shifted by its minimum ``low`` before the division by
+    beta, so a tiny beta sends the other exponents to -inf, not to
+    inf - inf; G is non-finite only if u is. Returns G, ``low`` and the sum
+    ``total`` of the shifted exponentials, K = exp(-low/beta) total, both of
+    shape (..., 1). Row-wise only: a stacked call gives each row the bits of
+    a one-row call.
     """
-    u = model.interaction @ v + model.potential
-    low = float(u.min())
-    g = np.exp(-(u - low) / model.beta)
-    total = float(g.sum())
-    return g / total, float(np.exp(-low / model.beta) * total)
+    u = (model.interaction @ v[..., None])[..., 0]
+    u += model.potential
+    low = np.minimum.reduce(u, axis=-1, keepdims=True)
+    u -= low
+    u /= -model.beta
+    g = np.exp(u, out=u)
+    total = np.add.reduce(g, axis=-1, keepdims=True)
+    g /= total
+    return g, low, total
+
+
+def _gibbs_map(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmin map G(rho) and its normalizer K at each row; K may overflow to inf or underflow to 0."""
+    g, low, total = _softmin(model, v)
+    return g, (np.exp(-low / model.beta) * total)[..., 0]
 
 
 def _undamped(model: EnergyModel) -> bool:
@@ -197,7 +212,113 @@ def _undamped(model: EnergyModel) -> bool:
     return lam is not None and bool(-2.0 * model.beta < lam[0] and lam[-1] < 2.0 * model.beta / 3.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the map overflows for extreme beta, W or V; see _gibbs_map
+# Newton polish of a row (Kelley 1995, ch. 5): a row whose residual is at most
+# _POLISH_RESIDUAL and whose last fixed-point update cut it by less than
+# 1/_POLISH_CUT tries a Newton step on r(v) = v - G(v), and keeps trying after
+# each step it keeps. A damped update (a <= 1/2) cuts the residual by at most
+# 2x on every mode with mu >= 0, so damped rows qualify; an undamped row
+# qualifies only where the map's slope |mu| exceeds 1/4, and there it needs 15
+# updates or more from 1e-3 to 1e-12 where Newton needs 2-3 steps. The
+# benchmark's contracting rows cut their residual about 100x per update and
+# keep their bits. 1e-3 keeps the polish local: by then the fixed-point map
+# has picked the row's basin, and Newton from the start changed a three-well
+# basin.
+_POLISH_RESIDUAL = 1e-3
+_POLISH_CUT = 0.25
+
+
+def _newton_trials(model: EnergyModel, v: np.ndarray, g: np.ndarray, residual: np.ndarray):
+    """Newton steps v + d, (I + C W / beta) d = G(v) - v with C = diag g - g g^T, from rows v with g = G(v).
+
+    1^T (I + C W / beta) = 1^T, so d is zero-sum. Returns the normalized
+    trial rows and a mask of those that are interior (so finite) and lower
+    in residual. One singular matrix fails a stacked solve, so that solve
+    falls back to one solve per row, and a singular row gets no step.
+    """
+    W = model.interaction
+    jac = g[..., :, None] * (W - g[..., None, :] @ W)  # C W = diag(g) W - g (g^T W)
+    jac /= model.beta
+    jac += np.eye(model.n)
+    rhs = (g - v)[..., None]
+    try:
+        d = np.linalg.solve(jac, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        d = np.full_like(v, np.nan)
+        for j in range(len(v)):
+            try:
+                d[j] = np.linalg.solve(jac[j : j + 1], rhs[j : j + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    trial = v + d
+    trial /= trial.sum(axis=-1, keepdims=True)
+    g_trial, _, _ = _softmin(model, trial)
+    lower = np.max(np.abs(trial - g_trial), axis=-1) < residual
+    return trial, np.all(trial > 0.0, axis=-1) & lower
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the map overflows for extreme beta, W or V
+def _gibbs_rows(model: EnergyModel, starts: np.ndarray, tol: float, max_iter: int, damping: float) -> list[GibbsResult]:
+    """Fixed-point solves from the rows of ``starts`` (k, n) in lockstep, one GibbsResult per row.
+
+    A row leaves the loop once its residual is at most tol, is NaN (a map
+    that is not finite) or ``max_iter`` is spent; its ``iterations`` is the
+    loop count then. Every row keeps its own damping, halvings and previous
+    residual, and only row-wise arithmetic touches it, so a stacked call
+    gives each row the bits of a one-row call.
+    """
+    if not (0 < damping <= 1):
+        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    undamped = _undamped(model)
+    v = starts.copy()
+    rows = np.arange(len(v))  # the start each live row came from
+    # per-row state: factors in (k, 1) columns, which broadcast against the rows of v, and the
+    # residuals at the current and the last iterate as Python floats, which the loop's gates read
+    alpha = np.full((len(v), 1), float(damping))
+    step = np.full((len(v), 1), 1.0 if undamped else float(damping))
+    stepped = np.zeros((len(v), 1), dtype=bool)  # the last update was a Newton step
+    newton = np.zeros(len(v), dtype=int)
+    prev = [np.inf] * len(v)
+    results: list[GibbsResult] = [None] * len(v)
+    for k in range(max_iter + 1):
+        g, low, total = _softmin(model, v)
+        residual = np.maximum.reduce(np.abs(v - g), axis=-1, keepdims=True)
+        current = residual[:, 0].tolist()
+        if k == max_iter or not all(r > tol for r in current):  # NaN fails the test too: keep the last finite iterate
+            stop = [k == max_iter or not r > tol for r in current]
+            for j in np.flatnonzero(stop):
+                normalizer = float(np.exp(-low[j, 0] / model.beta) * total[j, 0])
+                density = Density(v[j] / v[j].sum())
+                results[rows[j]] = GibbsResult(density, normalizer, k, current[j], float(step[j, 0]), int(newton[j]))
+            if all(stop):
+                break
+            live = np.logical_not(stop)
+            v, g, residual, rows, alpha, step, stepped, newton = (
+                a[live] for a in (v, g, residual, rows, alpha, step, stepped, newton)
+            )
+            current, prev = residual[:, 0].tolist(), [p for p, keep in zip(prev, live) if keep]
+        grew = [r > p for r, p in zip(current, prev)]
+        if any(grew):  # halve where the residual grew
+            np.maximum(0.5 * alpha, 2.0**-20, out=alpha, where=np.array(grew)[:, None])
+        step = np.where(np.minimum.reduce(g, axis=-1, keepdims=True) > 0.0, 1.0, alpha) if undamped else alpha
+        fixed = (1.0 - step) * v
+        fixed += step * g
+        fixed /= np.add.reduce(fixed, axis=-1, keepdims=True)
+        if min(current) <= _POLISH_RESIDUAL:  # a Newton step leaves the residual below, so stepped is reset here
+            crawls = stepped | (residual > _POLISH_CUT * np.array(prev)[:, None])
+            polish = np.flatnonzero((residual <= _POLISH_RESIDUAL) & crawls)
+            stepped = np.zeros_like(stepped)
+            if polish.size:
+                trial, keep = _newton_trials(model, v[polish], g[polish], residual[polish, 0])
+                fixed[polish[keep]] = trial[keep]
+                newton[polish[keep]] += 1
+                stepped[polish[keep]] = True
+        prev = current
+        v = fixed
+    return results
+
+
 def gibbs_fixed_point(
     model: EnergyModel,
     init: Density,
@@ -205,7 +326,7 @@ def gibbs_fixed_point(
     max_iter: int = 10_000,
     damping: float = 0.5,
 ) -> GibbsResult:
-    """Fixed-point iteration rho <- (1-a) rho + a G(rho) for the Gibbs state rho = G(rho).
+    """Fixed-point iteration rho <- (1-a) rho + a G(rho) for the Gibbs state rho = G(rho), finished by Newton steps.
 
     For a symmetric W with -2 beta < lambda(W) < 2 beta / 3, G contracts on
     the whole simplex and every mode converges at least as fast undamped as
@@ -215,37 +336,22 @@ def gibbs_fixed_point(
     halves whenever the residual grows, down to 2^-20; that keeps strongly
     attractive interactions from oscillating. An update whose G(rho) has an
     entry that underflows to 0 takes the damped a on both paths, so no
-    iterate lands on the boundary. Raises :class:`NoConvergence` with the
-    last iterate attached if ``max_iter`` is exhausted or the map is not
-    finite.
+    iterate lands on the boundary.
+
+    Where the map crawls (residual at most 1e-3, cut by less than 4x in the
+    last fixed-point update) an iteration tries a Newton step on
+    rho - G(rho) instead and keeps it only if it stays interior and lowers
+    the residual; each step kept counts as an iteration and in
+    ``newton_steps``, and leaves ``damping`` at the factor of the last
+    fixed-point update. Raises :class:`NoConvergence` with the last iterate
+    attached if ``max_iter`` is exhausted or the map is not finite.
     """
     _require(model.n, interior=("init",), init=init)
-    if not (0 < damping <= 1):
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
-    undamped = _undamped(model)
-    v = init.values.copy()
-    alpha = damping
-    step = 1.0 if undamped else alpha
-    prev_residual = np.inf
-    for k in range(max_iter + 1):
-        g, normalizer = _gibbs_map(model, v)
-        residual = float(np.max(np.abs(v - g)))
-        if not residual > tol:  # converged, or NaN where W rho + V overflows: keep the last finite iterate
-            break
-        if residual > prev_residual:
-            alpha = max(0.5 * alpha, 2.0**-20)
-        prev_residual = residual
-        step = 1.0 if undamped and g.min() > 0.0 else alpha
-        v = (1.0 - step) * v + step * g
-        v /= v.sum()
-    result = GibbsResult(Density(v / v.sum()), normalizer=normalizer, iterations=k, residual=residual, damping=step)
-    if residual <= tol:
+    (result,) = _gibbs_rows(model, init.values[None, :], tol, max_iter, damping)
+    if result.residual <= tol:
         return result
     raise NoConvergence(
-        f"Gibbs iteration residual {residual:.3e} > tol {tol:.3e} after {k} iterations",
+        f"Gibbs iteration residual {result.residual:.3e} > tol {tol:.3e} after {result.iterations} iterations",
         result=result,
     )
 
@@ -257,28 +363,30 @@ def find_all_equilibria(
     max_iter: int = 10_000,
     damping: float = 0.5,
 ) -> list[GibbsResult]:
-    """Run the fixed-point solver from every start and deduplicate.
+    """Solve from every start in one lockstep run of :func:`gibbs_fixed_point`'s iteration and deduplicate.
 
-    Results closer than 10*tol in the max norm are merged; the survivors are
-    sorted by free energy (ties broken lexicographically by density). Starts
-    that fail to converge are skipped and counted in a warning.
+    Each start's result has the bits of a :func:`gibbs_fixed_point` call
+    from it. Results closer than 10*tol in the max norm are merged; the
+    survivors are sorted by free energy (ties broken lexicographically by
+    density). Starts that fail to converge are skipped and counted in a
+    warning.
     """
     starts = list(starts)
-    candidates: list[GibbsResult] = []
-    for rho0 in starts:
-        try:
-            candidates.append(
-                gibbs_fixed_point(model, rho0, tol=tol, max_iter=max_iter, damping=damping)
-            )
-        except NoConvergence:
-            pass
+    for i, rho0 in enumerate(starts):
+        _require(model.n, interior=(f"starts[{i}]",), **{f"starts[{i}]": rho0})
+    values = np.array([rho0.values for rho0 in starts]).reshape(len(starts), model.n)
+    results = _gibbs_rows(model, values, tol, max_iter, damping) if starts else []
+    candidates = [r for r in results if r.residual <= tol]
     failed = len(starts) - len(candidates)
     if failed:
         logger.warning("%d of %d equilibrium starts did not converge", failed, len(starts))
+    if not candidates:
+        return []
 
-    candidates.sort(key=lambda r: (energy(model, r.density), tuple(r.density.values)))
+    energies = _energy_raw(model, np.array([r.density.values for r in candidates]))
+    order = sorted(range(len(candidates)), key=lambda i: (energies[i], tuple(candidates[i].density.values)))
     kept: list[GibbsResult] = []
-    for cand in candidates:
+    for cand in (candidates[i] for i in order):
         if all(
             float(np.max(np.abs(cand.density.values - k.density.values))) > 10.0 * tol
             for k in kept

@@ -66,3 +66,32 @@ def random_convex_model(rng: np.random.Generator, n: int, beta: float = 1.0) -> 
 
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def three_well_recipe():
+    """A 12-node path plus random chords up to 18 edges, and a model with three wells on it.
+
+    Edge weights are U(0.5, 1.5); W is -3u, u ~ U(4, 5), on each diagonal
+    4 x 4 block, V ~ U(-1, 1) and beta = 0.25, all drawn from default_rng(7).
+    """
+    rng = np.random.default_rng(7)
+    n = 12
+    edges = {(i, i + 1): float(rng.uniform(0.5, 1.5)) for i in range(n - 1)}
+    while len(edges) < 18:
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.setdefault((i, j), float(rng.uniform(0.5, 1.5)))
+    graph = build_graph(n, [(i + 1, j + 1, w) for (i, j), w in edges.items()])
+    W = np.zeros((n, n))
+    for b in range(0, n, 4):
+        W[b : b + 4, b : b + 4] = -3.0 * rng.uniform(4.0, 5.0)
+    return graph, EnergyModel(W, rng.uniform(-1.0, 1.0, n), 0.25)
+
+
+def corner_starts(n):
+    """The uniform density and one start per node with 0.9 on that node."""
+    starts = [Density(np.full(n, 1.0 / n))]
+    for i in range(n):
+        x = np.full(n, 0.1 / (n - 1))
+        x[i] = 0.9
+        starts.append(Density(x / x.sum()))
+    return starts

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphfpe import Density, EnergyModel, find_all_equilibria
 from graphfpe import cli, errors, fpe_dynamics, graph_core, rate_analysis, simplex_calculus, wasserstein_metric
 from graphfpe.cli import ConfigError, _parser, _validate_config, _validator, main
 
@@ -87,6 +88,26 @@ def test_gibbs_json_reports_the_damping_of_the_last_update(tmp_path):
     for entry in [payload, *payload["equilibria"]]:
         halvings = math.log2(0.75 / entry["damping"])
         assert halvings == int(halvings) and 0 <= halvings <= 20
+
+
+def test_gibbs_and_rates_json_report_the_newton_steps_of_each_solve(tmp_path):
+    starts = [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}
+    config["gibbs"] = {"starts": starts}
+    config["rates"] = {"rho0": [0.9, 0.1], "starts": starts}
+    cfg = write_config(tmp_path, config)
+    want = find_all_equilibria(EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0), [Density(s) for s in starts])
+    assert run("gibbs", cfg, tmp_path / "gibbs") == 0
+    gibbs = read_json(tmp_path / "gibbs" / "gibbs.json")
+    assert run("rates", cfg, tmp_path / "rates", "--equilibrium") == 0
+    rates = read_json(tmp_path / "rates" / "rates.json")["equilibria"]
+    assert gibbs["newton_steps"] == gibbs["equilibria"][0]["newton_steps"]
+    for result, entry, rate in zip(want, gibbs["equilibria"], rates, strict=True):
+        assert entry["density"] == rate["density"] == result.density.values.tolist()
+        for key in ("iterations", "newton_steps", "damping"):
+            assert entry[key] == rate[key] == getattr(result, key)
+    assert any(entry["newton_steps"] > 0 for entry in rates)
 
 
 def test_malformed_config_exits_2_and_names_key(tmp_path, capsys):

@@ -20,8 +20,8 @@ from graphfpe import (
     find_all_equilibria,
     gibbs_fixed_point,
 )
-from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map, _undamped
-from helpers import bare_model, interior_density, random_convex_model, rel_err
+from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map, _gibbs_rows, _undamped
+from helpers import bare_model, corner_starts, interior_density, random_convex_model, rel_err, three_well_recipe
 
 
 def test_energy_examples():
@@ -273,6 +273,18 @@ def damped_reference(model, init, tol=1e-12, max_iter=10_000, damping=0.5):
     return None, k, residual, alpha
 
 
+def damped_limit(model, init, **kwargs):
+    """The damped reference's limit, run to tol 1e-14.
+
+    Stopped at tol 1e-12 it sits up to tol / (1 - slope of G) from the fixed
+    point (1.4e-12 on -3 I), so a Newton-polished result is compared with
+    the limit, not with that stopping point.
+    """
+    want, *_ = damped_reference(model, init, tol=1e-14, **kwargs)
+    assert want is not None
+    return want
+
+
 def well_model(n=16, wells=4, seed=5):
     """Benchmark-shaped 4-well model: W = -6 U(0.9, 1.1) on each diagonal block, so ||W||_2 is about 25."""
     rng = np.random.default_rng(seed)
@@ -310,18 +322,20 @@ def test_gibbs_on_contracting_models_meets_the_damped_reference_in_no_more_itera
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, polished",
     [
-        well_model(),
-        EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0),
-        EnergyModel(np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.1], [0.2, 0.0, 0.0]]), np.zeros(3), 1.0),
+        (well_model(), True),
+        (EnergyModel(-3.0 * np.eye(2), np.zeros(2), 1.0), True),
+        (EnergyModel(np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.1], [0.2, 0.0, 0.0]]), np.zeros(3), 1.0), True),
         # repulsive, ||W||_2 = 1.99 beta: the map's slope at the uniform state is -0.995,
         # where damping by 1/2 takes 6 iterations and the undamped update 5092
-        EnergyModel(0.995 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), 1.0),
+        (EnergyModel(0.995 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), 1.0), False),
     ],
     ids=["wells-16", "minus-3I", "nonsymmetric", "repulsive-1.99"],
 )
-def test_gibbs_outside_the_undamped_range_keeps_the_damped_loop_bit_for_bit(model):
+def test_gibbs_outside_the_undamped_range_keeps_the_damped_loop_bit_for_bit(model, polished):
+    # the damped loop's bits hold where the Newton polish never engages (repulsive-1.99 cuts its
+    # residual more than 4x per update); elsewhere the polish meets the damped loop's limit
     assert not _undamped(model)
     n = model.n
     x = np.full(n, 0.1 / (n - 1))
@@ -329,8 +343,13 @@ def test_gibbs_outside_the_undamped_range_keeps_the_damped_loop_bit_for_bit(mode
     init = Density(x / x.sum())
     result = gibbs_fixed_point(model, init)
     want, iterations, residual, alpha = damped_reference(model, init)
-    assert np.array_equal(result.density.values, want)
-    assert (result.iterations, result.residual, result.damping) == (iterations, residual, alpha)
+    assert (result.newton_steps > 0) == polished
+    if polished:
+        assert np.max(np.abs(result.density.values - damped_limit(model, init))) <= 1e-12
+        assert result.residual <= 1e-12 and result.iterations <= iterations and result.damping == alpha
+    else:
+        assert np.array_equal(result.density.values, want)
+        assert (result.iterations, result.residual, result.damping) == (iterations, residual, alpha)
 
 
 def test_gibbs_without_a_spectrum_keeps_the_damped_loop():
@@ -339,9 +358,10 @@ def test_gibbs_without_a_spectrum_keeps_the_damped_loop():
     with patch.object(np.linalg, "eigvalsh", side_effect=np.linalg.LinAlgError("no convergence")):
         assert not _undamped(model)
         result = gibbs_fixed_point(model, init)
-    want, iterations, residual, _ = damped_reference(model, init)
-    assert np.array_equal(result.density.values, want) and result.damping == 0.5
-    assert (result.iterations, result.residual) == (iterations, residual)
+    _, iterations, residual, alpha = damped_reference(model, init)
+    assert np.max(np.abs(result.density.values - damped_limit(model, init))) <= 1e-12
+    assert result.damping == alpha == 0.5
+    assert result.residual <= 1e-12 and result.iterations <= iterations
     assert _undamped(model) and gibbs_fixed_point(model, init).iterations < iterations
 
 
@@ -379,3 +399,119 @@ def test_convexity_certificate_reads_the_one_cached_spectrum():
     assert cert.lambda_min_bound == float(np.linalg.eigvalsh(W)[0]) + model.beta
     assert not model.interaction_spectrum.flags.writeable
     assert EnergyModel(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0).interaction_spectrum is None
+
+
+@st.composite
+def multistart_case(draw):
+    """A contracting, attractive or non-symmetric model on 2-6 nodes and 1-8 interior starts."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["contracting", "attractive", "nonsymmetric"]))
+    beta = 10.0 ** draw(st.floats(-1.0, 1.0))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    if kind == "nonsymmetric":
+        W = 3.0 * beta * A
+    else:
+        W = 0.5 * (A + A.T)
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+        if kind == "contracting" and radius > 0.0:
+            W *= draw(st.floats(0.0, 1.99)) * beta / radius
+        if kind == "attractive":  # lambda_min(W) <= -2 beta: damped, often several equilibria
+            W = 0.3 * beta * W - draw(st.floats(2.5, 8.0)) * beta * np.eye(n)
+    V = beta * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    starts = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        starts.append(Density(m / m.sum()))
+    return EnergyModel(W, V, beta), starts
+
+
+def one_row(model, start, **solver):
+    try:
+        return gibbs_fixed_point(model, start, **solver)
+    except NoConvergence as exc:
+        return exc.result
+
+
+def same_result(a, b):
+    return np.array_equal(a.density.values, b.density.values) and (
+        a.normalizer, a.iterations, a.residual, a.damping, a.newton_steps
+    ) == (b.normalizer, b.iterations, b.residual, b.damping, b.newton_steps)
+
+
+@given(multistart_case())
+def test_multistart_rows_have_the_bits_of_one_row_calls(case):
+    model, starts = case
+    solver = {"tol": 1e-12, "max_iter": 500, "damping": 0.5}
+    singles = [one_row(model, start, **solver) for start in starts]
+    rows = _gibbs_rows(model, np.array([s.values for s in starts]), **solver)
+    assert all(same_result(row, single) for row, single in zip(rows, singles, strict=True))
+    for kept in find_all_equilibria(model, starts, **solver):
+        assert any(same_result(kept, single) for single in singles)
+
+
+def test_newton_polish_reaches_the_damped_limits_of_the_wells_in_at_most_200_iterations():
+    model = well_model()
+    starts = corner_starts(model.n)[1:]  # one 0.9 corner per node
+    results = [gibbs_fixed_point(model, start) for start in starts]
+    for start, result in zip(starts, results):
+        assert np.max(np.abs(result.density.values - damped_limit(model, start))) <= 1e-12
+        assert result.newton_steps >= 1 and result.residual <= 1e-12
+    assert sum(r.iterations for r in results) <= 200  # the damped loop takes 636
+    assert len(find_all_equilibria(model, starts)) == 4
+
+
+def test_newton_polish_reaches_the_damped_limits_of_the_three_wells():
+    _, model = three_well_recipe()
+    for start in corner_starts(model.n):
+        result = gibbs_fixed_point(model, start, tol=1e-13, max_iter=500_000)
+        assert np.max(np.abs(result.density.values - damped_limit(model, start))) <= 1e-12
+
+
+def test_newton_polish_finishes_the_undamped_crawl_near_minus_two_beta():
+    # the map's slope at the uniform Gibbs state is +0.995: the undamped loop alone takes 3897 iterations
+    model = EnergyModel(-0.995 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), 1.0)
+    assert _undamped(model)
+    result = gibbs_fixed_point(model, Density([0.9, 0.1]))
+    assert result.iterations <= 60 and result.newton_steps >= 1
+    assert result.damping == 1.0 and np.max(np.abs(result.density.values - 0.5)) <= 1e-12
+
+
+def test_fast_contracting_rows_keep_the_undamped_bits():
+    # the benchmark-shaped convex model cuts its residual about 100x per update, so it never polishes
+    rng = np.random.default_rng(401)
+    n = 100
+    A = rng.normal(0.0, 0.35, size=(n, n)) / np.sqrt(n)
+    model = EnergyModel(0.5 * (A + A.T), rng.uniform(-0.5, 0.5, n), 1.0)
+    init = Density(np.full(n, 1.0 / n))
+    result = gibbs_fixed_point(model, init, tol=1e-13)
+    want, iterations, residual, _ = damped_reference(model, init, tol=1e-13, damping=1.0)
+    assert result.newton_steps == 0 and np.array_equal(result.density.values, want)
+    assert (result.iterations, result.residual) == (iterations, residual)
+
+
+def test_a_singular_stacked_newton_solve_falls_back_to_one_solve_per_row():
+    model = well_model()
+    starts = corner_starts(model.n)[1:]  # one 0.9 corner per node
+    solve = np.linalg.solve
+
+    def one_matrix_at_a_time(a, b):
+        if a.ndim == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    with patch.object(np.linalg, "solve", side_effect=one_matrix_at_a_time) as solver:
+        rows = _gibbs_rows(model, np.array([s.values for s in starts]), 1e-12, 10_000, 0.5)
+    assert solver.call_count > 2
+    assert all(same_result(row, gibbs_fixed_point(model, s)) for row, s in zip(rows, starts))
+    assert all(row.newton_steps >= 1 for row in rows)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoConvergence,
+    reason="|W|/beta = 1e10: the residual floor (about eps |W| / beta) is far above tol and G flips to a corner, "
+    "so the residual stays near 0.75 and the Newton polish never engages",
+)
+def test_gibbs_converges_at_w_1e10_identity():
+    model = EnergyModel(1e10 * np.eye(4), np.zeros(4), 1.0)
+    gibbs_fixed_point(model, Density([0.4, 0.3, 0.2, 0.1]), tol=1e-13, max_iter=20_000)
