@@ -456,6 +456,7 @@ def cmd_simulate(run: _Run) -> int:
             "rejected_by": dict(traj.rejected_by),
             "exponential_steps": traj.exponential_steps,
             "switch_time": traj.switch_time,
+            "rhs_evaluations": traj.rhs_evaluations,
             "records": int(traj.times.size),
         },
     )

@@ -3,12 +3,13 @@
 The flow is d rho / dt = -L(rho) F(rho), written per node as
 sum_j w_ij theta_ij (F_j - F_i) with F the drift field of the energy model.
 One batched right-hand-side kernel, ``_rhs_raw``, evaluates it for
-``fpe_rhs`` and ``integrate``. Integration uses an explicit embedded
-Fehlberg 4(5) pair in array form (the six stages are rows of one array,
-each stage point and the update with its error estimate are matrix
-products with the tableau). For symmetric W the run switches, once the flow
-is linear to within 5e-2 and RKF45's step sits at its stability limit, to
-fourth-order exponential ETDRK4 steps (Cox & Matthews, J. Comput. Phys.
+``fpe_rhs`` and ``integrate``. Integration uses the explicit embedded
+Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+II.10) in array form: the twelve stages are rows of one array, and each
+stage point, and the update with its two error estimates, are matrix
+products with the tableau. For symmetric W the run switches, once the flow
+is linear to within 5e-2 and the explicit step has grown to h lambda_max >= 2,
+to fourth-order exponential ETDRK4 steps (Cox & Matthews, J. Comput. Phys.
 2002) whose linear part is the equilibrium Jacobian
 J = -L(rho_inf) Hess F(rho_inf), taken in the modal coordinates of one
 eigendecomposition per run; their error is estimated by step doubling.
@@ -40,25 +41,83 @@ __all__ = [
     "dissipation",
 ]
 
-# Fehlberg 4(5) tableau: six stages, 4th-order propagated solution with a
-# 5th-order companion for the local error estimate.
-_RK_C = (0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0)
+# Dormand-Prince 8(5,3) tableau (Hairer's dop853.f; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.10): twelve stages, an 8th-order propagated solution and
+# two error weight rows, E5 (a 5th-order estimate) and E3 (B less the
+# 3rd-order weights, which are nonzero only at stages 0, 8 and 11). The
+# error needs no stage at the new state.
+_RK_C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
 _RK_A = (
     (),
-    (1.0 / 4.0,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+        -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674, -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
 )
-_RK_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
-_RK_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
+_RK_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_RK_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_RK_B3 = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1,
+)
+_RK_E3 = tuple(b - b3 for b, b3 in zip(_RK_B, _RK_B3))
 
 # The same tableau as arrays: _STAGE_ROWS[s] weighs stages 0..s-1 into stage
-# s, and _UPDATE stacks the 4th-order weights over the error weights, so one
-# product with the stage array gives both.
+# s, and _UPDATE stacks the 8th-order weights over the two error rows, so one
+# product with the stage array gives the update and both error vectors.
 _STAGE_ROWS = tuple(np.array(row) for row in _RK_A)
-_UPDATE = np.array((_RK_B4, _RK_ERR))
+_UPDATE = np.array((_RK_B, _RK_E5, _RK_E3))
 
 # the rejection guards of integrate, in the order a step meets them
 _GUARDS = ("stage_floor", "step_floor", "error", "mass", "energy")
@@ -69,12 +128,18 @@ _MASS_DRIFT_BUDGET = 1e-13  # per accepted step, before renormalization
 # stays near the explicit stability limit, so a huge t_end would never end
 _STEP_BUDGET = 100_000
 
-# Switch to the exponential tail once _TAIL_STEPS accepted RKF45 steps in a
+# Switch to the exponential tail once _TAIL_STEPS accepted DOP853 steps in a
 # row find |f(y) - J (y - rho_inf)| <= _TAIL_LINEAR |f(y)| (the flow is
 # nearly linear; the fourth-order tail follows what remains of N(y) with
-# the error control) and h lambda_max(-J) >= _TAIL_STIFF (RKF45's real
-# stability boundary is about 3); one such step while h still grows is not
-# yet a limit.
+# the error control) and h lambda_max(-J) >= _TAIL_STIFF: the step has grown
+# to where the stiff modes, not the accuracy, will soon bound it. The real
+# stability boundary of DOP853, from R(z) = 1 + z b^T (I - zA)^-1 1, is
+# -6.39 (RKF45's 4th-order weights give -3.02), so 2 switches at a third of
+# it, while the step still grows. On the benchmark's seed-401 and 402 flows
+# a switch at 2, 3 or 4 spends the same right-hand-side rows within 3% and
+# the same time within noise; at 6, near the boundary, the explicit steps
+# that wait for the switch cost 14-22% more rows. A single step past the
+# constant while h still grows does not yet switch.
 _TAIL_LINEAR = 5e-2
 _TAIL_STIFF = 2.0
 _TAIL_STEPS = 2
@@ -101,6 +166,8 @@ class Trajectory:
     # time of the switch to them, None if the run never switched
     exponential_steps: int = 0
     switch_time: float | None = None
+    # right-hand-side rows evaluated by either method, rejected attempts included
+    rhs_evaluations: int = 0
 
     @property
     def final_density(self) -> Density:
@@ -194,7 +261,7 @@ def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return np.exp(z), phi1, phi2, phi3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Tail:
     """The exponential tail of one flow, on the equilibrium Jacobian J = -L(rho_inf) H, H = Hess F(rho_inf).
 
@@ -212,6 +279,12 @@ class _Tail:
     lam: np.ndarray
     P: np.ndarray
     Q: np.ndarray
+    rows: int = 0  # right-hand-side rows evaluated by its steps
+
+    def rhs(self, x: np.ndarray) -> np.ndarray:
+        """f at each row of x, counted in ``rows``."""
+        self.rows += x.size // x.shape[-1]
+        return _rhs_raw(self.model, self.graph, x)
 
     def jac(self, v: np.ndarray) -> np.ndarray:
         return self.P @ (-self.lam * (self.Q @ v))
@@ -237,7 +310,7 @@ class _Tail:
         y_mid = y + self.P @ half
         if not y_mid.min() >= floor:
             return None
-        f_mid = self.Q @ _rhs_raw(self.model, self.graph, y_mid)
+        f_mid = self.Q @ self.rhs(y_mid)
         second = self._etdrk4(y_mid, f_mid, 0.5 * h, phi1[0], phi1[1], phi2[1], phi3[1], floor)
         if second is None:
             return None
@@ -262,7 +335,7 @@ class _Tail:
             x = y + d @ self.P.T
             if not x.min() >= floor:  # NaN fails it too
                 return None
-            return _rhs_raw(self.model, self.graph, x) @ self.Q.T - f0 + self.lam * d
+            return self.rhs(x) @ self.Q.T - f0 + self.lam * d
 
         a = 0.5 * h * half1 * f0
         if (d_a := difference(a)) is None:
@@ -310,18 +383,21 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from rho0 over [0, t_end] with adaptive steps.
 
-    Each step evaluates the six Fehlberg stages into one (6, n) array through
-    the right-hand-side kernel: stage s starts from y + h (A[s, :s] @ K[:s]),
-    and one product of the stacked 4th-order and error weights with the
-    stage array gives the update and the local error estimate. For symmetric
+    Each step evaluates the twelve DOP853 stages into one (12, n) array
+    through the right-hand-side kernel: stage s starts from
+    y + h (A[s, :s] @ K[:s]), and one product of the stacked 8th-order and
+    two error weight rows with the stage array gives the update and the
+    error vectors E5 K and E3 K. Their scaled max norms e5 and e3 combine
+    into Hairer's estimate h e5^2 / sqrt(e5^2 + e3^2/100), and the next step
+    is sized for an O(h^8) error. For symmetric
     W, once two accepted steps in a row find the flow linear about rho_inf
     to within 5e-2 (|f(y) - J (y - rho_inf)| <= 5e-2 |f(y)|) and
     h lambda_max(-J) >= 2, the rest of the run takes Cox-Matthews ETDRK4
     steps on the equilibrium Jacobian J (see :class:`_Tail` and
     :meth:`_Tail.step`) in its modal coordinates. Their error is estimated by
     step doubling: two h/2 steps are propagated, and their difference from
-    one h step, over 15, is the error estimate; both methods size the next
-    step for an O(h^5) local error. Every stage point of either method, and
+    one h step, over 15, is the error estimate, and the next step is sized
+    for an O(h^5) local error. Every stage point of either method, and
     the tail's half-step state, meets the same guards. ``t_end``
     must be positive and finite. A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
@@ -331,8 +407,10 @@ def integrate(
     mass drifts by more than 1e-13, or, for symmetric interactions, if the
     free energy would increase by more than ``abs_tol``; a step whose scaled
     error exceeds 1 is retried with a smaller step. The trajectory counts
-    rejections per guard in ``rejected_by``, and the exponential steps and
-    switch time in ``exponential_steps`` and ``switch_time``. Accepted states
+    rejections per guard in ``rejected_by``, the exponential steps and
+    switch time in ``exponential_steps`` and ``switch_time``, and the
+    right-hand-side rows both methods evaluated, rejected attempts included,
+    in ``rhs_evaluations``. Accepted states
     are renormalized onto the simplex. States are recorded every
     ``record_every`` accepted steps (0 = initial and final only), plus the
     final state. A run that underflows the step size or attempts 100 000
@@ -361,8 +439,15 @@ def integrate(
     # the (t, state) records; an accepted step binds y to a new array, so no kept state is written to
     times, states = [0.0], [y]
 
-    K = np.empty((6, y.size))  # stage derivatives; K[0] is reused across rejections of one state
-    K[0] = _rhs_raw(model, graph, y)
+    rows = 0  # right-hand-side rows evaluated through rhs; the tail counts those of its steps
+
+    def rhs(values: np.ndarray) -> np.ndarray:
+        nonlocal rows
+        rows += 1
+        return _rhs_raw(model, graph, values)
+
+    K = np.empty((12, y.size))  # stage derivatives; K[0] is reused across rejections of one state
+    K[0] = rhs(y)
     h = min(t_end, h_cap, 0.01 / (1.0 + float(np.max(np.abs(K[0])))))
     accepted = 0
     rejected_by = dict.fromkeys(_GUARDS, 0)
@@ -371,7 +456,7 @@ def integrate(
     eq = _equilibrium_tail(model, graph, rho0)
     switch_time = None  # the run takes exponential steps on eq once this is set
     exponential = 0
-    stiff = 0  # consecutive accepted RKF45 steps that passed the switch test
+    stiff = 0  # consecutive accepted DOP853 steps that passed the switch test
 
     def trajectory(end: float) -> Trajectory:
         """The run so far, ending at (end, y) unless y was just recorded; one batched energy and dissipation call."""
@@ -389,6 +474,7 @@ def integrate(
             rejected_by=MappingProxyType(dict(rejected_by)),
             exponential_steps=exponential,
             switch_time=switch_time,
+            rhs_evaluations=rows + (eq.rows if eq is not None else 0),
         )
 
     while t < t_end - t_tiny:
@@ -400,17 +486,24 @@ def integrate(
         h_try = min(h, t_end - t)
 
         y_new = None  # stays None when a stage point fails the floor
+        scale = abs_tol + rel_tol * np.abs(y)
         if switch_time is None:
-            for s in range(1, 6):
+            for s in range(1, 12):
                 ys = y + h_try * (_STAGE_ROWS[s] @ K[:s])
                 if not ys.min() >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
                     break
-                K[s] = _rhs_raw(model, graph, ys)
+                K[s] = rhs(ys)
             else:
-                update, err = _UPDATE @ K
-                y_new, err = y + h_try * update, h_try * err
+                update, e5, e3 = _UPDATE @ K
+                y_new = y + h_try * update
+                e5, e3 = float(np.max(np.abs(e5) / scale)), float(np.max(np.abs(e3) / scale))
+                # Hairer's combined estimate h e5^2 / sqrt(e5^2 + e3^2/100), O(h^8); 0 for e5 = 0, not 0/0
+                err_norm = h_try * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 > 0.0 else 0.0
+                exponent = -1.0 / 8.0
         elif (step := eq.step(y, K[0], h_try, floor)) is not None:
             y_new, err = step
+            err_norm = float(np.max(np.abs(err) / scale))
+            exponent = -1.0 / 5.0  # step doubling estimates an O(h^5) error
         if y_new is None:
             rejected_by["stage_floor"] += 1
             h = 0.5 * h_try
@@ -421,10 +514,9 @@ def integrate(
             h = 0.5 * h_try
             continue
 
-        err_norm = float(np.max(np.abs(err) / (abs_tol + rel_tol * np.abs(y))))
         if err_norm > 1.0:
             rejected_by["error"] += 1
-            h = h_try * min(max(0.9 * err_norm**-0.2, 0.2), 1.0)  # both error estimates are O(h^5)
+            h = h_try * min(max(0.9 * err_norm**exponent, 0.2), 1.0)
             continue
 
         mass = float(y_new.sum())
@@ -446,8 +538,8 @@ def integrate(
         t += h_try
         accepted += 1
         exponential += switch_time is not None
-        K[0] = _rhs_raw(model, graph, y)
-        h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** -0.2, 0.2), 5.0), h_cap)
+        K[0] = rhs(y)
+        h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** exponent, 0.2), 5.0), h_cap)
         if switch_time is None and eq is not None and t < t_end - t_tiny:
             stiff = stiff + 1 if (
                 h_try * eq.lam[-1] >= _TAIL_STIFF

@@ -474,7 +474,7 @@ def test_simulate_step_underflow_exits_3_with_dump(tmp_path):
 
 
 def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkeypatch, caplog):
-    # a non-symmetric W keeps the run on RKF45, whose step stays near the
+    # a non-symmetric W keeps the run on DOP853, whose step stays near the
     # stability limit at equilibrium, so t_end 1e300 would never end; the
     # budget (shrunk here to keep the test short) stops it
     monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 500)
@@ -494,8 +494,8 @@ def test_simulate_huge_t_end_spends_the_step_budget_and_exits_3(tmp_path, monkey
 
 
 def test_simulate_stopped_run_reports_its_last_accepted_state(tmp_path, monkeypatch, caplog):
-    # 483 of the 503 attempted steps are accepted, and the default record_every of 10
-    # leaves the last 3 of them unrecorded until the stop
+    # 498 of the 503 attempted steps are accepted, and the default record_every of 10
+    # leaves the last 8 of them unrecorded until the stop
     monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 503)
     config = dict(CANONICAL)
     config["model"] = {"beta": 1.0, "W": [[0.0, 0.1], [0.0, 0.0]]}
@@ -510,6 +510,14 @@ def test_simulate_stopped_run_reports_its_last_accepted_state(tmp_path, monkeypa
     assert summary["records"] == rows.shape[0] == summary["accepted_steps"] // 10 + 2
     assert rows[-1, 0] == stopped_at and list(rows[-1, 1:3]) == summary["final_density"]
     assert rows[-1, -1] == -summary["relative_fisher"]
+
+
+def test_simulate_reports_the_right_hand_side_rows_it_evaluated(tmp_path):
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, CANONICAL), out) == 0
+    summary = read_json(out / "summary.json")
+    # an accepted step evaluated 11 DOP853 stages or 10 exponential rows, then its new state; one more at the start
+    assert summary["rhs_evaluations"] >= 1 + 11 * summary["accepted_steps"]
 
 
 def test_simulate_reports_the_switch_to_exponential_steps(tmp_path):

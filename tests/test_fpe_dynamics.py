@@ -24,9 +24,10 @@ from graphfpe import fpe_dynamics
 from graphfpe.fpe_dynamics import (
     _GUARDS,
     _RK_A,
-    _RK_B4,
+    _RK_B,
     _RK_C,
-    _RK_ERR,
+    _RK_E3,
+    _RK_E5,
     _STAGE_ROWS,
     _UPDATE,
     _dissipation_raw,
@@ -75,21 +76,31 @@ def test_rhs_matches_matrix_form():
 
 def test_array_tableau_reproduces_the_tuples_and_order_conditions():
     # the array form reproduces the tuples entry for entry
-    assert len(_STAGE_ROWS) == 6 and _UPDATE.shape == (2, 6)
-    for s in range(6):
+    assert len(_STAGE_ROWS) == 12 and _UPDATE.shape == (3, 12)
+    for s in range(12):
         assert _STAGE_ROWS[s].shape == (s,)
         assert tuple(_STAGE_ROWS[s]) == _RK_A[s]
-    assert tuple(_UPDATE[0]) == _RK_B4
-    assert tuple(_UPDATE[1]) == _RK_ERR
-    # order conditions of the propagated 4th-order weights; the error weights sum to 0
-    b, c = np.array(_RK_B4), np.array(_RK_C)
-    for k in range(4):
+    assert tuple(_UPDATE[0]) == _RK_B
+    assert tuple(_UPDATE[1]) == _RK_E5
+    assert tuple(_UPDATE[2]) == _RK_E3
+    # quadrature conditions of the propagated 8th-order weights
+    b, c = np.array(_RK_B), np.array(_RK_C)
+    for k in range(8):
         assert float(b @ c**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
-    assert abs(sum(_RK_ERR)) <= 1e-16
+    # each error row is a difference of two consistent weight rows, so it sums to 0 (to rounding of 12 terms)
+    assert abs(sum(_RK_E5)) <= 1e-15 and abs(sum(_RK_E3)) <= 1e-15
 
 
 def test_stage_rows_sum_to_nodes():
     assert np.allclose([row.sum() for row in _STAGE_ROWS], _RK_C, rtol=0.0, atol=1e-15)
+    # the stability function R(z) = 1 + z b^T (I - zA)^-1 1 stays within the unit disc on [-6.3, 0]: the
+    # real stability boundary, about -6.39, is what the switch to the exponential tail is measured against
+    A = np.zeros((12, 12))
+    for s, row in enumerate(_STAGE_ROWS):
+        A[s, :s] = row
+    b = np.array(_RK_B)
+    for z in np.linspace(-6.3, 0.0, 631):
+        assert abs(1.0 + z * (b @ np.linalg.solve(np.eye(12) - z * A, np.ones(12)))) <= 1.0 + 1e-14
 
 
 def test_rhs_boundary_rejected():
@@ -228,20 +239,23 @@ def test_integrate_mass_positivity_energy_on_random_models():
 
 def test_integrate_order_check():
     # at fixed max_step with loose tolerances the scheme is a fixed-step
-    # 4th-order method; halving the step should shrink the error by >= 8
+    # 8th-order method after a few short start-up steps; halving the step
+    # should shrink the error by about 2^8 (measured 250), so by >= 64. The
+    # errors (about 4e-9 and 2e-11) sit well above rounding.
     g = path2()
     model = bare_model(2)
     rho0 = Density([0.7, 0.3])
-    ref = integrate(model, g, rho0, 0.5, rel_tol=1e-13, abs_tol=1e-15, record_every=0)
+    ref = integrate(model, g, rho0, 2.0, rel_tol=1e-13, abs_tol=1e-15, record_every=0)
 
     def err_at(h):
         traj = integrate(
-            model, g, rho0, 0.5, rel_tol=10.0, abs_tol=10.0, max_step=h, record_every=0
+            model, g, rho0, 2.0, rel_tol=10.0, abs_tol=10.0, max_step=h, record_every=0
         )
         return np.max(np.abs(traj.final_density.values - ref.final_density.values))
 
-    e1, e2 = err_at(0.05), err_at(0.025)
-    assert e1 / e2 >= 8.0
+    e1, e2 = err_at(0.5), err_at(0.25)
+    assert e2 >= 1e-12
+    assert e1 / e2 >= 64.0
 
 
 def test_dissipation_examples():
@@ -257,7 +271,11 @@ def test_dissipation_examples():
 def test_dissipation_matches_energy_slope():
     g = path2()
     model = bare_model(2)
-    traj = integrate(model, g, Density([0.9, 0.1]), 1.0, record_every=1, rel_tol=1e-11, abs_tol=1e-13)
+    # the trapezoid's own error grows as h^2; the 8th-order pair's steps reach 0.013 by the second step
+    # (2.5e-3 relative), so max_step caps them at 0.005 (4.2e-4 at worst)
+    traj = integrate(
+        model, g, Density([0.9, 0.1]), 1.0, record_every=1, rel_tol=1e-11, abs_tol=1e-13, max_step=0.005
+    )
     t, e, d = traj.times, traj.energy, traj.dissipation
     # energy change over each step against the trapezoid of the recorded
     # dissipation (a centered difference over two long adaptive steps is too coarse)
@@ -291,7 +309,8 @@ def test_step_size_underflow_reports_partial():
 def test_loose_tolerance_steps_are_caught_by_floor_and_energy_guards():
     # with rel_tol = 100 the error guard accepts any step; steps that
     # overshoot the equilibrium are caught by the positivity and energy guards
-    traj = integrate(bare_model(2), path2(), Density([0.6, 0.4]), 5.0, rel_tol=100.0, abs_tol=1e-15)
+    # (from [0.7, 0.3] over t = 20: 2 stage floor and 1 energy rejection)
+    traj = integrate(bare_model(2), path2(), Density([0.7, 0.3]), 20.0, rel_tol=100.0, abs_tol=1e-15)
     assert traj.rejected_by["error"] == 0
     assert traj.rejected_by["stage_floor"] >= 1 and traj.rejected_by["energy"] >= 1
     assert sum(traj.rejected_by.values()) == traj.rejected_steps
@@ -403,11 +422,15 @@ def test_tail_setup_declines_what_it_cannot_build():
     assert _equilibrium_tail(bare_model(2, beta=1e308), g, Density([0.5, 0.5])) is None
 
 
-def _switching_case(**kwargs):
+def _switching_setup():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 6)
-    model = random_convex_model(rng, 6)
-    return model, g, integrate(model, g, interior_density(rng, 6), 60.0, record_every=1, **kwargs)
+    return random_convex_model(rng, 6), g, interior_density(rng, 6), 60.0
+
+
+def _switching_case(**kwargs):
+    model, g, rho0, t_end = _switching_setup()
+    return model, g, integrate(model, g, rho0, t_end, record_every=1, **kwargs)
 
 
 def _switching_run(**kwargs):
@@ -494,7 +517,8 @@ def test_step_doubling_tracks_the_true_local_error_of_the_first_tail_steps(seed,
 
 def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
     # a 24-node ring as the benchmark's flow builds it, with its t_end: within 1e-6 of Gibbs by the asymptotic rate;
-    # RKF45 up to an order-2 tail switched on at a 1e-3 linear residual took 210 attempted steps here
+    # RKF45 up to an order-2 tail switched on at a 1e-3 linear residual took 210 attempted steps here, RKF45 up to
+    # the fourth-order tail 100, and DOP853 up to it 37 (18 of them exponential); the bound leaves 8 steps of margin
     rng = np.random.default_rng(0)
     n = 24
     g = build_graph(n, [(i + 1, (i + 1) % n + 1, float(rng.uniform(0.75, 1.25))) for i in range(n)])
@@ -504,14 +528,53 @@ def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
     gap = float(np.max(np.abs(rho0.values - rho_inf.values)))
     t_end = 1.2 * math.log(gap / 1e-6) / asymptotic_rate(model, g, rho_inf)
     traj = integrate(model, g, rho0, t_end)
-    assert traj.accepted_steps + traj.rejected_steps <= 130
+    assert traj.accepted_steps + traj.rejected_steps <= 45
     assert np.max(np.abs(traj.final_density.values - rho_inf.values)) <= 1e-6
 
 
+def _nonsymmetric_case():
+    # W not symmetric: no tail, the explicit pair end to end
+    rng = np.random.default_rng(12)
+    g = random_connected_graph(rng, 12)
+    W = 0.3 * rng.standard_normal((12, 12))
+    return EnergyModel(W, rng.uniform(-0.5, 0.5, 12), 1.0), g, interior_density(rng, 12), 3.0
+
+
+@pytest.mark.parametrize("make_case", [_nonsymmetric_case, _switching_setup], ids=["explicit", "switching"])
+def test_runs_stay_within_1e_8_of_a_tight_reference_at_t_end_over_16_and_4(monkeypatch, make_case):
+    model, g, rho0, t_end = make_case()
+    switched = integrate(model, g, rho0, t_end, record_every=0).switch_time
+    assert (switched is not None) == (make_case is _switching_setup)
+    assert switched is None or switched < t_end / 16
+    for t in (t_end / 16, t_end / 4):
+        run = integrate(model, g, rho0, t, record_every=0)
+        with monkeypatch.context() as m:  # the reference takes explicit steps only, whatever W is
+            m.setattr(fpe_dynamics, "_equilibrium_tail", lambda *args: None)
+            ref = integrate(model, g, rho0, t, rel_tol=1e-12, abs_tol=1e-15, record_every=0)
+        assert np.max(np.abs(run.final_density.values - ref.final_density.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("make_case", [_nonsymmetric_case, _switching_setup], ids=["explicit", "switching"])
+def test_rhs_evaluations_counts_every_row_either_method_evaluates(monkeypatch, make_case):
+    model, g, rho0, t_end = make_case()
+    counted = []
+
+    def counting(model, graph, values, raw=_rhs_raw):
+        counted.append(values.size // values.shape[-1])
+        return raw(model, graph, values)
+
+    monkeypatch.setattr(fpe_dynamics, "_rhs_raw", counting)
+    traj = integrate(model, g, rho0, t_end)
+    assert (traj.exponential_steps > 0) == (make_case is _switching_setup)
+    assert max(counted) == (2 if make_case is _switching_setup else 1)  # the tail stacks two rows in one call
+    assert traj.rhs_evaluations == sum(counted) > traj.accepted_steps + traj.rejected_steps
+
+
 def _budget_stop(monkeypatch, record_every):
-    # a non-symmetric W keeps the run on RKF45, whose step stays near the
-    # stability limit at equilibrium, so t_end 1e300 spends the (shrunk) budget
-    monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 503)
+    # a non-symmetric W keeps the run on the explicit pair, whose step stays near the
+    # stability limit at equilibrium, so t_end 1e300 spends the (shrunk) budget:
+    # 497 accepted steps and 5 rejected ones
+    monkeypatch.setattr(fpe_dynamics, "_STEP_BUDGET", 502)
     model, g = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0), path2()
     with pytest.raises(StepSizeUnderflow) as info:
         integrate(model, g, Density([0.9, 0.1]), 1e300, record_every=record_every)
@@ -538,12 +601,9 @@ def test_a_stopped_run_ends_at_its_last_accepted_state(monkeypatch, record_every
 
 
 def _rkf45_run():
-    rng = np.random.default_rng(12)
-    g = random_connected_graph(rng, 12)
-    W = 0.3 * rng.standard_normal((12, 12))
-    model = EnergyModel(W, rng.uniform(-0.5, 0.5, 12), 1.0)
+    model, g, rho0, t_end = _nonsymmetric_case()
     assert not model.is_symmetric
-    return model, g, integrate(model, g, interior_density(rng, 12), 3.0, record_every=1)
+    return model, g, integrate(model, g, rho0, t_end, record_every=1)
 
 
 def _partial_run():

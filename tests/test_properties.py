@@ -190,7 +190,7 @@ def test_flow_keeps_mass_floor_and_energy_descent(case):
     assert sum(traj.rejected_by.values()) == traj.rejected_steps
 
 
-@settings(max_examples=25)  # two runs per example, one of them RKF45 alone to t = 10
+@settings(max_examples=25)  # two runs per example, one of them the explicit DOP853 pair alone to t = 10
 @given(flow_case())
 def test_exponential_tail_agrees_with_rkf45_alone(case):
     model, graph, rho0 = case
