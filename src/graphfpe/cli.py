@@ -12,6 +12,12 @@ byte-identical. Each output embeds the SHA-256 digest of the canonicalized
 config plus the library version. Exit codes: 0 success, 2 config or
 validation problem, 3 numerical non-convergence, 4 precondition violation.
 Set GRAPHFPE_LOG to error/warn/info/debug to control logging.
+
+Configs are parsed by the C JSON parser and validated by an accept-only
+walk of the shipped schema (:func:`_accepts`); jsonschema is imported only
+to word the error for a config the walk refuses. Numeric arrays and rows
+are formatted a whole array or row at a time, with the bytes of formatting
+each value on its own.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -29,7 +36,6 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -101,12 +107,43 @@ _EXIT_CODES = {
 
 # -- stable serialization ----------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
+# floats are written as "%.17g" % x, the text of format(x, ".17g"); JSON outputs quote the three non-finite texts
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _number_texts(seq) -> list[str] | None:
+    """The stable text of each entry of a flat run of Python ints and floats, or of a 1-D int or float array.
+
+    None for any other sequence, which :func:`_dump_stable` then writes entry by entry.
+    """
+    if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "iuf":
+        seq = seq.tolist()
+    if not set(map(type, seq)) <= {int, float}:
+        return None
+    texts = ["%.17g" % x if type(x) is float else "%d" % x for x in seq]
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        return [_QUOTED.get(text, text) for text in texts]
+    return texts
+
+
+def _row_texts(rows, indent: int) -> list[str] | None:
+    """The stable text of each row of a list of equal-length rows, one %-format per row.
+
+    Each column must hold only ints or only finite floats, as in the edge lists
+    ``[[i, j, w], ...]``. None for any other sequence.
+    """
+    if type(rows) is not list or not rows or not set(map(type, rows)) <= {list} or len(set(map(len, rows))) != 1:
+        return None
+    if not rows[0]:
+        return None
+    columns = list(zip(*rows))
+    kinds = [set(map(type, column)) for column in columns]
+    if not all(kind == {int} or kind == {float} and math.isfinite(sum(column)) for kind, column in zip(kinds, columns)):
+        return None
+    inner = "  " * (indent + 1)
+    entries = ",\n".join(inner + ("%d" if kind == {int} else "%.17g") for kind in kinds)
+    line = "[\n" + entries + "\n" + "  " * indent + "]"
+    return [line % row for row in zip(*columns)]
 
 
 def _dump_stable(obj, indent: int = 0) -> str:
@@ -119,14 +156,19 @@ def _dump_stable(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        text = "%.17g" % obj
+        return _QUOTED.get(text, text)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_dump_stable(v, indent + 1) for v in obj]
+        items = _number_texts(obj)
+        if items is None:
+            items = _row_texts(obj, indent + 1)
+        if items is None:
+            items = [_dump_stable(v, indent + 1) for v in obj]
         if not items:
             return "[]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -145,11 +187,10 @@ def _write(path: Path, text: str) -> None:
     logger.info("wrote %s", path)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format(float(x), ".17g") for x in row))
-    _write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write the header and one line per row of the 2-D float array table, each entry as format(x, ".17g")."""
+    line = ",".join(["%.17g"] * len(header))
+    _write(path, "\n".join([",".join(header), *[line % tuple(row) for row in table.tolist()]]) + "\n")
 
 
 def _canonical(obj) -> str:
@@ -186,54 +227,130 @@ def _stamp_digests(config: dict, graph_dict: dict, model_dict: dict) -> dict:
 
 # -- config loading ----------------------------------------------------------
 
-_JSONSCHEMA_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
-_FAST_KEYWORDS = {"type", "minimum", "exclusiveMinimum", "maximum", "items", "prefixItems", "minItems", "maxItems"}
-
-
-def _accepts_all(schema, values: list) -> bool:
-    """True only if stock Draft 2020-12 finds no error in any of values under schema.
-
-    One pass per schema node, not one jsonschema descent per entry. It knows
-    ``type`` number, integer or array and ``_FAST_KEYWORDS`` by jsonschema's
-    rules: a bool is no number, an integral float is an integer and NaN passes
-    every bound. False only means "let jsonschema decide".
-    """
-    if type(schema) is not dict or not schema.keys() <= _FAST_KEYWORDS:
-        return False
-    kind = schema.get("type")
-    if kind == "array":
-        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        prefix = schema.get("prefixItems", [])
-        return (
-            all(type(v) is list and low <= len(v) <= high for v in values)
-            and all(_accepts_all(sub, [v[k] for v in values if len(v) > k]) for k, sub in enumerate(prefix))
-            and ("items" not in schema or _accepts_all(schema["items"], [x for v in values for x in v[len(prefix):]]))
-        )
-    if kind not in ("number", "integer"):
-        return False
-    low, above = schema.get("minimum", -math.inf), schema.get("exclusiveMinimum", -math.inf)
-    high = schema.get("maximum", math.inf)
-    return all(
-        (type(x) is int or type(x) is float and (kind == "number" or x.is_integer()))
-        and not (x < low or x <= above or x > high)
-        for x in values
-    )
-
-
-def _number_items(validator, items, instance, schema):
-    """jsonschema's ``items``, after a fast accept by :func:`_accepts_all`: errors and messages stay jsonschema's."""
-    if type(instance) is list and _accepts_all(items, instance[len(schema.get("prefixItems", [])):]):
-        return
-    yield from _JSONSCHEMA_ITEMS(validator, items, instance, schema)
+@functools.cache
+def _schema() -> dict:
+    """The shipped config schema, parsed once per process, with its ``$ref``s inlined."""
+    text = resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8")
+    defs = json.loads(text)["$defs"]
+    return json.loads(text, object_hook=lambda d: defs[d["$ref"].removeprefix("#/$defs/")] if "$ref" in d else d)
 
 
 @functools.cache
 def _validator():
-    """The config validator: the schema parsed once, with its ``$ref``s inlined, one validator per process."""
-    text = resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8")
-    defs = json.loads(text)["$defs"]
-    schema = json.loads(text, object_hook=lambda d: defs[d["$ref"].removeprefix("#/$defs/")] if "$ref" in d else d)
-    return jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _number_items})(schema)
+    """Stock Draft 2020-12 over :func:`_schema`, built once per process.
+
+    Only a config that :func:`_accepts` refuses reaches it, so jsonschema is
+    imported here, to word the error, and not with the module.
+    """
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(_schema())
+
+
+# the keywords the walk checks on a node of each type, besides these on any node;
+# a node with any other keyword is left to jsonschema
+_ANY_TYPE = frozenset({"type", "oneOf", "$schema", "$defs", "title"})
+_BOUNDS = frozenset({"minimum", "exclusiveMinimum", "maximum"})
+_KEYWORDS = {
+    None: frozenset(),
+    "string": frozenset(),
+    "boolean": frozenset(),
+    "object": frozenset({"properties", "required", "additionalProperties"}),
+    "array": frozenset({"items", "prefixItems", "minItems", "maxItems"}),
+    "number": _BOUNDS,
+    "integer": _BOUNDS,
+}
+_CLASSES = {"string": str, "boolean": bool, "object": dict, "array": list}
+
+
+def _accepts(schema, values: list) -> bool:
+    """True only if stock Draft 2020-12 finds no error in any of values under schema.
+
+    One pass per schema node over every value it applies to, not one
+    jsonschema descent per value: a run of numbers costs one type-set test and
+    a numpy min (and max) for its bounds. Types and bounds follow jsonschema's
+    rules: a bool is no number, an integral float is an integer and NaN passes
+    every bound. ``oneOf`` is accepted only where the walk accepts one branch
+    and every other branch misses a key it requires. False only means "let
+    jsonschema decide".
+    """
+    if type(schema) is not dict:
+        return False
+    kind = schema.get("type")
+    if not (kind is None or type(kind) is str) or kind not in _KEYWORDS:
+        return False
+    if not schema.keys() - _ANY_TYPE <= _KEYWORDS[kind]:
+        return False
+    if kind in ("number", "integer"):
+        return _accepts_numbers(schema, kind, values)
+    if kind is not None and not set(map(type, values)) <= {_CLASSES[kind]}:
+        return False
+    if "oneOf" in schema and not all(_one_of(schema["oneOf"], value) for value in values):
+        return False
+    if kind == "object":
+        return _accepts_objects(schema, values)
+    if kind == "array":
+        return _accepts_arrays(schema, values)
+    return True
+
+
+def _accepts_numbers(schema: dict, kind: str, values: list) -> bool:
+    types = set(map(type, values))
+    if not types <= {int, float}:
+        return False
+    if kind == "integer" and float in types and not all(x.is_integer() for x in values if type(x) is float):
+        return False
+    if not values or schema.keys().isdisjoint(_BOUNDS):
+        return True
+    try:
+        x = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
+    # fmin and fmax skip NaN, which passes every bound; they give NaN only when every value is NaN
+    least = np.fmin.reduce(x)
+    return not (
+        least < schema.get("minimum", -math.inf)
+        or least <= schema.get("exclusiveMinimum", -math.inf)
+        or "maximum" in schema and np.fmax.reduce(x) > schema["maximum"]
+    )
+
+
+def _accepts_objects(schema: dict, values: list[dict]) -> bool:
+    properties = schema.get("properties", {})
+    required = set(schema.get("required", ()))
+    extra = schema.get("additionalProperties", True)
+    if type(extra) is not bool:
+        return False
+    for value in values:
+        if not (value.keys() >= required and (extra or value.keys() <= properties.keys())):
+            return False
+    for key, sub in properties.items():
+        present = [value[key] for value in values if key in value]
+        if present and not _accepts(sub, present):
+            return False
+    return True
+
+
+def _accepts_arrays(schema: dict, values: list[list]) -> bool:
+    lengths = set(map(len, values))
+    if lengths and not schema.get("minItems", 0) <= min(lengths) <= max(lengths) <= schema.get("maxItems", math.inf):
+        return False
+    prefix = schema.get("prefixItems", [])
+    for k, sub in enumerate(prefix):
+        if not _accepts(sub, [value[k] for value in values if len(value) > k]):
+            return False
+    rest = [value[len(prefix):] for value in values] if prefix else values
+    return "items" not in schema or _accepts(schema["items"], list(itertools.chain.from_iterable(rest)))
+
+
+def _one_of(branches: list, value) -> bool:
+    """True only if exactly one branch accepts value: the walk accepts it, and every other one misses a required key."""
+    accepted = [branch for branch in branches if _accepts(branch, [value])]
+    return len(accepted) == 1 and all(
+        branch is accepted[0]
+        or type(value) is dict and type(branch) is dict and not value.keys() >= set(branch.get("required", ()))
+        for branch in branches
+    )
 
 
 def _finite_float(text: str) -> float:
@@ -256,15 +373,44 @@ def _no_constant(name: str):
     raise ValueError(f"number {name} is not finite")
 
 
+def _finite(node) -> bool:
+    """False if a number in node, a parsed JSON value, is not finite as a float.
+
+    One C ``sum`` per list of numbers: a NaN or an infinity makes the sum
+    non-finite, and an int beyond the float range raises. A sum that overflows
+    from finite terms is a false alarm, which only costs the checked parse.
+    """
+    if type(node) is dict:
+        return all(map(_finite, node.values()))
+    if type(node) is list:
+        try:
+            return math.isfinite(sum(node))
+        except (TypeError, OverflowError):  # not a list of numbers, or an int beyond the float range
+            return all(map(_finite, node))
+    if type(node) is float or type(node) is int:
+        try:
+            return math.isfinite(node)
+        except OverflowError:
+            return False
+    return True
+
+
 def _load_json(path: Path) -> dict:
-    """Parse a config or a referenced file; NaN, infinities and numbers that overflow a float are config errors."""
+    """Parse a config or a referenced file; NaN, infinities and numbers that overflow a float are config errors.
+
+    The stock C parser reads the file. Only a file it refuses, or whose numbers
+    are not all finite, is parsed again with the per-number hooks, which stop
+    at the first offending literal and give its message.
+    """
     try:
-        return json.loads(
-            path.read_text("utf-8"),
-            parse_float=_finite_float,
-            parse_int=_finite_int,
-            parse_constant=_no_constant,
-        )
+        text = path.read_text("utf-8")
+        try:
+            data = json.loads(text, parse_constant=_no_constant)
+            if _finite(data):
+                return data
+        except ValueError:
+            pass
+        return json.loads(text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -274,9 +420,13 @@ def _load_json(path: Path) -> dict:
 
 
 def _validate_config(config: dict) -> None:
+    if _accepts(_schema(), [config]):
+        return
+    from jsonschema.exceptions import best_match
+
     errors = sorted(_validator().iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
-        err = jsonschema.exceptions.best_match(errors)
+        err = best_match(errors)
         where = "$" + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
@@ -287,11 +437,13 @@ def _resolve_section(config: dict, key: str, base: Path, fragment: str) -> dict:
     section = config[key]
     if "path" in section:
         loaded = _load_json(base / section["path"])
-        validator = _validator()
-        sub = validator.evolve(schema=validator.schema["$defs"][fragment])
-        err = jsonschema.exceptions.best_match(sub.iter_errors(loaded))
-        if err is not None:
-            raise ConfigError(f"{section['path']}: {err.message}")
+        schema = _schema()["$defs"][fragment]
+        if not _accepts(schema, [loaded]):
+            from jsonschema.exceptions import best_match
+
+            err = best_match(_validator().evolve(schema=schema).iter_errors(loaded))
+            if err is not None:
+                raise ConfigError(f"{section['path']}: {err.message}")
         return loaded
     return section
 
@@ -413,9 +565,9 @@ def cmd_gibbs(run: _Run) -> int:
     return EXIT_OK if converged else EXIT_NUMERIC
 
 
-def _trajectory_rows(traj):
-    for k in range(traj.times.size):
-        yield [traj.times[k], *traj.densities[k].values, traj.energy[k], traj.dissipation[k]]
+def _trajectory_rows(traj) -> np.ndarray:
+    densities = np.array([rho.values for rho in traj.densities])
+    return np.column_stack((traj.times, densities, traj.energy, traj.dissipation))
 
 
 def cmd_simulate(run: _Run) -> int:
@@ -593,10 +745,9 @@ def cmd_w2(run: _Run) -> int:
     if opts.get("path_csv", False):
         n = run.graph.node_count
         header = ["k", "t", *[f"rho_{i + 1}" for i in range(n)]]
-        rows = [
-            [k, k / K, *rho.values] for k, rho in enumerate(result.path.densities)
-        ]
-        _write_csv(run.out / "w2_path.csv", header, rows)
+        k = np.arange(K + 1)
+        densities = np.array([rho.values for rho in result.path.densities])
+        _write_csv(run.out / "w2_path.csv", header, np.column_stack((k, k / K, densities)))
     if not result.converged:
         logger.error("w2 optimization stopped at grad norm %.3e > tol", result.grad_norm)
         return EXIT_NUMERIC

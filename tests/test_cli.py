@@ -3,6 +3,8 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfpe import Density, EnergyModel, find_all_equilibria
@@ -201,6 +203,14 @@ INVALID = [
     (("rates", "starts"), [0.9, 0.1]),
     # the removed second spelling of --equilibrium is an unknown key
     (("rates", "equilibria_only"), True),
+    # graph and model are oneOf an inline section and a file reference: neither branch matches
+    (("graph",), {"path": "g.json", "n": 2}),
+    (("graph",), {"path": "g.json", "n": 2, "edges": [[1, 2, 1.0]]}),
+    (("graph",), {"n": 2}),
+    (("graph",), {}),
+    (("model",), {"path": "m.json", "beta": 1.0}),
+    (("model",), {"path": 3}),
+    (("model",), []),
 ]
 
 
@@ -230,6 +240,9 @@ def test_validator_messages_match_plain_jsonschema(path, value):
         (("simulate", "t_end"), float("nan")),
         (("model", "W", 1), [0.1]),
         (("model", "W", 0), [0.0, 0.1, 0.2]),
+        # the file-reference branch of oneOf
+        (("graph",), {"path": "g.json"}),
+        (("model",), {"path": "m.json"}),
     ],
 )
 def test_validator_accepts_exactly_what_plain_jsonschema_accepts(path, value):
@@ -275,9 +288,8 @@ MUTANTS = st.one_of(
 )
 
 
-@given(st.sampled_from(BENCH_SHAPED_PATHS), st.one_of(st.just("delete"), MUTANTS))
-def test_validator_matches_plain_jsonschema_on_single_entry_mutations(path, value):
-    config = bench_shaped_config()
+def mutate(config, path, value) -> None:
+    """Set the entry at path to value, or delete it where value is "delete"."""
     node = config
     for key in path[:-1]:
         node = node[key]
@@ -285,11 +297,52 @@ def test_validator_matches_plain_jsonschema_on_single_entry_mutations(path, valu
         del node[path[-1]]
     else:
         node[path[-1]] = value
+
+
+@given(st.sampled_from(BENCH_SHAPED_PATHS), st.one_of(st.just("delete"), MUTANTS))
+def test_validator_matches_plain_jsonschema_on_single_entry_mutations(path, value):
+    config = bench_shaped_config()
+    mutate(config, path, value)
     assert validator_error(config) == plain_jsonschema_error(config)
 
 
+@given(st.lists(st.tuples(st.sampled_from(BENCH_SHAPED_PATHS), st.one_of(st.just("delete"), MUTANTS)), min_size=2,
+                max_size=2))
+def test_validator_matches_plain_jsonschema_on_two_entry_mutations(mutations):
+    config = bench_shaped_config()
+    for path, value in mutations:
+        try:
+            mutate(config, path, value)
+        except (KeyError, IndexError, TypeError):  # the first mutation removed or replaced this one's parent
+            pass
+    assert validator_error(config) == plain_jsonschema_error(config)
+
+
+ONE_OF_PAIR = {"oneOf": [{"type": "object", "required": ["a"]}, {"type": "object", "required": ["b"]}]}
+
+
+@pytest.mark.parametrize(
+    "schema, value, walk_accepts",
+    [
+        # both branches match, so jsonschema refuses
+        ({"oneOf": [{"type": "number"}, {"type": "integer", "minimum": 0}]}, 1, False),
+        ({"oneOf": [{"type": "object", "required": ["a"]}, {"type": "object"}]}, {"a": 1}, False),
+        # neither matches
+        (ONE_OF_PAIR, {"c": 1}, False),
+        # exactly one matches, but the walk cannot show that the other does not: jsonschema decides
+        ({"oneOf": [{"type": "number"}, {"type": "string"}]}, 1, False),
+        # exactly one matches, and the other misses a required key
+        (ONE_OF_PAIR, {"a": 1}, True),
+    ],
+    ids=["both-numbers", "both-objects", "neither", "one-unshown", "one-shown"],
+)
+def test_walk_accepts_a_one_of_only_where_jsonschema_does(schema, value, walk_accepts):
+    assert cli._accepts(schema, [value]) is walk_accepts
+    assert not walk_accepts or jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
 def test_large_valid_config_takes_the_fast_path_only(monkeypatch):
-    # a schema edit that turns the fast path off for any of these arrays fails here
+    # a schema edit that the accept-only walk does not cover, or a walk that refuses this config, fails here
     n = 100
     edges = [[i + 1, (i + d) % n + 1, 1.0 + d / 16] for i in range(n) for d in range(1, 11)]
     uniform = [1.0 / n] * n
@@ -300,16 +353,17 @@ def test_large_valid_config_takes_the_fast_path_only(monkeypatch):
         "decompose": {"rho": uniform, "field": [[i, j, 0.5] for i, j, _ in edges[:50]]},
     }
     assert len(edges) >= 1000
-    stock_items = cli._JSONSCHEMA_ITEMS
+    stock_iter_errors = jsonschema.Draft202012Validator.iter_errors
     calls = []
 
-    def counting_items(validator, items, instance, schema):
-        calls.append(items)
-        return stock_items(validator, items, instance, schema)
+    def counting_iter_errors(validator, instance, *args, **kwargs):
+        calls.append(instance)
+        return stock_iter_errors(validator, instance, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_JSONSCHEMA_ITEMS", counting_items)
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "iter_errors", counting_iter_errors)
     _validate_config(config)
     assert calls == []
+    monkeypatch.undo()
     assert plain_jsonschema_error(config) is None
 
 
@@ -349,21 +403,45 @@ def test_invalid_json_exits_2(tmp_path):
     assert run("gibbs", cfg, tmp_path / "out") == 2
 
 
+FLOAT_OVERFLOW = "is not finite as a float"
+
+
 @pytest.mark.parametrize(
-    "path, literal",
+    "path, literal, message",
     [
-        (("simulate", "t_end"), "NaN"),
-        (("simulate", "max_step"), "NaN"),
-        (("simulate", "t_end"), "1e400"),
-        (("model", "V", 0), "1" + "0" * 400),
+        (("simulate", "t_end"), "NaN", "number NaN is not finite"),
+        (("simulate", "max_step"), "NaN", "number NaN is not finite"),
+        (("simulate", "t_end"), "1e400", f"number 1e400 {FLOAT_OVERFLOW}"),
+        (("model", "V", 0), "1" + "0" * 400, f"number 1{'0' * 20}... {FLOAT_OVERFLOW}"),
+        (("model", "W", 1, 0), "-1e400", f"number -1e400 {FLOAT_OVERFLOW}"),
+        (("gibbs", "starts", 1, 0), "Infinity", "number Infinity is not finite"),
+        (("decompose", "field", 0, 2), "NaN", "number NaN is not finite"),
     ],
-    ids=["t_end-nan", "max_step-nan", "t_end-1e400", "V-401-digit-int"],
+    ids=["t_end-nan", "max_step-nan", "t_end-1e400", "V-401-digit-int", "W-row-minus-1e400", "starts-infinity",
+         "field-nan"],
 )
-def test_non_finite_config_number_exits_2(tmp_path, capsys, path, literal):
+def test_non_finite_config_number_exits_2(tmp_path, capsys, path, literal, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(with_change(path, "@")).replace('"@"', literal))
     assert run("simulate", cfg, tmp_path / "out") == 2
-    assert "is not finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"graphfpe: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an overflowing literal ahead of a NaN literal, and ahead of a syntax error: the first one is named
+        ('{"model": {"beta": 1e400, "V": [NaN]}}', f"number 1e400 {FLOAT_OVERFLOW}"),
+        ('{"model": {"beta": 1, "V": [-1e999, 0.5}}', f"number -1e999 {FLOAT_OVERFLOW}"),
+        ('{"model": {"V": [0.5, NaN], "beta": 1e400}}', "number NaN is not finite"),
+    ],
+    ids=["overflow-then-nan", "overflow-then-syntax-error", "nan-then-overflow"],
+)
+def test_the_first_non_finite_literal_is_the_one_reported(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("gibbs", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"graphfpe: {cfg}: {message}\n"
 
 
 def test_non_finite_number_in_referenced_file_exits_2(tmp_path, capsys):
@@ -372,7 +450,17 @@ def test_non_finite_number_in_referenced_file_exits_2(tmp_path, capsys):
     config["model"] = {"path": "model.json"}
     cfg = write_config(tmp_path, config)
     assert run("simulate", cfg, tmp_path / "out") == 2
-    assert "model.json: number Infinity is not finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"graphfpe: {tmp_path / 'model.json'}: number Infinity is not finite\n"
+
+
+def test_overflowing_integer_weight_in_referenced_graph_exits_2(tmp_path, capsys):
+    (tmp_path / "graph.json").write_text('{"n": 2, "edges": [[1, 2, 1' + "0" * 400 + "]]}")
+    config = dict(CANONICAL)
+    config["graph"] = {"path": "graph.json"}
+    cfg = write_config(tmp_path, config)
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"graphfpe: {tmp_path / 'graph.json'}: number 1{'0' * 20}... {FLOAT_OVERFLOW}\n"
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -417,6 +505,94 @@ def test_stamp_config_digest_keeps_json_key_order_and_escapes():
         "graph_digest": old_digest(config["graph"]),
         "model_digest": old_digest({"beta": 1.0}),
     }
+
+
+def reference_float(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def reference_dump(obj, indent: int = 0) -> str:
+    """The stable JSON form written value by value: the reference for the array-at-once writer."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [reference_dump(v, indent + 1) for v in obj]
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]" if items else "[]"
+    parts = [inner + json.dumps(str(k)) + ": " + reference_dump(obj[k], indent + 1) for k in sorted(obj)]
+    return "{\n" + ",\n".join(parts) + "\n" + pad + "}" if parts else "{}"
+
+
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]))
+OUTPUT_VALUES = st.recursive(
+    st.one_of(
+        EDGE_FLOATS,
+        st.integers(-(2**70), 2**70),
+        st.booleans().map(np.bool_),
+        st.none(),
+        st.text(max_size=3),
+        st.lists(EDGE_FLOATS).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.integers(-(2**62), 2**62)).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), EDGE_FLOATS).map(list)),
+        st.lists(st.just([]), max_size=2),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(OUTPUT_VALUES)
+def test_array_at_once_json_has_the_bytes_of_the_value_by_value_form(value):
+    assert cli._dump_stable({"value": value}) == reference_dump({"value": value})
+
+
+CSV_TABLES = st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.lists(EDGE_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6)
+)
+
+
+@given(CSV_TABLES)
+def test_array_at_once_csv_has_the_bytes_of_the_value_by_value_form(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    cli._write_csv(path, header, np.array(rows, dtype=float))
+    lines = [",".join(header), *(",".join(format(float(x), ".17g") for x in row) for row in rows)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_jsonschema_is_imported_only_to_word_an_error(tmp_path):
+    # the CLI's cold start leaves jsonschema out: importing it costs about a quarter of `import graphfpe.cli`
+    cfg = write_config(tmp_path, CANONICAL)
+    bad = write_config(tmp_path, {**CANONICAL, "seed": -1}, "bad.json")
+    commands = [[name, "--config", str(cfg), "--out", str(tmp_path / name)] for name in ALL_COMMANDS]
+    code = f"""
+import sys
+import graphfpe.cli as cli
+assert "jsonschema" not in sys.modules, "imported with graphfpe.cli"
+for argv in {commands!r}:
+    assert cli.main(argv) == 0, argv
+assert "jsonschema" not in sys.modules, "imported by a valid run"
+assert cli.main(["gibbs", "--config", {str(bad)!r}, "--out", {str(tmp_path / "bad")!r}]) == 2
+assert "jsonschema" in sys.modules, "an invalid config is worded by jsonschema"
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_disconnected_graph_exits_2(tmp_path):

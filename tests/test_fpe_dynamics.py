@@ -600,7 +600,7 @@ def test_a_stopped_run_ends_at_its_last_accepted_state(monkeypatch, record_every
         assert np.array_equal(rho.values, full.densities[k].values)
 
 
-def _rkf45_run():
+def _dop853_run():
     model, g, rho0, t_end = _nonsymmetric_case()
     assert not model.is_symmetric
     return model, g, integrate(model, g, rho0, t_end, record_every=1)
@@ -616,7 +616,7 @@ def _partial_run():
     return model, g, info.value.trajectory
 
 
-@pytest.mark.parametrize("make_run", [_rkf45_run, _switching_case, _partial_run], ids=["rkf45", "tail", "partial"])
+@pytest.mark.parametrize("make_run", [_dop853_run, _switching_case, _partial_run], ids=["dop853", "tail", "partial"])
 def test_recorded_energy_and_dissipation_are_the_per_state_values_bit_for_bit(make_run):
     model, g, traj = make_run()
     assert (traj.switch_time is not None) == (make_run is _switching_case)

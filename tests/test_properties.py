@@ -192,7 +192,7 @@ def test_flow_keeps_mass_floor_and_energy_descent(case):
 
 @settings(max_examples=25)  # two runs per example, one of them the explicit DOP853 pair alone to t = 10
 @given(flow_case())
-def test_exponential_tail_agrees_with_rkf45_alone(case):
+def test_exponential_tail_agrees_with_dop853_alone(case):
     model, graph, rho0 = case
     traj = integrate(model, graph, rho0, 10.0, record_every=1)
     with patch.object(fpe_dynamics, "_equilibrium_tail", lambda *args: None):
