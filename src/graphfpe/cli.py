@@ -126,26 +126,6 @@ def _number_texts(seq) -> list[str] | None:
     return texts
 
 
-def _row_texts(rows, indent: int) -> list[str] | None:
-    """The stable text of each row of a list of equal-length rows, one %-format per row.
-
-    Each column must hold only ints or only finite floats, as in the edge lists
-    ``[[i, j, w], ...]``. None for any other sequence.
-    """
-    if type(rows) is not list or not rows or not set(map(type, rows)) <= {list} or len(set(map(len, rows))) != 1:
-        return None
-    if not rows[0]:
-        return None
-    columns = list(zip(*rows))
-    kinds = [set(map(type, column)) for column in columns]
-    if not all(kind == {int} or kind == {float} and math.isfinite(sum(column)) for kind, column in zip(kinds, columns)):
-        return None
-    inner = "  " * (indent + 1)
-    entries = ",\n".join(inner + ("%d" if kind == {int} else "%.17g") for kind in kinds)
-    line = "[\n" + entries + "\n" + "  " * indent + "]"
-    return [line % row for row in zip(*columns)]
-
-
 def _dump_stable(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -162,8 +142,6 @@ def _dump_stable(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = _number_texts(obj)
-        if items is None:
-            items = _row_texts(obj, indent + 1)
         if items is None:
             items = [_dump_stable(v, indent + 1) for v in obj]
         if not items:
@@ -376,15 +354,17 @@ def _no_constant(name: str):
 def _finite(node) -> bool:
     """False if a number in node, a parsed JSON value, is not finite as a float.
 
-    One C ``sum`` per list of numbers: a NaN or an infinity makes the sum
-    non-finite, and an int beyond the float range raises. A sum that overflows
-    from finite terms is a false alarm, which only costs the checked parse.
+    One C ``sum`` per list of numbers, in floats: a NaN or an infinity makes
+    the sum non-finite, and an int beyond the float range raises as it is
+    added, so two such ints of opposite sign cannot cancel. A sum that
+    overflows from finite terms is a false alarm, which only costs the checked
+    parse.
     """
     if type(node) is dict:
         return all(map(_finite, node.values()))
     if type(node) is list:
         try:
-            return math.isfinite(sum(node))
+            return math.isfinite(sum(node, 0.0))
         except (TypeError, OverflowError):  # not a list of numbers, or an int beyond the float range
             return all(map(_finite, node))
     if type(node) is float or type(node) is int:

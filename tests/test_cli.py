@@ -404,6 +404,7 @@ def test_invalid_json_exits_2(tmp_path):
 
 
 FLOAT_OVERFLOW = "is not finite as a float"
+BIG = "1" + "0" * 400  # a 401-digit int, beyond the float range
 
 
 @pytest.mark.parametrize(
@@ -416,9 +417,14 @@ FLOAT_OVERFLOW = "is not finite as a float"
         (("model", "W", 1, 0), "-1e400", f"number -1e400 {FLOAT_OVERFLOW}"),
         (("gibbs", "starts", 1, 0), "Infinity", "number Infinity is not finite"),
         (("decompose", "field", 0, 2), "NaN", "number NaN is not finite"),
+        # two ints beyond the float range that cancel as exact ints: each is still refused
+        (("model", "V"), f"[{BIG}, -{BIG}]", f"number 1{'0' * 20}... {FLOAT_OVERFLOW}"),
+        (("model", "W", 1), f"[{BIG}, -{BIG}]", f"number 1{'0' * 20}... {FLOAT_OVERFLOW}"),
+        (("decompose", "field", 0), f"[1, {BIG}, -{BIG}]", f"number 1{'0' * 20}... {FLOAT_OVERFLOW}"),
     ],
     ids=["t_end-nan", "max_step-nan", "t_end-1e400", "V-401-digit-int", "W-row-minus-1e400", "starts-infinity",
-         "field-nan"],
+         "field-nan", "V-cancelling-401-digit-ints", "W-row-cancelling-401-digit-ints",
+         "field-row-cancelling-401-digit-ints"],
 )
 def test_non_finite_config_number_exits_2(tmp_path, capsys, path, literal, message):
     cfg = tmp_path / "cfg.json"
