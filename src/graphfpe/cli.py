@@ -13,9 +13,12 @@ config plus the library version. Exit codes: 0 success, 2 config or
 validation problem, 3 numerical non-convergence, 4 precondition violation.
 Set GRAPHFPE_LOG to error/warn/info/debug to control logging.
 
-Configs are parsed by the C JSON parser and validated by an accept-only
-walk of the shipped schema (:func:`_accepts`); jsonschema is imported only
-to word the error for a config the walk refuses. Numeric arrays and rows
+A config and each file it references are read by one loader
+(:func:`_load_json`): the C JSON parser, then an accept-only walk of the
+shipped schema (:func:`_accepts`) that also refuses numbers that are not
+finite as floats. Only a file the walk refuses is parsed again, with hooks
+that name its first non-finite literal, and jsonschema is imported only to
+word the error for it. Numeric arrays and rows
 are formatted a whole array or row at a time, with the bytes of formatting
 each value on its own.
 """
@@ -23,6 +26,7 @@ each value on its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -245,12 +249,14 @@ def _accepts(schema, values: list) -> bool:
     """True only if stock Draft 2020-12 finds no error in any of values under schema.
 
     One pass per schema node over every value it applies to, not one
-    jsonschema descent per value: a run of numbers costs one type-set test and
-    a numpy min (and max) for its bounds. Types and bounds follow jsonschema's
-    rules: a bool is no number, an integral float is an integer and NaN passes
-    every bound. ``oneOf`` is accepted only where the walk accepts one branch
-    and every other branch misses a key it requires. False only means "let
-    jsonschema decide".
+    jsonschema descent per value: a run of numbers costs one type-set test,
+    one float sum and a min (and max) for its bounds. Types and bounds follow
+    jsonschema's rules: a bool is no number and an integral float is an
+    integer. A number that is not finite as a float is refused, though
+    jsonschema accepts it, so that an accepted config needs no other check.
+    ``oneOf`` is accepted only where the walk accepts one branch and every
+    other branch misses a key it requires. False only means "let jsonschema
+    decide".
     """
     if type(schema) is not dict:
         return False
@@ -276,20 +282,22 @@ def _accepts_numbers(schema: dict, kind: str, values: list) -> bool:
     types = set(map(type, values))
     if not types <= {int, float}:
         return False
+    # one C sum: a NaN or an infinity makes it non-finite, and an int beyond the float range raises as it is
+    # added, so two of opposite sign cannot cancel; a sum that overflows from finite terms is a false alarm
+    try:
+        if not math.isfinite(sum(values, 0.0)):
+            return False
+    except OverflowError:
+        return False
     if kind == "integer" and float in types and not all(x.is_integer() for x in values if type(x) is float):
         return False
     if not values or schema.keys().isdisjoint(_BOUNDS):
         return True
-    try:
-        x = np.array(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return False
-    # fmin and fmax skip NaN, which passes every bound; they give NaN only when every value is NaN
-    least = np.fmin.reduce(x)
+    least = min(values)
     return not (
         least < schema.get("minimum", -math.inf)
         or least <= schema.get("exclusiveMinimum", -math.inf)
-        or "maximum" in schema and np.fmax.reduce(x) > schema["maximum"]
+        or "maximum" in schema and max(values) > schema["maximum"]
     )
 
 
@@ -351,99 +359,88 @@ def _no_constant(name: str):
     raise ValueError(f"number {name} is not finite")
 
 
-def _finite(node) -> bool:
-    """False if a number in node, a parsed JSON value, is not finite as a float.
+def _load_json(path: Path, schema: dict, refuse) -> dict:
+    """Parse a config or a referenced file and check it against schema, a node of :func:`_schema`.
 
-    One C ``sum`` per list of numbers, in floats: a NaN or an infinity makes
-    the sum non-finite, and an int beyond the float range raises as it is
-    added, so two such ints of opposite sign cannot cancel. A sum that
-    overflows from finite terms is a false alarm, which only costs the checked
-    parse.
-    """
-    if type(node) is dict:
-        return all(map(_finite, node.values()))
-    if type(node) is list:
-        try:
-            return math.isfinite(sum(node, 0.0))
-        except (TypeError, OverflowError):  # not a list of numbers, or an int beyond the float range
-            return all(map(_finite, node))
-    if type(node) is float or type(node) is int:
-        try:
-            return math.isfinite(node)
-        except OverflowError:
-            return False
-    return True
-
-
-def _load_json(path: Path) -> dict:
-    """Parse a config or a referenced file; NaN, infinities and numbers that overflow a float are config errors.
-
-    The stock C parser reads the file. Only a file it refuses, or whose numbers
-    are not all finite, is parsed again with the per-number hooks, which stop
-    at the first offending literal and give its message.
+    A valid file costs one C parse and one :func:`_accepts` walk, which also
+    refuses numbers that are not finite as floats. Any other file is parsed
+    again with the per-number hooks, which stop at the first NaN, infinity or
+    literal that overflows a float and give its message; a file that passes
+    them goes to ``refuse(data)``, which raises jsonschema's error for it, if
+    it has one.
     """
     try:
         text = path.read_text("utf-8")
         try:
             data = json.loads(text, parse_constant=_no_constant)
-            if _finite(data):
-                return data
         except ValueError:
             pass
-        return json.loads(text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_no_constant)
+        else:
+            if _accepts(schema, [data]):
+                return data
+        data = json.loads(text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    refuse(data)
+    return data
 
 
-def _validate_config(config: dict) -> None:
-    if _accepts(_schema(), [config]):
-        return
+def _refuse_config(config) -> None:
+    """Raise jsonschema's best match among the errors of a config, sorted by path, as ``config error at $...``."""
     from jsonschema.exceptions import best_match
 
     errors = sorted(_validator().iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = best_match(errors)
-        where = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path)
         raise ConfigError(f"config error at {where}: {err.message}")
+
+
+def _refuse_section(fragment: str, name: str, section) -> None:
+    """Raise jsonschema's best match among the errors of a file under ``$defs/fragment``, as ``name: ...``."""
+    from jsonschema.exceptions import best_match
+
+    err = best_match(_validator().evolve(schema=_schema()["$defs"][fragment]).iter_errors(section))
+    if err is not None:
+        raise ConfigError(f"{name}: {err.message}")
+
+
+def _validate_config(config: dict) -> None:
+    if not _accepts(_schema(), [config]):
+        _refuse_config(config)
 
 
 def _resolve_section(config: dict, key: str, base: Path, fragment: str) -> dict:
     section = config[key]
     if "path" in section:
-        loaded = _load_json(base / section["path"])
-        schema = _schema()["$defs"][fragment]
-        if not _accepts(schema, [loaded]):
-            from jsonschema.exceptions import best_match
-
-            err = best_match(_validator().evolve(schema=schema).iter_errors(loaded))
-            if err is not None:
-                raise ConfigError(f"{section['path']}: {err.message}")
-        return loaded
+        refuse = functools.partial(_refuse_section, fragment, section["path"])
+        return _load_json(base / section["path"], _schema()["$defs"][fragment], refuse)
     return section
 
 
-def _build_graph(gdict: dict) -> Graph:
+@contextlib.contextmanager
+def _config_input(what: str):
+    """Report a config value the library refuses (GraphFpeError or ValueError) as ``invalid {what}: ...``."""
     try:
-        return build_graph(gdict["n"], gdict["edges"])
+        yield
     except (GraphFpeError, ValueError) as exc:
-        raise ConfigError(f"invalid graph: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _build_graph(gdict: dict) -> Graph:
+    with _config_input("graph"):
+        return build_graph(gdict["n"], gdict["edges"])
 
 
 def _build_model(mdict: dict, n: int) -> EnergyModel:
-    V = mdict.get("V")
-    W = mdict.get("W")
-    V = np.zeros(n) if V is None else np.asarray(V, dtype=float)
-    W = np.zeros((n, n)) if W is None else np.asarray(W, dtype=float)
-    try:
+    with _config_input("model"):  # a ragged W fails its conversion
+        V = np.asarray(mdict.get("V", np.zeros(n)), dtype=float)
+        W = np.asarray(mdict.get("W", np.zeros((n, n))), dtype=float)
         model = EnergyModel(interaction=W, potential=V, beta=float(mdict["beta"]))
-    except (GraphFpeError, ValueError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
     if model.n != n:
         raise ConfigError(f"model is {model.n}-dimensional but the graph has {n} nodes")
     return model
@@ -454,8 +451,7 @@ class _Run:
 
     def __init__(self, args):
         config_path = Path(args.config)
-        self.config = _load_json(config_path)
-        _validate_config(self.config)
+        self.config = _load_json(config_path, _schema(), _refuse_config)
         self.base = config_path.parent
         graph_dict = _resolve_section(self.config, "graph", self.base, "graph_inline")
         model_dict = _resolve_section(self.config, "model", self.base, "model_inline")
@@ -480,10 +476,8 @@ class _Run:
         n = self.graph.node_count
         if values is None:
             return Density(np.full(n, 1.0 / n))
-        try:
+        with _config_input(what):
             rho = Density(np.asarray(values, dtype=float))
-        except (GraphFpeError, ValueError) as exc:
-            raise ConfigError(f"invalid {what}: {exc}") from exc
         if rho.n != n:
             raise ConfigError(f"{what} has {rho.n} entries but the graph has {n} nodes")
         return rho

@@ -261,7 +261,7 @@ def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return np.exp(z), phi1, phi2, phi3
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Tail:
     """The exponential tail of one flow, on the equilibrium Jacobian J = -L(rho_inf) H, H = Hess F(rho_inf).
 
@@ -270,27 +270,20 @@ class _Tail:
     coordinates Q v, J and every phi_k(h J) act entrywise. The first
     eigenpair, lam = 0 with Q-row proportional to 1^T, carries the mass;
     zero-sum v have no part in it, so it is dropped, and every P product
-    stays zero-sum.
+    stays zero-sum. Its steps evaluate f through the integrator's
+    right-hand side ``rhs``, which counts the rows.
     """
 
-    model: EnergyModel
-    graph: Graph
     rho_inf: np.ndarray
     lam: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    rows: int = 0  # right-hand-side rows evaluated by its steps
-
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        """f at each row of x, counted in ``rows``."""
-        self.rows += x.size // x.shape[-1]
-        return _rhs_raw(self.model, self.graph, x)
 
     def jac(self, v: np.ndarray) -> np.ndarray:
         return self.P @ (-self.lam * (self.Q @ v))
 
-    def step(self, y: np.ndarray, fy: np.ndarray, h: float, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """One step of size h from y (fy = f(y)): (y+, error estimate), or None if a stage point fails the floor.
+    def step(self, rhs, y, fy, h: float, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """One step of size h from y (fy = rhs(y)): (y+, error estimate), or None if a stage point fails the floor.
 
         Step doubling: y+ is two ETDRK4 steps of h/2, and the error estimate
         is (y+ - y_h)/15 against one step of h, the leading term of the
@@ -303,20 +296,20 @@ class _Tail:
         _, phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
         f0 = self.Q @ fy
         # row 0 the first half step, row 1 the whole step: each takes phi_1 at half its z, and phi_k at its z
-        first = self._etdrk4(y, f0, np.array([[0.5 * h], [h]]), phi1[:2], phi1[1:], phi2[1:], phi3[1:], floor)
+        first = self._etdrk4(rhs, y, f0, np.array([[0.5 * h], [h]]), phi1[:2], phi1[1:], phi2[1:], phi3[1:], floor)
         if first is None:
             return None
         half, whole = first
         y_mid = y + self.P @ half
         if not y_mid.min() >= floor:
             return None
-        f_mid = self.Q @ self.rhs(y_mid)
-        second = self._etdrk4(y_mid, f_mid, 0.5 * h, phi1[0], phi1[1], phi2[1], phi3[1], floor)
+        f_mid = self.Q @ rhs(y_mid)
+        second = self._etdrk4(rhs, y_mid, f_mid, 0.5 * h, phi1[0], phi1[1], phi2[1], phi3[1], floor)
         if second is None:
             return None
         return y_mid + self.P @ second, self.P @ ((half + second - whole) / 15.0)
 
-    def _etdrk4(self, y, f0, h, half1, phi1, phi2, phi3, floor: float) -> np.ndarray | None:
+    def _etdrk4(self, rhs, y, f0, h, half1, phi1, phi2, phi3, floor: float) -> np.ndarray | None:
         """Modal increments Q (y+ - y) of Cox-Matthews ETDRK4 steps, one per row, or None if a stage point fails the floor.
 
         In modal coordinates the flow is f = J (y - rho_inf) + N(y) with
@@ -335,7 +328,7 @@ class _Tail:
             x = y + d @ self.P.T
             if not x.min() >= floor:  # NaN fails it too
                 return None
-            return self.rhs(x) @ self.Q.T - f0 + self.lam * d
+            return rhs(x) @ self.Q.T - f0 + self.lam * d
 
         a = 0.5 * h * half1 * f0
         if (d_a := difference(a)) is None:
@@ -366,7 +359,7 @@ def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail 
         return None
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(P))):
         return None
-    return _Tail(model, graph, rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
+    return _Tail(rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
 
 
 @np.errstate(all="ignore")  # not warned about: a non-finite stage or state fails a floor guard
@@ -439,11 +432,11 @@ def integrate(
     # the (t, state) records; an accepted step binds y to a new array, so no kept state is written to
     times, states = [0.0], [y]
 
-    rows = 0  # right-hand-side rows evaluated through rhs; the tail counts those of its steps
+    rows = 0  # right-hand-side rows evaluated by either method, one per row of a stacked call
 
     def rhs(values: np.ndarray) -> np.ndarray:
         nonlocal rows
-        rows += 1
+        rows += values.size // values.shape[-1]
         return _rhs_raw(model, graph, values)
 
     K = np.empty((12, y.size))  # stage derivatives; K[0] is reused across rejections of one state
@@ -474,7 +467,7 @@ def integrate(
             rejected_by=MappingProxyType(dict(rejected_by)),
             exponential_steps=exponential,
             switch_time=switch_time,
-            rhs_evaluations=rows + (eq.rows if eq is not None else 0),
+            rhs_evaluations=rows,
         )
 
     while t < t_end - t_tiny:
@@ -500,7 +493,7 @@ def integrate(
                 # Hairer's combined estimate h e5^2 / sqrt(e5^2 + e3^2/100), O(h^8); 0 for e5 = 0, not 0/0
                 err_norm = h_try * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 > 0.0 else 0.0
                 exponent = -1.0 / 8.0
-        elif (step := eq.step(y, K[0], h_try, floor)) is not None:
+        elif (step := eq.step(rhs, y, K[0], h_try, floor)) is not None:
             y_new, err = step
             err_norm = float(np.max(np.abs(err) / scale))
             exponent = -1.0 / 5.0  # step doubling estimates an O(h^5) error

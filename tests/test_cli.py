@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import inspect
 import json
 import math
@@ -367,6 +369,42 @@ def test_large_valid_config_takes_the_fast_path_only(monkeypatch):
     assert plain_jsonschema_error(config) is None
 
 
+def test_valid_config_with_referenced_files_takes_the_fast_path_only(tmp_path, monkeypatch):
+    # a config and its graph and model files: one C parse and one walk each, no hooked parse and no jsonschema
+    n = 100
+    graph = {"n": n, "edges": [[i + 1, (i + d) % n + 1, 1.0 + d / 16] for i in range(n) for d in range(1, 11)]}
+    model = {"beta": 1.0, "V": [0.0] * n, "W": (0.01 * np.cos(np.add.outer(np.arange(n), np.arange(n)))).tolist()}
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    uniform = [1.0 / n] * n
+    config = {"graph": {"path": "graph.json"}, "model": {"path": "model.json"}, "gibbs": {"starts": [uniform]},
+              "decompose": {"rho": uniform, "field": [[i, j, 0.5] for i, j, _ in graph["edges"][:50]]}}
+    cfg = write_config(tmp_path, config)
+    hooked, checked = [], []
+
+    def counting(hook):
+        return lambda text: hooked.append(text) or hook(text)
+
+    stock_iter_errors = jsonschema.Draft202012Validator.iter_errors
+
+    def counting_iter_errors(validator, instance, *args, **kwargs):
+        checked.append(instance)
+        return stock_iter_errors(validator, instance, *args, **kwargs)
+
+    def refuse(data):
+        raise AssertionError("a valid file reached jsonschema")
+
+    monkeypatch.setattr(cli, "_finite_float", counting(cli._finite_float))
+    monkeypatch.setattr(cli, "_finite_int", counting(cli._finite_int))
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "iter_errors", counting_iter_errors)
+    for path, schema in [(cfg, cli._schema()), (tmp_path / "graph.json", cli._schema()["$defs"]["graph_inline"]),
+                         (tmp_path / "model.json", cli._schema()["$defs"]["model_inline"])]:
+        assert cli._load_json(path, schema, refuse) == json.loads(path.read_text())
+    run_ = cli._Run(_parser().parse_args(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "out")]))
+    assert run_.graph.node_count == n and run_.model.n == n
+    assert hooked == [] and checked == []
+
+
 def test_validator_is_built_once():
     assert _validator() is _validator()
 
@@ -395,6 +433,40 @@ def test_graph_file_reference_error_matches_plain_jsonschema(tmp_path, capsys):
     with pytest.raises(jsonschema.exceptions.ValidationError) as info:
         jsonschema.validate(graph, {"$ref": "#/$defs/graph_inline", "$defs": schema["$defs"]})
     assert capsys.readouterr().err == f"graphfpe: graph.json: {info.value.message}\n"
+
+
+SECTION_FILES = {"graph": "graph_inline", "model": "model_inline"}
+SECTION_PATHS = [(key, path) for key in SECTION_FILES for path in entry_paths(bench_shaped_config()[key])]
+
+
+@given(st.sampled_from(SECTION_PATHS), st.one_of(st.just("delete"), MUTANTS))
+def test_referenced_file_errors_match_plain_jsonschema_on_single_entry_mutations(tmp_path_factory, entry, value):
+    # a non-finite literal is named by the hooked parse, and a ragged W is refused as an invalid model
+    key, path = entry
+    config = bench_shaped_config()
+    section = config[key]
+    mutate(section, path, value)
+    work = tmp_path_factory.mktemp("referenced")
+    for name in SECTION_FILES:
+        (work / f"{name}.json").write_text(json.dumps(config[name]))
+        config[name] = {"path": f"{name}.json"}
+    cfg = write_config(work, config)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run("gibbs", cfg, work / "out")
+    schema = json.loads(resources.files("graphfpe").joinpath("config_schema.json").read_text("utf-8"))
+    validator = jsonschema.Draft202012Validator({"$ref": f"#/$defs/{SECTION_FILES[key]}", "$defs": schema["$defs"]})
+    err = jsonschema.exceptions.best_match(validator.iter_errors(section))
+    W = section.get("W") if key == "model" else None
+    if isinstance(value, float) and not math.isfinite(value):
+        literal = json.dumps(value)  # NaN, Infinity or -Infinity
+        assert (code, stderr.getvalue()) == (2, f"graphfpe: {work / key}.json: number {literal} is not finite\n")
+    elif err is not None:
+        assert (code, stderr.getvalue()) == (2, f"graphfpe: {key}.json: {err.message}\n")
+    elif isinstance(W, list) and len({len(row) for row in W}) > 1:
+        assert code == 2 and stderr.getvalue().startswith("graphfpe: invalid model: ")
+    else:
+        assert code in (0, 2, 3, 4) and not stderr.getvalue().startswith(f"graphfpe: {key}.json: ")
 
 
 def test_invalid_json_exits_2(tmp_path):
@@ -467,6 +539,21 @@ def test_overflowing_integer_weight_in_referenced_graph_exits_2(tmp_path, capsys
     assert run("simulate", cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == f"graphfpe: {tmp_path / 'graph.json'}: number 1{'0' * 20}... {FLOAT_OVERFLOW}\n"
+
+
+RAGGED_W = [[0.0, 0.1], [0.1]]  # valid under the schema, which does not ask W to be square
+
+
+@pytest.mark.parametrize("referenced", [False, True], ids=["inline", "model-file"])
+def test_ragged_w_exits_2_as_an_invalid_model(tmp_path, capsys, referenced):
+    config = dict(CANONICAL)
+    config["model"] = {"beta": 1.0, "W": RAGGED_W}
+    if referenced:
+        (tmp_path / "model.json").write_text(json.dumps(config["model"]))
+        config["model"] = {"path": "model.json"}
+    assert run("gibbs", write_config(tmp_path, config), tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("graphfpe: invalid model: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -599,6 +686,17 @@ assert "jsonschema" in sys.modules, "an invalid config is worded by jsonschema"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_example_config_is_valid_and_runs_every_command(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1
+    config = json.loads(blocks[0].split("```")[0])
+    _validate_config(config)
+    cfg = write_config(tmp_path, config)
+    for command in ALL_COMMANDS:
+        assert run(command, cfg, tmp_path / command) == 0, command
 
 
 def test_disconnected_graph_exits_2(tmp_path):

@@ -1,7 +1,8 @@
 """Exit-code totality: every schema-valid config makes the CLI exit 0, 2, 3 or 4, never raise.
 
 Configs are drawn on 2-4 nodes, with the graph or the model sometimes in a
-file of its own ({"path": ...}), a ``rates`` config sometimes pointing to a
+file of its own ({"path": ...}), W sometimes ragged (one row of another
+length), a ``rates`` config sometimes pointing to a
 trajectory CSV that is valid, malformed or has the wrong column count, and
 magnitudes of beta, V, W, edge weights, fields and t_end log-uniform over
 1e-300 .. 1e300, so they reach overflow,
@@ -87,6 +88,9 @@ def configs(draw, command):
         W = [draw(st.lists(signed, min_size=n, max_size=n)) for _ in range(n)]
         if draw(st.booleans()):  # the symmetric W that rates and lsi require
             W = [[W[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if draw(st.integers(0, 3)) == 0:  # a ragged W, which the schema accepts: one row of another length
+            k = draw(st.integers(0, n - 1))
+            W[k] = W[k][: draw(st.integers(1, n - 1))] if draw(st.booleans()) else W[k] + [draw(signed)]
         model["W"] = W
     config = {"graph": {"n": n, "edges": edges}, "model": model, "seed": draw(st.integers(0, 2**31))}
     files = {}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -507,8 +508,9 @@ def test_step_doubling_tracks_the_true_local_error_of_the_first_tail_steps(seed,
     scale = 1e-11 + 1e-8 * np.abs(y)  # the scaled norm of integrate at its default tolerances
     true = np.max(np.abs(ys[1:] - reference) / scale, axis=1)
     floor = max(invariant_region(model, g, rho0).m / 2.0, 1e-14)
+    rhs = functools.partial(_rhs_raw, model, g)
     estimate = np.array(
-        [np.max(np.abs(tail.step(yk, _rhs_raw(model, g, yk), hk, floor)[1]) / sk) for yk, hk, sk in zip(y, h[:, 0], scale)]
+        [np.max(np.abs(tail.step(rhs, yk, rhs(yk), hk, floor)[1]) / sk) for yk, hk, sk in zip(y, h[:, 0], scale)]
     )
     assert np.all(true <= 1.0), true
     big = true > 0.01
