@@ -164,8 +164,11 @@ def _dump_stable(obj, indent: int = 0) -> str:
 
 def _write(path: Path, text: str) -> None:
     """Write one output file, creating its directory first; a command that fails before writing leaves none."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     logger.info("wrote %s", path)
 
 
@@ -458,6 +461,8 @@ class _Run:
         self.graph = _build_graph(graph_dict)
         self.model = _build_model(model_dict, self.graph.node_count)
         self.out = Path(args.out) if args.out else Path(self.config.get("output_dir", "."))
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed is {args.seed}; it must be >= 0")
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
         self.stamp = {
             **_stamp_digests(self.config, graph_dict, model_dict),
@@ -482,8 +487,11 @@ class _Run:
             raise ConfigError(f"{what} has {rho.n} entries but the graph has {n} nodes")
         return rho
 
-    def default_starts(self) -> list[Density]:
-        """Uniform plus one corner-leaning start per node (mass 0.9 at the corner)."""
+    def starts(self, name: str) -> list[Density]:
+        """The ``name`` section's ``starts``; by default uniform plus one start per node with mass 0.9 at that node."""
+        opts = self.config.get(name, {})
+        if "starts" in opts:
+            return [self.density(s, f"{name}.starts entry") for s in opts["starts"]]
         n = self.graph.node_count
         starts = [self.density(None, "uniform start")]
         off = 0.1 / (n - 1)
@@ -503,16 +511,20 @@ def _given(opts: dict, *keys: str) -> dict:
     return {key: opts[key] for key in keys if key in opts}
 
 
-def _gibbs_payload(result, model) -> dict:
+def _equilibrium_record(result, model) -> dict:
+    """One Gibbs solve as ``gibbs`` and ``rates --equilibrium`` report it: the state, its energy and the solve's cost."""
     return {
         "density": result.density.values,
-        "K": result.normalizer,
+        "energy": energy(model, result.density),
+        "residual": result.residual,
         "iterations": result.iterations,
         "newton_steps": result.newton_steps,
-        "residual": result.residual,
         "damping": result.damping,
-        "energy": energy(model, result.density),
     }
+
+
+def _gibbs_payload(result, model) -> dict:
+    return {**_equilibrium_record(result, model), "K": result.normalizer}
 
 
 def cmd_gibbs(run: _Run) -> int:
@@ -520,8 +532,7 @@ def cmd_gibbs(run: _Run) -> int:
     solver = _given(opts, "tol", "max_iter", "damping")
     init = run.density(opts.get("init"), "gibbs.init")
     if "starts" in opts:
-        starts = [run.density(s, "gibbs.starts entry") for s in opts["starts"]]
-        results = find_all_equilibria(run.model, starts, **solver)
+        results = find_all_equilibria(run.model, run.starts("gibbs"), **solver)
         converged = bool(results)
         payload = {"equilibria": [_gibbs_payload(r, run.model) for r in results]}
         if results:
@@ -616,32 +627,18 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
     rho0 = run.density(opts["rho0"], "rates.rho0")
 
     if equilibria_flag:
-        starts = (
-            [run.density(s, "rates.starts entry") for s in opts["starts"]]
-            if "starts" in opts
-            else run.default_starts()
-        )
-        results = find_all_equilibria(run.model, starts)
+        budget = {key: opts[f"gibbs_{key}"] for key in ("tol", "max_iter") if f"gibbs_{key}" in opts}
+        results = find_all_equilibria(run.model, run.starts("rates"), **budget)
         if not results:
             raise NoConvergence("no equilibrium start converged")
         entries = []
         for res in results:
             # an indefinite Hessian still has a tangent rate; a negative one flags an unstable equilibrium
             lam, positive, lam_fisher = equilibrium_rates(run.model, run.graph, res.density, strict=False)
-            entries.append(
-                {
-                    "density": res.density.values,
-                    "energy": energy(run.model, res.density),
-                    "residual": res.residual,
-                    "iterations": res.iterations,
-                    "newton_steps": res.newton_steps,
-                    "damping": res.damping,
-                    "lambda_asymptotic": lam,
-                    "hessian_positive": positive,
-                    "lambda_fisher": lam_fisher,
-                }
-            )
-        certified = run.model.is_symmetric and convexity_certificate(run.model).certified_convex
+            rates = {"lambda_asymptotic": lam, "hessian_positive": positive, "lambda_fisher": lam_fisher}
+            entries.append({**_equilibrium_record(res, run.model), **rates})
+        # equilibrium_rates has refused a non-symmetric W above
+        certified = convexity_certificate(run.model).certified_convex
         run.write("rates.json", {"equilibria": entries, "certified_convex": certified})
         return EXIT_OK
 

@@ -241,8 +241,8 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(e^z, phi_1(z), phi_2(z), phi_3(z)) entrywise for z <= 0, phi_{k+1}(z) = (phi_k(z) - 1/k!)/z, phi_0 = e^z.
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_1(z), phi_2(z), phi_3(z)) entrywise for z <= 0, phi_{k+1}(z) = (phi_k(z) - 1/k!)/z, phi_0 = e^z.
 
     Where |z| < 1.25, phi_3 is its Taylor sum, one power table times the
     coefficients, and the recurrence runs downward (phi_2 = 1/2 + z phi_3,
@@ -258,7 +258,7 @@ def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     phi3[small] = np.vander(zs, _PHI3_TAYLOR.size, increasing=True) @ _PHI3_TAYLOR
     phi2[small] = 0.5 + zs * phi3[small]
     phi1[small] = 1.0 + zs * phi2[small]
-    return np.exp(z), phi1, phi2, phi3
+    return phi1, phi2, phi3
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +293,7 @@ class _Tail:
         y, share their right-hand-side calls as stacked rows. The half-step
         state meets the floor as the stage points do.
         """
-        _, phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
+        phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
         f0 = self.Q @ fy
         # row 0 the first half step, row 1 the whole step: each takes phi_1 at half its z, and phi_k at its z
         first = self._etdrk4(rhs, y, f0, np.array([[0.5 * h], [h]]), phi1[:2], phi1[1:], phi2[1:], phi3[1:], floor)

@@ -915,6 +915,40 @@ def test_rates_nonconvex_equilibrium_flag(tmp_path):
     assert saddle[0]["lambda_asymptotic"] == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "budget, keywords",
+    [({}, {}), ({"gibbs_tol": 1e-11, "gibbs_max_iter": 5000}, {"tol": 1e-11, "max_iter": 5000})],
+    ids=["none-set", "all-set"],
+)
+def test_rates_equilibrium_passes_its_gibbs_budget_to_the_solve(tmp_path, monkeypatch, budget, keywords):
+    real = cli.find_all_equilibria
+    seen = []
+
+    def recorder(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_all_equilibria", recorder)
+    config = {**CANONICAL, "rates": {"rho0": [0.9, 0.1], **budget}}
+    assert run("rates", write_config(tmp_path, config), tmp_path / "out", "--equilibrium") == 0
+    assert seen == [keywords]
+
+
+@pytest.mark.parametrize("command, flags", [("gibbs", []), ("rates", ["--equilibrium"])])
+def test_a_start_of_another_size_exits_2_and_names_its_section(tmp_path, capsys, command, flags):
+    config = {**CANONICAL, command: {**CANONICAL[command], "starts": [[0.5, 0.5], [0.2, 0.3, 0.5]]}}
+    assert run(command, write_config(tmp_path, config), tmp_path / "out", *flags) == 2
+    assert f"graphfpe: {command}.starts entry has 3 entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rates_equilibrium_with_a_spent_gibbs_budget_exits_3(tmp_path, capsys):
+    rates = {"rho0": [0.9, 0.1], "starts": [[0.9, 0.1], [0.1, 0.9]], "gibbs_max_iter": 1}
+    config = {**CANONICAL, "model": {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}, "rates": rates}
+    assert run("rates", write_config(tmp_path, config), tmp_path / "out", "--equilibrium") == 3
+    assert "graphfpe: no equilibrium start converged" in capsys.readouterr().err
+
+
 def test_rates_runs_one_gth_elimination_per_density(tmp_path, monkeypatch):
     """One elimination and one tangent eigenproblem per density: lambda_fisher is read off as 2 lambda."""
     gth_solve = simplex_calculus._gth_solve
@@ -1240,6 +1274,28 @@ def test_w2_json_reports_the_segment_count_the_library_used(tmp_path):
     K = inspect.signature(wasserstein_metric.w2_distance).parameters["K"].default
     assert read_json(tmp_path / "out" / "w2.json")["K"] == K
     assert len((tmp_path / "out" / "w2_path.csv").read_text().splitlines()) == 1 + K + 1
+
+
+# (the command line's extra arguments, the config's output_dir) given a path to an existing file
+COMMAND_LINE_FAULTS = {
+    "negative-seed": lambda file: (["--out", str(file.parent / "out"), "--seed", "-1"], None),
+    "out-is-a-file": lambda file: (["--out", str(file)], None),
+    "out-below-a-file": lambda file: (["--out", str(file / "out")], None),
+    "output-dir-is-a-file": lambda file: ([], str(file)),
+}
+
+
+@pytest.mark.parametrize("fault", COMMAND_LINE_FAULTS)
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_a_refused_command_line_value_exits_2_with_one_line(tmp_path, capsys, command, fault):
+    file = tmp_path / "taken"
+    file.write_text("")
+    argv, output_dir = COMMAND_LINE_FAULTS[fault](file)
+    config = CANONICAL if output_dir is None else {**CANONICAL, "output_dir": output_dir}
+    assert main([command, "--config", str(write_config(tmp_path, config)), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("graphfpe: ") and err.count("\n") == 1, err
+    assert file.read_text() == ""
 
 
 EXIT_CODES = [

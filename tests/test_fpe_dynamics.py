@@ -369,7 +369,7 @@ def test_equilibrium_jacobian_matches_central_differences():
 
 def test_phi_functions_match_their_closed_forms_on_both_branches():
     z = np.array([0.0, -1e-12, -0.5, -0.999999, -1.000001, -3.0, -40.0, -1e6])
-    _, phi1, phi2, _ = _phi(z)
+    phi1, phi2, _ = _phi(z)
     assert phi1[0] == 1.0 and phi2[0] == 0.5
     for k, zk in enumerate(z[1:], start=1):
         exact1 = math.expm1(zk) / zk
@@ -383,7 +383,7 @@ def test_phi_functions_are_within_a_few_ulp_of_mpmath_on_the_tail_range():
     rng = np.random.default_rng(15)
     # log-uniform over [-1e3, -1e-16], plus a dense band about |z| = 1
     z = -np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 1500), rng.uniform(0.9, 1.1, 500), [1.0, 1e3]])
-    _, phi1, phi2, _ = _phi(z)
+    phi1, phi2, _ = _phi(z)
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for zk, p1, p2 in zip(z, phi1, phi2):
@@ -394,7 +394,7 @@ def test_phi_functions_are_within_a_few_ulp_of_mpmath_on_the_tail_range():
             assert abs(p2 - exact2) <= 4 * eps * exact2, zk
 
 
-def test_phi_3_and_the_exponential_are_within_4_ulp_of_mpmath_on_the_tail_range():
+def test_phi_3_is_within_4_ulp_of_mpmath_on_the_tail_range():
     # (e^z - 1 - z - z^2/2)/z^3 cancels about 32 digits at |z| = 1e-16, so the reference needs more than 40
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(16)
@@ -402,13 +402,12 @@ def test_phi_3_and_the_exponential_are_within_4_ulp_of_mpmath_on_the_tail_range(
     z = -np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 1500), rng.uniform(0.9, 1.4, 1000), [1.0, 1.25, 1e3]])
     # one call on the stacked [z/4, z/2, z], as the tail makes it
     stacked = np.multiply.outer((0.25, 0.5, 1.0), z)
-    exp, _, _, phi3 = _phi(stacked)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal  # e^z underflows below z = -745
+    _, _, phi3 = _phi(stacked)
+    eps = np.finfo(float).eps
     with mpmath.workdps(60):
-        for zk, ek, p3 in zip(stacked.ravel(), exp.ravel(), phi3.ravel()):
+        for zk, p3 in zip(stacked.ravel(), phi3.ravel()):
             x = mpmath.mpf(float(zk))
-            exact0, exact3 = mpmath.exp(x), (mpmath.expm1(x) - x - x * x / 2) / (x * x * x)
-            assert abs(ek - exact0) <= 4 * eps * exact0 + tiny, zk
+            exact3 = (mpmath.expm1(x) - x - x * x / 2) / (x * x * x)
             assert abs(p3 - exact3) <= 4 * eps * exact3, zk
 
 
