@@ -70,8 +70,7 @@ from .free_energy import (
 )
 from .graph_core import Graph, build_graph
 from .rate_analysis import (
-    GIBBS_MAX_ITER,
-    GIBBS_TOL,
+    _certified_gibbs,
     equilibrium_rates,
     estimate_lsi_constant,
     rate_constants,
@@ -106,6 +105,7 @@ _EXIT_CODES = {
     NoConvergence: EXIT_NUMERIC,
     StepSizeUnderflow: EXIT_NUMERIC,
     InconsistentRateConstants: EXIT_NUMERIC,
+    MemoryError: EXIT_CONFIG,  # the config asks for an array numpy cannot size or the machine cannot allocate
 }
 
 
@@ -574,9 +574,7 @@ def cmd_simulate(run: _Run) -> int:
     _write_csv(run.out / "trajectory.csv", header, _trajectory_rows(traj))
     final = traj.final_density
     try:
-        # ten times the library's iteration budget, so that a final state whose damped
-        # iteration needs more than 10 000 steps reports its relative entropy, not null
-        gibbs = gibbs_fixed_point(run.model, final, max_iter=100_000)
+        gibbs = gibbs_fixed_point(run.model, final)
         rel_entropy = relative_entropy(run.model, final, gibbs.density)
     except NoConvergence:
         rel_entropy = None
@@ -671,15 +669,9 @@ def cmd_lsi(run: _Run) -> int:
     min_mass = opts.get("min_mass", 1e-4)
     if not min_mass < 1.0 / n:
         raise ConfigError(f"lsi.min_mass is {min_mass!r}; it must be below 1/n = {1.0 / n!r} on {n} nodes")
-    init = run.density(opts.get("rho0"), "lsi.rho0")
-    gibbs = gibbs_fixed_point(run.model, init, tol=GIBBS_TOL, max_iter=GIBBS_MAX_ITER)
+    _, gibbs = _certified_gibbs(run.model, run.density(opts.get("rho0"), "lsi.rho0"))
     estimate = estimate_lsi_constant(
-        run.model,
-        run.graph,
-        gibbs.density,
-        count=opts["count"],
-        seed=run.seed,
-        min_mass=min_mass,
+        run.model, run.graph, gibbs.density, count=opts["count"], seed=run.seed, min_mass=min_mass
     )
     run.write(
         "lsi.json",

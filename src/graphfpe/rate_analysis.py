@@ -27,7 +27,9 @@ from .errors import (
 )
 from .fpe_dynamics import _dissipation_raw, invariant_region
 from .free_energy import (
+    ConvexityCertificate,
     EnergyModel,
+    GibbsResult,
     _energy_raw,
     convexity_certificate,
     energy,
@@ -47,6 +49,7 @@ __all__ = [
     "verify_decay_bound",
     "asymptotic_rate",
     "hessian_quadratic_rate",
+    "linearized_rate",
     "fisher_rate",
     "equilibrium_rates",
     "estimate_lsi_constant",
@@ -55,8 +58,8 @@ __all__ = [
 
 _LSI_BLOCK = 256  # sample rows per batched evaluation; bounds the (rows x edges) temporaries
 
-# the Gibbs budget of a certificate (rate_constants) and of an LSI estimate
-# (the lsi command): tighter and longer than gibbs_fixed_point's defaults
+# the Gibbs budget of a certified solve (rate_constants and the lsi command's
+# equilibrium): tighter and longer than gibbs_fixed_point's defaults
 GIBBS_TOL = 1e-13
 GIBBS_MAX_ITER = 500_000
 
@@ -239,6 +242,21 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     return _tangent_rate(graph, rho_inf, sym_jac)
 
 
+def _certificate(model: EnergyModel) -> ConvexityCertificate:
+    """The model's convexity certificate; raises :class:`NotCertifiedConvex` where it fails."""
+    cert = convexity_certificate(model)
+    if not cert.certified_convex:
+        raise NotCertifiedConvex(f"convexity certificate failed (lambda_min(W) + beta = {cert.lambda_min_bound:.6g})")
+    return cert
+
+
+def _certified_gibbs(
+    model: EnergyModel, rho0: Density, tol: float = GIBBS_TOL, max_iter: int = GIBBS_MAX_ITER
+) -> tuple[ConvexityCertificate, GibbsResult]:
+    """The certificate, then the Gibbs state from rho0 at the certified budget: an uncertified model runs no solve."""
+    return _certificate(model), gibbs_fixed_point(model, rho0, tol=tol, max_iter=max_iter)
+
+
 def rate_constants(
     model: EnergyModel,
     graph: Graph,
@@ -259,13 +277,7 @@ def rate_constants(
     below what ``eigvalsh`` resolves.
     """
     _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
-    cert = convexity_certificate(model)
-    if not cert.certified_convex:
-        raise NotCertifiedConvex(
-            f"convexity certificate failed (lambda_min(W) + beta = {cert.lambda_min_bound:.6g})"
-        )
-
-    gibbs = gibbs_fixed_point(model, rho0, tol=gibbs_tol, max_iter=gibbs_max_iter)
+    cert, gibbs = _certified_gibbs(model, rho0, gibbs_tol, gibbs_max_iter)
     rho_inf = gibbs.density
     f_inf = energy(model, rho_inf)
 
@@ -422,17 +434,14 @@ def estimate_lsi_constant(
     functionals carry beta consistently).
     """
     _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
-    cert = convexity_certificate(model)
-    if not cert.certified_convex:
-        raise NotCertifiedConvex(
-            f"LSI estimation requires a certified-convex model "
-            f"(lambda_min(W) + beta = {cert.lambda_min_bound:.6g})"
-        )
+    _certificate(model)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     n = model.n
     if not (0 <= min_mass < 1.0 / n):
         raise ValueError(f"min_mass must lie in [0, 1/n), got {min_mass!r}")
+    if count * n > np.iinfo(np.intp).max // 8:  # numpy refuses to size the (count, n) samples
+        raise MemoryError(f"{count} samples on {n} nodes are more than numpy can index")
 
     rng = np.random.default_rng(seed)
     samples = min_mass + (1.0 - n * min_mass) * rng.dirichlet(np.ones(n), size=count)

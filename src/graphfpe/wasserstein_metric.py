@@ -200,6 +200,8 @@ def w2_distance(
     _require(graph.node_count, interior=("rho0", "rho1"), rho0=rho0, rho1=rho1)
     if K < 1:
         raise ValueError(f"need K >= 1 segments, got {K!r}")
+    if K >= np.iinfo(np.intp).max // 8:  # numpy refuses to size the K + 1 path times
+        raise MemoryError(f"a path of {K} segments is more than numpy can index")
 
     if np.array_equal(rho0.values, rho1.values):
         path = DiscretePath(densities=(rho0,) * K + (rho1,), action=0.0)

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfpe import Density, EnergyModel, find_all_equilibria
-from graphfpe import cli, errors, fpe_dynamics, graph_core, rate_analysis, simplex_calculus, wasserstein_metric
+from graphfpe import cli, errors, fpe_dynamics, free_energy, graph_core, rate_analysis, simplex_calculus
+from graphfpe import wasserstein_metric
 from graphfpe.cli import ConfigError, _parser, _validate_config, _validator, main
 
 CANONICAL = {
@@ -1013,6 +1014,49 @@ def test_lsi_min_mass_not_below_one_over_n_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, config)
     assert run("lsi", cfg, tmp_path / "out") == 2
     assert "lsi.min_mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("W", [[[-20.0, 0.0], [0.0, -20.0]], [[0.0, 30.0], [30.0, 0.0]]], ids=["-20I", "offdiag-30"])
+def test_lsi_on_an_uncertified_model_exits_4_before_any_gibbs_iteration(tmp_path, monkeypatch, capsys, W):
+    def no_solve(*args):
+        raise AssertionError("a Gibbs iteration ran")
+
+    monkeypatch.setattr(free_energy, "_gibbs_rows", no_solve)
+    config = {**CANONICAL, "model": {"beta": 1.0, "W": W, "V": [0.01, 0.0]}, "lsi": {"count": 100}}
+    assert run("lsi", write_config(tmp_path, config), tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("graphfpe: convexity certificate failed") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_cli_passes_no_gibbs_budget_of_its_own(tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(real):
+        def solve(model, init, **kwargs):
+            calls.append(kwargs)
+            return real(model, init, **kwargs)
+
+        return solve
+
+    monkeypatch.setattr(cli, "gibbs_fixed_point", recorder(cli.gibbs_fixed_point))
+    monkeypatch.setattr(rate_analysis, "gibbs_fixed_point", recorder(rate_analysis.gibbs_fixed_point))
+    cfg = write_config(tmp_path, CANONICAL)
+    assert run("simulate", cfg, tmp_path / "simulate") == 0
+    assert run("lsi", cfg, tmp_path / "lsi") == 0
+    library = {"tol": rate_analysis.GIBBS_TOL, "max_iter": rate_analysis.GIBBS_MAX_ITER}
+    assert calls == [{}, library]  # simulate's final state at the library default, lsi at the certified budget
+
+
+@pytest.mark.parametrize("size", [10**18, 10**19], ids=["1e18", "1e19"])
+@pytest.mark.parametrize("command, key", [("lsi", "count"), ("w2", "K")])
+def test_a_config_asking_for_an_array_numpy_cannot_make_exits_2_with_one_line(tmp_path, capsys, command, key, size):
+    # arrays of 10**18 or more doubles are refused before any allocation; a size numpy can make is never asked for
+    config = {**CANONICAL, command: {**CANONICAL[command], key: size}}
+    assert run(command, write_config(tmp_path, config), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("graphfpe: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lsi_seed_override_changes_result(tmp_path):

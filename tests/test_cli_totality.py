@@ -13,17 +13,18 @@ solves to 200 iterations, integration to 100 attempted steps). A spent
 budget still raises the NoConvergence or StepSizeUnderflow it raises at full
 size. Overflow to +-inf is the float answer at these magnitudes, and the
 CLI writes it as "inf", so numpy overflow warnings are silenced; an invalid
-operation (NaN) or a division by zero still fails the test.
+operation (NaN) or a division by zero still fails the test. An ``lsi`` config
+whose model has no convexity certificate exits 2 or 4, before any Gibbs solve.
 """
 
 import json
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphfpe import cli, fpe_dynamics, free_energy
+from graphfpe import EnergyModel, cli, convexity_certificate, fpe_dynamics, free_energy, rate_analysis
 from graphfpe.cli import main
 
 positive = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -41,6 +42,7 @@ def run_capped(argv) -> int:
     with (
         mock.patch.object(cli, "gibbs_fixed_point", gibbs),
         mock.patch.object(free_energy, "gibbs_fixed_point", gibbs),
+        mock.patch.object(rate_analysis, "gibbs_fixed_point", gibbs),
         mock.patch.object(fpe_dynamics, "_STEP_BUDGET", 100),
         np.errstate(over="ignore"),
     ):
@@ -141,6 +143,20 @@ def check_exit_code(tmp_path_factory, command, case, *flags):
     path.write_text(json.dumps(config))
     code = run_capped([command, "--config", str(path), "--out", str(work / "out"), *flags])
     assert code in (0, 2, 3, 4)
+    return code
+
+
+def certified(case) -> bool:
+    """Whether the drawn model is well formed and certified convex: a symmetric W with lambda_min(W) + beta > 0."""
+    config, files = case
+    graph = json.loads(files["graph.json"]) if "graph.json" in files else config["graph"]
+    model = json.loads(files["model.json"]) if "model.json" in files else config["model"]
+    n = graph["n"]
+    W = model.get("W", [[0.0] * n] * n)
+    if any(len(row) != n for row in W):  # a ragged W, refused as an invalid model
+        return False
+    energy_model = EnergyModel(np.array(W), np.zeros(n), model["beta"])
+    return energy_model.is_symmetric and convexity_certificate(energy_model).certified_convex
 
 
 @settings(max_examples=25)
@@ -161,10 +177,20 @@ def test_rates_exit_code_is_total(tmp_path_factory, case, equilibrium):
     check_exit_code(tmp_path_factory, "rates", case, *(["--equilibrium"] if equilibrium else []))
 
 
+def bistable(W) -> tuple[dict, dict]:
+    """An lsi case on one edge whose model fails the certificate and whose Gibbs iteration does not settle."""
+    graph = {"n": 2, "edges": [[1, 2, 1.0]]}
+    return {"graph": graph, "model": {"beta": 1.0, "W": W, "V": [0.01, 0.0]}, "lsi": {"count": 100}, "seed": 0}, {}
+
+
 @settings(max_examples=25)
 @given(configs("lsi"))
+@example(case=bistable([[-20.0, 0.0], [0.0, -20.0]]))
+@example(case=bistable([[0.0, 30.0], [30.0, 0.0]]))
 def test_lsi_exit_code_is_total(tmp_path_factory, case):
-    check_exit_code(tmp_path_factory, "lsi", case)
+    code = check_exit_code(tmp_path_factory, "lsi", case)
+    if not certified(case):  # refused before its Gibbs solve: an invalid config or no convexity certificate
+        assert code in (2, 4)
 
 
 @settings(max_examples=25)

@@ -7,6 +7,7 @@ that succeeds as given.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ def test_every_public_function_with_node_arguments_is_listed():
             fn = getattr(module, name)
             if inspect.isfunction(fn) and node_arguments & set(inspect.signature(fn).parameters):
                 assert name in ENTRY_POINTS
+
+
+def test_every_name_the_package_exports_is_public_in_its_module():
+    """A re-exported function or class is listed in its module's ``__all__``, which bench/tracer.py reads as public."""
+    for name, obj in vars(g).items():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__.startswith("graphfpe."):
+            exported = getattr(sys.modules[obj.__module__], "__all__", None)
+            assert exported is None or name in exported, f"{obj.__module__}.{name}"
 
 
 def test_messages_name_the_argument():
