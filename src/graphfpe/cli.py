@@ -8,8 +8,9 @@ Usage:
 A missing command section exits 2; an omitted key takes the library default.
 Every command is deterministic given (config, seed); floats in JSON and CSV
 outputs are written with 17 significant digits so repeated runs are
-byte-identical. Each output embeds the SHA-256 digest of the canonicalized
-config plus the library version. Exit codes: 0 success, 2 config or
+byte-identical. Each output embeds SHA-256 digests of the config and of its
+graph and model, with every list of floats hashed as little-endian doubles
+(:func:`_packed`), plus the library version. Exit codes: 0 success, 2 config or
 validation problem, 3 numerical non-convergence, 4 precondition violation.
 Set GRAPHFPE_LOG to error/warn/info/debug to control logging.
 
@@ -34,6 +35,7 @@ import json
 import logging
 import math
 import os
+import struct
 import sys
 import time
 import warnings
@@ -178,8 +180,33 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     _write(path, "\n".join([",".join(header), *[line % tuple(row) for row in table.tolist()]]) + "\n")
 
 
+_FLOATS = {float}
+_CONTAINERS = {list, dict}
+
+
+def _packed(obj):
+    """obj with every non-empty list of floats replaced by ``{"": SHA-256 hex of its entries as "<f8"}``, recursively.
+
+    Ints and bools are never packed: a list holding any (an edge row
+    ``[i, j, w]``) stays JSON, and only lists and dicts are descended into.
+    """
+    if isinstance(obj, dict):
+        return {key: _packed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        types = set(map(type, obj))
+        if types == _FLOATS:
+            return {"": hashlib.sha256(struct.pack(f"<{len(obj)}d", *obj)).hexdigest()}
+        return [_packed(item) for item in obj] if types & _CONTAINERS else obj
+    return obj
+
+
+# json.dumps with these keywords, without building an encoder per call
+_compact_sorted_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The text a digest hashes: :func:`_packed` obj as compact JSON with sorted keys."""
+    return _compact_sorted_json(_packed(obj))
 
 
 def _sha256(text: str) -> str:

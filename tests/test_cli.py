@@ -6,6 +6,8 @@ import inspect
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -572,8 +574,20 @@ def test_graph_from_file_reference(tmp_path):
     assert run("gibbs", cfg, tmp_path / "out") == 0
 
 
-def old_digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+def reference_packed(v):
+    """The README's packed(v), written apart from the CLI: a non-empty all-float list becomes its "<f8" bytes' hash."""
+    if isinstance(v, dict):
+        return {key: reference_packed(x) for key, x in v.items()}
+    if isinstance(v, list) and v and all(type(x) is float for x in v):
+        return {"": hashlib.sha256(struct.pack(f"<{len(v)}d", *v)).hexdigest()}
+    if isinstance(v, list):
+        return [reference_packed(x) for x in v]
+    return v
+
+
+def reference_digest(obj) -> str:
+    text = json.dumps(reference_packed(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("referenced", [(), ("graph",), ("model",), ("graph", "model")])
@@ -587,18 +601,158 @@ def test_stamp_digests_equal_one_serialization_of_each_whole(tmp_path, reference
     cfg = write_config(tmp_path, config)
     assert run("gibbs", cfg, tmp_path / "out") == 0
     stamp = read_json(tmp_path / "out" / "gibbs.json")
-    assert stamp["config_digest"] == old_digest(read_json(cfg))
-    assert stamp["graph_digest"] == old_digest(resolved["graph"])
-    assert stamp["model_digest"] == old_digest(resolved["model"])
+    assert stamp["config_digest"] == reference_digest(read_json(cfg))
+    assert stamp["graph_digest"] == reference_digest(resolved["graph"])
+    assert stamp["model_digest"] == reference_digest(resolved["model"])
 
 
 def test_stamp_config_digest_keeps_json_key_order_and_escapes():
     config = {"zeta": "caf\u00e9 \"q\"", "graph": {"n": 2, "b": [1e-300, 0.1]}, "model": {}, "Alpha": None}
     assert cli._stamp_digests(config, config["graph"], {"beta": 1.0}) == {
-        "config_digest": old_digest(config),
-        "graph_digest": old_digest(config["graph"]),
-        "model_digest": old_digest({"beta": 1.0}),
+        "config_digest": reference_digest(config),
+        "graph_digest": reference_digest(config["graph"]),
+        "model_digest": reference_digest({"beta": 1.0}),
     }
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(finite_floats, st.integers(-3, 3))
+
+
+@st.composite
+def digest_configs(draw):
+    """A config of the schema's shape: nested dicts, lists of floats, mixed edge rows, ints, strings."""
+    n = draw(st.integers(2, 4))
+    # a list with an int among its floats is mixed and stays JSON
+    vector = st.one_of(st.lists(finite_floats, min_size=n, max_size=n), st.lists(numbers, min_size=n, max_size=n))
+    model = {"beta": draw(finite_floats)}
+    if draw(st.booleans()):
+        model["V"] = draw(vector)
+    if draw(st.booleans()):
+        model["W"] = draw(st.lists(vector, min_size=n, max_size=n))
+    config = {
+        "graph": {"n": n, "edges": [[i, i + 1, draw(numbers)] for i in range(1, n)]},
+        "model": model,
+        "seed": draw(st.integers(0, 2**31)),
+        "simulate": {"rho0": draw(vector), "t_end": draw(finite_floats), "record_every": 5},
+        "output_dir": draw(st.text(max_size=4)),
+    }
+    if draw(st.booleans()):
+        config["gibbs"] = {"starts": draw(st.lists(vector, min_size=1, max_size=3)), "tol": draw(finite_floats)}
+    if draw(st.booleans()):
+        config["decompose"] = {"rho": draw(vector), "field": [[j, i, draw(numbers)] for i, j, _ in config["graph"]["edges"]]}
+    return config
+
+
+def spelled(v, rng: random.Random) -> str:
+    """v as JSON text with random whitespace, key order and spelling of each float (repr, %.16e, %.16E or %.25e)."""
+    gap = lambda: rng.choice(["", " ", "\n", "\t  "])
+    if isinstance(v, dict):
+        items = list(v.items())
+        rng.shuffle(items)
+        return "{" + gap() + ",".join(f"{json.dumps(k)}{gap()}:{gap()}{spelled(x, rng)}{gap()}" for k, x in items) + "}"
+    if isinstance(v, list):
+        return "[" + gap() + ",".join(spelled(x, rng) + gap() for x in v) + "]"
+    if type(v) is float:
+        return rng.choice([repr, "%.16e".__mod__, "%.16E".__mod__, "%.25e".__mod__])(v)
+    return json.dumps(v)
+
+
+def float_places(v, path=()):
+    """The paths (key and index tuples) of every float in v."""
+    if isinstance(v, dict):
+        return [p for key, x in v.items() for p in float_places(x, (*path, key))]
+    if isinstance(v, list):
+        return [p for i, x in enumerate(v) for p in float_places(x, (*path, i))]
+    return [path] if type(v) is float else []
+
+
+def swappable_places(v, path=()):
+    """(list path, i, j) for lists in v with entries i < j whose JSON differs."""
+    found = []
+    if isinstance(v, dict):
+        for key, x in v.items():
+            found += swappable_places(x, (*path, key))
+    elif isinstance(v, list):
+        texts = [json.dumps(x) for x in v]
+        found += [(path, i, j) for i in range(len(v)) for j in range(i + 1, len(v)) if texts[i] != texts[j]]
+        for i, x in enumerate(v):
+            found += swappable_places(x, (*path, i))
+    return found
+
+
+def at(v, path: tuple):
+    for step in path:
+        v = v[step]
+    return v
+
+
+def replaced(config: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(config)
+    at(out, path[:-1])[path[-1]] = value
+    return out
+
+
+def stamp_of(config: dict) -> dict:
+    return cli._stamp_digests(config, config["graph"], config["model"])
+
+
+def changed_digests(before: dict, after: dict) -> set[str]:
+    one, two = stamp_of(before), stamp_of(after)
+    return {key for key in one if one[key] != two[key]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(digest_configs(), st.randoms(use_true_random=False), st.data())
+def test_digests_ignore_spelling_and_see_every_change_of_value(config, rng, data):
+    stamp = stamp_of(config)
+    assert stamp == {
+        "config_digest": reference_digest(config),
+        "graph_digest": reference_digest(config["graph"]),
+        "model_digest": reference_digest(config["model"]),
+    }
+    # key order, whitespace and the spelling of numbers: the C parser the CLI reads configs with
+    assert stamp_of(json.loads(spelled(config, rng))) == stamp
+
+    def must_change(path, before, after):
+        section = {"graph": {"graph_digest"}, "model": {"model_digest"}}.get(path[0], set())
+        assert changed_digests(replaced(config, path, before), replaced(config, path, after)) == {"config_digest", *section}
+
+    path = data.draw(st.sampled_from(float_places(config)))  # beta and t_end are always there
+    x = at(config, path)
+    must_change(path, x, math.nextafter(x, -math.copysign(math.inf, x)))  # one ulp towards zero, or off it
+    must_change(path, 1.0, 1)
+    must_change(path, 0.0, -0.0)
+    swaps = swappable_places(config)
+    if swaps:
+        path, i, j = data.draw(st.sampled_from(swaps))
+        swapped = list(at(config, path))
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        must_change(path, at(config, path), swapped)
+
+
+def test_canonical_text_of_a_dense_200_node_model_stays_small():
+    # a return to hashing every float's decimal text would make this text about 0.8 MB
+    W = np.random.default_rng(0).normal(size=(200, 200))
+    config = {
+        "graph": {"n": 200, "edges": [[i, i + 1, 1.0] for i in range(1, 200)]},
+        "model": {"beta": 1.0, "W": ((W + W.T) / 2).tolist()},
+        "simulate": {"rho0": [1.0 / 200] * 200, "t_end": 10.0},
+    }
+    assert len(json.dumps(config)) > 700_000
+    assert len(cli._canonical(config).encode("utf-8")) < 32_000
+
+
+def test_readme_snippet_recomputes_the_config_digest(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    snippet = readme.split("recomputes `config_digest` from a config file:")[1].split("```python\n")[1].split("```")[0]
+    config = copy.deepcopy(CANONICAL)
+    config["model"] = {"beta": 0.5, "V": [0.25, -0.0], "W": [[1.0, 0.5], [0.5, 2]]}
+    cfg = write_config(tmp_path, config)
+    assert run("gibbs", cfg, tmp_path / "out") == 0
+    monkeypatch.chdir(tmp_path)
+    exec(snippet, {})
+    assert capsys.readouterr().out == read_json(tmp_path / "out" / "gibbs.json")["config_digest"] + "\n"
 
 
 def reference_float(x: float) -> str:

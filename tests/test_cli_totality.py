@@ -6,7 +6,9 @@ length), a ``rates`` config sometimes pointing to a
 trajectory CSV that is valid, malformed or has the wrong column count, and
 magnitudes of beta, V, W, edge weights, fields and t_end log-uniform over
 1e-300 .. 1e300, so they reach overflow,
-underflow and stiffness far outside the usual range. The work per example
+underflow and stiffness far outside the usual range. Half the configs draw
+them over 1e-2 .. 1e2 instead, where a model is non-convex at a moderate
+scale and a Gibbs iteration can fail to settle. The work per example
 is kept small: few iterations in the config (count <= 50, K <= 4, max_iter
 <= 50), and the budgets the config cannot set are cut for the test (Gibbs
 solves to 200 iterations, integration to 100 attempted steps). A spent
@@ -27,8 +29,15 @@ from hypothesis import strategies as st
 from graphfpe import EnergyModel, cli, convexity_certificate, fpe_dynamics, free_energy, rate_analysis
 from graphfpe.cli import main
 
-positive = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
-signed = st.one_of(st.just(0.0), positive, positive.map(lambda x: -x))
+
+def magnitudes(lo: float, hi: float):
+    """(positive, signed): floats log-uniform over 10**lo .. 10**hi, and those with either sign or 0."""
+    positive = st.floats(lo, hi).map(lambda e: 10.0**e)
+    return positive, st.one_of(st.just(0.0), positive, positive.map(lambda x: -x))
+
+
+positive, signed = magnitudes(-300.0, 300.0)
+STRATA = ((positive, signed), magnitudes(-2.0, 2.0))
 # about 2% of the masses underflow to exactly 0
 masses = st.floats(-330.0, 0.0).map(lambda e: 10.0**e)
 
@@ -77,6 +86,7 @@ def trajectory_csv(draw, n):
 @st.composite
 def configs(draw, command):
     """(config, files): a schema-valid config and the files it refers to, by name."""
+    positive, signed = draw(st.sampled_from(STRATA))
     n = draw(st.integers(2, 4))
     pairs = [(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)]
     for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2)):
@@ -159,8 +169,22 @@ def certified(case) -> bool:
     return energy_model.is_symmetric and convexity_certificate(energy_model).certified_convex
 
 
+def bistable(W, command: str = "lsi", section: dict | None = None) -> tuple[dict, dict]:
+    """A case on one edge whose model fails the certificate and whose Gibbs iteration does not settle from uniform."""
+    graph = {"n": 2, "edges": [[1, 2, 1.0]]}
+    model = {"beta": 1.0, "W": W, "V": [0.01, 0.0]}
+    return {"graph": graph, "model": model, command: section or {"count": 100}, "seed": 0}, {}
+
+
+# W = -20 I at beta = 1 from the uniform start spends its Gibbs budget: the cap of 200 here, the config's 50 there
+MINUS_20_I = [[-20.0, 0.0], [0.0, -20.0]]
+BISTABLE_GIBBS = bistable(MINUS_20_I, "gibbs", {"init": [0.5, 0.5]})
+BISTABLE_EQUILIBRIA = bistable(MINUS_20_I, "rates", {"rho0": [0.5, 0.5], "starts": [[0.5, 0.5]], "gibbs_max_iter": 50})
+
+
 @settings(max_examples=25)
 @given(configs("gibbs"))
+@example(case=BISTABLE_GIBBS)
 def test_gibbs_exit_code_is_total(tmp_path_factory, case):
     check_exit_code(tmp_path_factory, "gibbs", case)
 
@@ -173,14 +197,9 @@ def test_simulate_exit_code_is_total(tmp_path_factory, case):
 
 @settings(max_examples=25)
 @given(configs("rates"), st.booleans())
+@example(case=BISTABLE_EQUILIBRIA, equilibrium=True)
 def test_rates_exit_code_is_total(tmp_path_factory, case, equilibrium):
     check_exit_code(tmp_path_factory, "rates", case, *(["--equilibrium"] if equilibrium else []))
-
-
-def bistable(W) -> tuple[dict, dict]:
-    """An lsi case on one edge whose model fails the certificate and whose Gibbs iteration does not settle."""
-    graph = {"n": 2, "edges": [[1, 2, 1.0]]}
-    return {"graph": graph, "model": {"beta": 1.0, "W": W, "V": [0.01, 0.0]}, "lsi": {"count": 100}, "seed": 0}, {}
 
 
 @settings(max_examples=25)
