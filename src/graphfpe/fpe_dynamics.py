@@ -195,7 +195,8 @@ def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray
     it takes raw positive density rows, validates nothing, and a stacked
     call gives the same bits as one call per row.
     """
-    return laplacian_apply(graph, values, -_drift_raw(model, values))
+    drift = _drift_raw(model, values)
+    return laplacian_apply(graph, values, np.negative(drift, out=drift))
 
 
 def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -225,7 +226,10 @@ def invariant_region(model: EnergyModel, graph: Graph, rho0: Density) -> Invaria
     """
     _require(graph.node_count, interior=("rho0",), model=model, rho0=rho0)
     n = model.n
-    mag = float(np.max(np.abs(model.potential)[:, None] + np.abs(model.interaction)))
+    mag = np.abs(model.potential)
+    if model.has_interaction:
+        mag = mag[:, None] + np.abs(model.interaction)
+    mag = float(np.max(mag))
     c = 1.0 / (1.0 + _exp_or_inf((math.log(2.0) + 2.0 * mag) / model.beta))
     min0 = float(rho0.values.min())
     eps1 = 0.5 * min(c, min0)
@@ -344,6 +348,14 @@ class _Tail:
 def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail | None:
     """The tail's operator at rho_inf = gibbs_fixed_point(model, rho0), from one Cholesky and one eigh.
 
+    Without W, Hess F(rho_inf) = beta diag(1/rho_inf) has the diagonal
+    Cholesky factor R = diag(r), r = sqrt(beta (1/rho_inf)), and the
+    operator is built from r alone: R^T L R = r_i L_ij r_j, P = U (1/r) and
+    Q = U^T r. Cholesky, the GEMMs and the LU solve give these same bits
+    (the solve multiplies by the reciprocal pivot), so the forms agree; Q is
+    kept C-ordered, as the GEMM left it, since its layout picks the BLAS
+    kernel of every product with it.
+
     None where it cannot be built: W not symmetric, no Gibbs convergence
     within the default 10 000 iterations, rho_inf on the boundary, Hess F(rho_inf)
     not finite or not positive definite, or eigenpairs that are not finite.
@@ -352,14 +364,22 @@ def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail 
         return None
     try:
         rho_inf = gibbs_fixed_point(model, rho0).density
-        R = np.linalg.cholesky(energy_hessian(model, rho_inf))
-        lam, U = np.linalg.eigh(R.T @ laplacian_matrices(graph, rho_inf.values) @ R)
-        P = np.linalg.solve(R.T, U)
+        L = laplacian_matrices(graph, rho_inf.values)
+        if model.has_interaction:
+            R = np.linalg.cholesky(energy_hessian(model, rho_inf))
+            lam, U = np.linalg.eigh(R.T @ L @ R)
+            P = np.linalg.solve(R.T, U)
+            Q = U[:, 1:].T @ R.T
+        else:
+            r = np.sqrt(model.beta * (1.0 / rho_inf.values))
+            lam, U = np.linalg.eigh(r[:, None] * L * r)
+            P = U * (1.0 / r)[:, None]
+            Q = np.multiply(U[:, 1:].T, r, order="C")
     except (NoConvergence, BoundaryDensity, np.linalg.LinAlgError):  # a non-finite Hess F fails Cholesky or eigh
         return None
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(P))):
         return None
-    return _Tail(rho_inf.values, lam[1:], P[:, 1:], U[:, 1:].T @ R.T)
+    return _Tail(rho_inf.values, lam[1:], P[:, 1:], Q)
 
 
 @np.errstate(all="ignore")  # not warned about: a non-finite stage or state fails a floor guard

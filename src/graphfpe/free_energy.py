@@ -67,17 +67,26 @@ class EnergyModel:
         return self.potential.size
 
     @cached_property
+    def has_interaction(self) -> bool:
+        """Whether W has a nonzero entry; without one the kernels skip every product with W, which is exactly +0."""
+        return bool(self.interaction.any())
+
+    @cached_property
     def is_symmetric(self) -> bool:
+        if not self.has_interaction:
+            return True
         W = self.interaction
         scale = max(1.0, float(np.max(np.abs(W))) if W.size else 0.0)
         return float(np.max(np.abs(W - W.T))) <= SYMMETRY_TOL * scale
 
     @cached_property
     def interaction_spectrum(self) -> np.ndarray | None:
-        """Ascending eigenvalues of a symmetric W from one ``eigvalsh`` per model; None for a non-symmetric W.
+        """Ascending eigenvalues of a symmetric W from one ``eigvalsh`` per model (zeros, with no call, for an all-zero W); None for a non-symmetric W.
 
         Raises ``LinAlgError`` where LAPACK does not converge.
         """
+        if not self.has_interaction:
+            return freeze(np.zeros(self.n))
         return freeze(np.linalg.eigvalsh(self.interaction)) if self.is_symmetric else None
 
 
@@ -115,20 +124,31 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+# Without W (EnergyModel.has_interaction False) the three kernels below skip
+# their products with it. On finite rows each skipped term is exactly +0, and
+# +0 + a equals a but for a = -0, which changes no sum that follows, so the
+# rows keep their bits; a row with an infinite entry, which the flow's guards
+# reject, no longer turns all-NaN through the product.
+
 def _energy_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     """F at each row, (..., n) -> (...), unvalidated; 0 log 0 is taken as 0."""
     ent = np.sum(values * np.log(np.where(values > 0, values, 1.0)), axis=-1)
-    quad = _row_dot(0.5 * values, (model.interaction @ values[..., None])[..., 0])
-    return quad + _row_dot(values, model.potential) + model.beta * ent
+    f = _row_dot(values, model.potential)
+    if model.has_interaction:
+        f = _row_dot(0.5 * values, (model.interaction @ values[..., None])[..., 0]) + f
+    return f + model.beta * ent
 
 
 def _drift_raw(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     """W rho + V + beta (log rho + 1) at each row, (..., n) -> (..., n), unvalidated; rows must be positive."""
-    drift = (model.interaction @ values[..., None])[..., 0]
-    drift += model.potential
     entropic = np.log(values)
     entropic += 1.0
     entropic *= model.beta
+    if not model.has_interaction:
+        entropic += model.potential
+        return entropic
+    drift = (model.interaction @ values[..., None])[..., 0]
+    drift += model.potential
     drift += entropic
     return drift
 
@@ -174,8 +194,12 @@ def _softmin(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     shape (..., 1). Row-wise only: a stacked call gives each row the bits of
     a one-row call.
     """
-    u = (model.interaction @ v[..., None])[..., 0]
-    u += model.potential
+    if model.has_interaction:
+        u = (model.interaction @ v[..., None])[..., 0]
+        u += model.potential
+    else:
+        u = np.zeros_like(v)
+        u += model.potential
     low = np.minimum.reduce(u, axis=-1, keepdims=True)
     u -= low
     u /= -model.beta

@@ -85,6 +85,13 @@ class Graph:
         return float(self.weights.max())
 
     @cached_property
+    def _apply_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, w/2, ends) for L(rho) x: a (4, E) index into [rho | x] of rho_i, rho_j, x_i, x_j, the half weights, and the flat (2E,) tails then heads."""
+        t, h = self.edge_ends
+        n = self.node_count
+        return freeze((t, h, t + n, h + n), int), freeze(0.5 * self.weights), freeze(self.edge_ends.ravel(), int)
+
+    @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], int]:
         return {(i, j): e for e, (i, j, _) in enumerate(self.edges)}
 

@@ -43,15 +43,19 @@ masses = st.floats(-330.0, 0.0).map(lambda e: 10.0**e)
 
 
 def run_capped(argv) -> int:
-    real = free_energy.gibbs_fixed_point
+    real, real_all = free_energy.gibbs_fixed_point, free_energy.find_all_equilibria
 
     def gibbs(model, init, tol=1e-12, max_iter=10_000, damping=0.5):
         return real(model, init, tol=tol, max_iter=min(max_iter, 200), damping=damping)
+
+    def equilibria(model, starts, tol=1e-12, max_iter=10_000, damping=0.5):
+        return real_all(model, starts, tol=tol, max_iter=min(max_iter, 200), damping=damping)
 
     with (
         mock.patch.object(cli, "gibbs_fixed_point", gibbs),
         mock.patch.object(free_energy, "gibbs_fixed_point", gibbs),
         mock.patch.object(rate_analysis, "gibbs_fixed_point", gibbs),
+        mock.patch.object(cli, "find_all_equilibria", equilibria),
         mock.patch.object(fpe_dynamics, "_STEP_BUDGET", 100),
         np.errstate(over="ignore"),
     ):

@@ -464,7 +464,9 @@ def test_tail_switched_off_gives_the_same_records_up_to_the_switch(monkeypatch):
 def test_tail_honours_max_step_and_lands_on_t_end():
     traj = _switching_run(max_step=2.0)
     assert traj.exponential_steps > 0
-    assert np.max(np.diff(traj.times)) <= 2.0
+    # each step is at most 2.0 and rounding is monotone, so t + h <= t + 2.0 exactly; the difference
+    # of two accumulated times can exceed 2.0 by rounding
+    assert np.all(traj.times[1:] <= traj.times[:-1] + 2.0)
     assert traj.times[-1] == 60.0
 
 

@@ -27,8 +27,9 @@ from graphfpe import (
     weighted_laplacian,
 )
 from graphfpe import fpe_dynamics
-from graphfpe.fpe_dynamics import _rhs_raw
-from graphfpe.free_energy import _drift_raw
+from graphfpe.fpe_dynamics import _equilibrium_tail, _rhs_raw
+from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_rows
+from graphfpe.graph_core import _scatter
 from graphfpe.rate_analysis import _tangent_rate
 from graphfpe.simplex_calculus import laplacian_apply, laplacian_form, laplacian_matrices, laplacian_solve
 
@@ -251,3 +252,83 @@ def test_tangent_rate_matches_float_eigenvalues(case):
     lam = np.linalg.eigvals(Q.T @ laplacian_matrices(graph, rho.values) @ S @ Q).real
     # float eigenvalues carry an error relative to the spectral radius
     assert abs(_tangent_rate(graph, rho, S) - lam.min()) <= 1e-8 * np.abs(lam).max()
+
+
+# Without W the kernels skip their products with it (EnergyModel.has_interaction
+# False). The properties below force the product path on a copy of each model
+# and ask for the same bits, array layout included, on both paths.
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+def _with_product(model: EnergyModel) -> EnergyModel:
+    """The same model with its flag forced on, so every kernel runs its product with the all-zero W."""
+    forced = EnergyModel(model.interaction, model.potential, model.beta)
+    forced.__dict__["has_interaction"] = True
+    return forced
+
+
+def _scatter_apply(graph, values, x):
+    """L(rho) x as edge fluxes w theta (x_i - x_j), theta = (rho_i + rho_j)/2, summed onto their ends."""
+    tails, heads = graph.edge_ends
+    flux = graph.weights * (0.5 * (values[..., tails] + values[..., heads])) * (x[..., tails] - x[..., heads])
+    return _scatter(graph.edge_ends.ravel(), np.concatenate((flux, -flux), axis=-1), graph.node_count)
+
+
+@st.composite
+def bare_case(draw, potential_scale=1.0, betas=st.floats(0.1, 5.0)):
+    """A connected 2-12 node graph, a model with W = 0, an interior start and a stack of three interior rows."""
+    graph, rho0, potential = draw(graph_density_vector())
+    n = graph.node_count
+    model = EnergyModel(np.zeros((n, n)), potential_scale * potential, draw(betas))
+    rows = np.array([draw(st.lists(masses, min_size=n, max_size=n)) for _ in range(3)])
+    return model, graph, rho0, rows / rows.sum(axis=1, keepdims=True)
+
+
+@given(bare_case())
+def test_kernels_without_w_keep_the_bits_of_the_product_path(case):
+    model, graph, rho0, rows = case
+    forced = _with_product(model)
+    assert not model.has_interaction
+    assert _same_bits(_drift_raw(model, rows), _drift_raw(forced, rows))
+    assert _same_bits(_energy_raw(model, rows), _energy_raw(forced, rows))
+    assert _same_bits(model.interaction_spectrum, forced.interaction_spectrum)
+    for fast, slow in zip(_gibbs_rows(model, rows, 1e-12, 100, 0.5), _gibbs_rows(forced, rows, 1e-12, 100, 0.5)):
+        assert _same_bits(fast.density.values, slow.density.values)
+        assert (fast.normalizer, fast.iterations, fast.residual, fast.damping, fast.newton_steps) == (
+            slow.normalizer, slow.iterations, slow.residual, slow.damping, slow.newton_steps)
+    fast, slow = _equilibrium_tail(model, graph, rho0), _equilibrium_tail(forced, graph, rho0)
+    assert _same_bits(fast.rho_inf, slow.rho_inf) and _same_bits(fast.lam, slow.lam)
+    # where U has a zero, the LU solve and the GEMM may sign it otherwise than the scaling; only the sign
+    # of an all-zero sum can see that, and a positive state plus either zero is the same state
+    for name in ("P", "Q"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.strides == b.strides and np.array_equal(a, b), name
+
+
+@given(graph_density_vector(), st.data())
+def test_one_gather_apply_keeps_the_bits_of_the_edge_scatter(case, data):
+    graph, rho, x = case
+    n = graph.node_count
+    rows = np.array([rho.values, *(data.draw(st.lists(masses, min_size=n, max_size=n)) for _ in range(2))])
+    xs = np.array([x, *(data.draw(st.lists(reals, min_size=n, max_size=n)) for _ in range(2))])
+    stacked = laplacian_apply(graph, rows, xs)
+    assert _same_bits(stacked, _scatter_apply(graph, rows, xs))
+    for k in range(3):
+        assert _same_bits(stacked[k], laplacian_apply(graph, rows[k], xs[k]))
+    assert _same_bits(laplacian_apply(graph, rows[0], xs), laplacian_apply(graph, np.array([rows[0]] * 3), xs))
+
+
+@settings(max_examples=20)  # two runs per example to t = 10, long enough to switch to the exponential tail
+@given(bare_case(potential_scale=0.1, betas=st.floats(0.5, 2.0)))
+def test_flow_without_w_keeps_the_bits_of_the_product_path(case):
+    model, graph, rho0, _ = case
+    fast, slow = (integrate(m, graph, rho0, 10.0, record_every=1) for m in (model, _with_product(model)))
+    for name in ("times", "energy", "dissipation"):
+        assert _same_bits(getattr(fast, name), getattr(slow, name)), name
+    assert all(_same_bits(a.values, b.values) for a, b in zip(fast.densities, slow.densities, strict=True))
+    assert (fast.accepted_steps, dict(fast.rejected_by), fast.exponential_steps, fast.switch_time, fast.rhs_evaluations) == (
+        slow.accepted_steps, dict(slow.rejected_by), slow.exponential_steps, slow.switch_time, slow.rhs_evaluations)
