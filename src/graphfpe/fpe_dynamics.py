@@ -346,15 +346,15 @@ class _Tail:
 
 @np.errstate(all="ignore")  # a non-finite Hess F or pencil is refused, not warned about
 def _equilibrium_tail(model: EnergyModel, graph: Graph, rho0: Density) -> _Tail | None:
-    """The tail's operator at rho_inf = gibbs_fixed_point(model, rho0), from one Cholesky and one eigh.
+    """The tail's operator at rho_inf = gibbs_fixed_point(model, rho0), from one eigh (and one Cholesky with W).
 
     Without W, Hess F(rho_inf) = beta diag(1/rho_inf) has the diagonal
     Cholesky factor R = diag(r), r = sqrt(beta (1/rho_inf)), and the
     operator is built from r alone: R^T L R = r_i L_ij r_j, P = U (1/r) and
-    Q = U^T r. Cholesky, the GEMMs and the LU solve give these same bits
-    (the solve multiplies by the reciprocal pivot), so the forms agree; Q is
-    kept C-ordered, as the GEMM left it, since its layout picks the BLAS
-    kernel of every product with it.
+    Q = U^T r. Cholesky, the GEMMs and the LU solve give the same bits (the
+    solve multiplies by the reciprocal pivot), but for the sign of a zero
+    where U has one; Q is kept C-ordered, as the GEMM left it, since its
+    layout picks the BLAS kernel of every product with it.
 
     None where it cannot be built: W not symmetric, no Gibbs convergence
     within the default 10 000 iterations, rho_inf on the boundary, Hess F(rho_inf)
