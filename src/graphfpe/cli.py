@@ -72,6 +72,7 @@ from .free_energy import (
 )
 from .graph_core import Graph, build_graph
 from .rate_analysis import (
+    LSI_MIN_MASS,
     _certified_gibbs,
     equilibrium_rates,
     estimate_lsi_constant,
@@ -692,8 +693,7 @@ def cmd_rates(run: _Run, equilibria_flag: bool = False) -> int:
 def cmd_lsi(run: _Run) -> int:
     opts = run.section("lsi")
     n = run.graph.node_count
-    # the library's default too, kept here to refuse a min_mass >= 1/n before the Gibbs solve and to report it
-    min_mass = opts.get("min_mass", 1e-4)
+    min_mass = opts.get("min_mass", LSI_MIN_MASS)  # read here to refuse a min_mass >= 1/n before the Gibbs solve
     if not min_mass < 1.0 / n:
         raise ConfigError(f"lsi.min_mass is {min_mass!r}; it must be below 1/n = {1.0 / n!r} on {n} nodes")
     _, gibbs = _certified_gibbs(run.model, run.density(opts.get("rho0"), "lsi.rho0"))

@@ -62,6 +62,7 @@ _LSI_BLOCK = 256  # sample rows per batched evaluation; bounds the (rows x edges
 # equilibrium): tighter and longer than gibbs_fixed_point's defaults
 GIBBS_TOL = 1e-13
 GIBBS_MAX_ITER = 500_000
+LSI_MIN_MASS = 1e-4  # estimate_lsi_constant's mass floor, which the lsi command checks before its Gibbs solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +128,10 @@ def relative_fisher(model: EnergyModel, graph: Graph, rho: Density, rho_inf: Den
     return -float(_dissipation_raw(model, graph, rho.values))
 
 
-def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
-    """Smallest of the n - 1 tangent eigenvalues of L(rho) S, for a symmetric S, from one GTH elimination.
+def _tangent_rate(
+    graph: Graph, rho: Density, S: np.ndarray, what: str = "S", error: type[Exception] | None = None
+) -> tuple[float, bool]:
+    """(lambda, positive): the smallest tangent eigenvalue of L(rho) S for a symmetric S, and whether S > 0.
 
     On the zero-sum plane, with basis V = diag(s) Q (s = sqrt(rho), Q
     orthonormal and orthogonal to s), L(rho) S v = lam v is the pencil
@@ -142,19 +145,30 @@ def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
     J = sign(G). By Sylvester's law of inertia the number k of negative
     entries of G is the number of negative rates: the smallest rate is
     1/mu_max(N) for k = 0 and otherwise 1/mu_k, the negative mu nearest zero.
-    Raises :class:`NoConvergence` when S^, N or the rate is not finite.
+
+    The same decomposition decides S's sign. With r = s * s, B = [r, V] is invertible, so
+    by Haynsworth's inertia additivity S > 0 exactly when every gamma and the Schur complement
+    r^T S r - |T^T V^T S r|^2 are positive. With ``error``, an S that is not positive definite
+    raises it before X^ is formed. A non-finite S^ (named ``what``), N or rate raises NoConvergence.
     """
     order = np.argsort(-rho.values, kind="stable")
     s = np.sqrt(rho.values[order])
+    r = s * s
     V = s[:, None] * np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
     out_of_range = NoConvergence("the tangent eigenproblem of L(rho) S leaves the float range at this density")
     with np.errstate(all="ignore"):  # a pencil or rate out of float range is refused, not warned about
-        X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
-        S_hat = V.T @ S[np.ix_(order, order)] @ V
+        S_perm = S[np.ix_(order, order)]
+        VS = V.T @ S_perm
+        S_hat = VS @ V
         if not np.all(np.isfinite(S_hat)):
-            raise out_of_range
+            raise NoConvergence(f"{what} leaves the float range at this density")
         gamma, U = np.linalg.eigh(S_hat)
         T = U / np.sqrt(np.abs(gamma))
+        y = T.T @ (VS @ r)
+        positive = bool(gamma[0] > 0.0 and r @ S_perm @ r - y @ y > 0.0)
+        if error is not None and not positive:
+            raise error(f"{what} is not positive definite")
+        X_hat = _gth_solve(laplacian_matrices(graph, rho.values)[np.ix_(order, order)], V.T)[0] @ V
         N = T.T @ (0.5 * (X_hat + X_hat.T)) @ T
         if not np.all(np.isfinite(N)):
             raise out_of_range
@@ -168,26 +182,13 @@ def _tangent_rate(graph: Graph, rho: Density, S: np.ndarray) -> float:
             rate = 1.0 / np.linalg.eigvalsh((root * np.sign(gamma)) @ root)[k - 1]
     if not np.isfinite(rate):
         raise out_of_range
-    return float(rate)
-
-
-def _require_positive_definite(S: np.ndarray, error: type[Exception], what: str, strict: bool = True) -> bool:
-    """Whether S is positive definite; with strict, raises error instead of returning False.
-
-    Raises :class:`NoConvergence` when S is not finite (an entry of S overflowed).
-    """
-    if not np.all(np.isfinite(S)):
-        raise NoConvergence(f"{what} leaves the float range at this density")
-    low = float(np.linalg.eigvalsh(S)[0])  # S is symmetric by construction
-    if low <= 0.0 and strict:
-        raise error(f"{what} is not positive definite (min eigenvalue {low:.3e})")
-    return low > 0.0
+    return float(rate), positive
 
 
 def equilibrium_rates(
     model: EnergyModel, graph: Graph, rho_inf: Density, strict: bool = True
 ) -> tuple[float, bool, float | None]:
-    """(lambda, hessian_positive, lambda_fisher) at rho_inf: one check of Hess F, one tangent eigenproblem.
+    """(lambda, hessian_positive, lambda_fisher) at rho_inf, all from one tangent eigenproblem.
 
     lambda is the slowest tangent rate of L(rho_inf) Hess F(rho_inf). For the symmetric W required
     here the symmetrized Jacobian W + W^T + 2 beta diag(1/rho) is 2 Hess F, so lambda_fisher is
@@ -197,9 +198,8 @@ def equilibrium_rates(
     _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
     if not model.is_symmetric:
         raise NonSymmetricW("equilibrium rates require a symmetric interaction matrix")
-    hess = energy_hessian(model, rho_inf)
-    positive = _require_positive_definite(hess, NonPositiveHessian, "Hess F", strict)
-    lam = _tangent_rate(graph, rho_inf, hess)
+    error = NonPositiveHessian if strict else None
+    lam, positive = _tangent_rate(graph, rho_inf, energy_hessian(model, rho_inf), "Hess F", error)
     return lam, positive, 2.0 * lam if positive else None
 
 
@@ -238,8 +238,7 @@ def fisher_rate(model: EnergyModel, graph: Graph, rho_inf: Density) -> float:
     _require(graph.node_count, interior=("rho_inf",), model=model, rho_inf=rho_inf)
     W = model.interaction
     sym_jac = W + W.T + 2.0 * model.beta * np.diag(1.0 / rho_inf.values)
-    _require_positive_definite(sym_jac, NonPositiveSymmetrizedJacobian, "symmetrized Jacobian")
-    return _tangent_rate(graph, rho_inf, sym_jac)
+    return _tangent_rate(graph, rho_inf, sym_jac, "symmetrized Jacobian", NonPositiveSymmetrizedJacobian)[0]
 
 
 def _certificate(model: EnergyModel) -> ConvexityCertificate:
@@ -421,7 +420,7 @@ def estimate_lsi_constant(
     rho_inf: Density,
     count: int,
     seed: int,
-    min_mass: float = 1e-4,
+    min_mass: float = LSI_MIN_MASS,
 ) -> LsiEstimate:
     """Sampled estimate of the largest lambda with H <= I / (2 lambda).
 
@@ -429,7 +428,7 @@ def estimate_lsi_constant(
     every coordinate is >= ``min_mass``, as min_mass + (1 - n min_mass)
     Dirichlet(1): the affine image of the uniform law on the simplex, so
     nothing is rejected. Minimizes I/(2H) over samples whose entropy gap
-    exceeds 1e-12. Deterministic for a fixed seed. The inequality is stated
+    is at least 1e-12. Deterministic for a fixed seed. The inequality is stated
     for beta = 1; other temperatures are accepted as an extension (both
     functionals carry beta consistently).
     """

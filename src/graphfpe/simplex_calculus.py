@@ -165,7 +165,7 @@ def _require(n: int, interior: tuple[str, ...] = (), **args) -> None:
 
 
 def _thetas(graph: Graph, values: np.ndarray) -> np.ndarray:
-    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E); the only copy of the rule."""
+    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E); laplacian_apply has a second copy."""
     ends = values.take(graph.edge_ends, axis=-1)
     return 0.5 * (ends[..., 0, :] + ends[..., 1, :])
 

@@ -1105,35 +1105,51 @@ def test_rates_equilibrium_with_a_spent_gibbs_budget_exits_3(tmp_path, capsys):
 
 
 def test_rates_runs_one_gth_elimination_per_density(tmp_path, monkeypatch):
-    """One elimination and one tangent eigenproblem per density: lambda_fisher is read off as 2 lambda."""
+    """One elimination and one tangent eigenproblem per density: lambda_fisher is read off as 2 lambda.
+
+    The tangent eigenproblem also decides Hess F's sign, so no eigvalsh of Hess F runs.
+    """
     gth_solve = simplex_calculus._gth_solve
     tangent_rate = rate_analysis._tangent_rate
-    calls, rates = [], []
+    eigvalsh = np.linalg.eigvalsh
+    calls, rates, spectra = [], [], []
 
     def counting_gth_solve(L, b):
         calls.append(L.shape)
         return gth_solve(L, b)
 
-    def counting_tangent_rate(graph, rho, S):
+    def counting_tangent_rate(graph, rho, *args):
         rates.append(rho)
-        return tangent_rate(graph, rho, S)
+        return tangent_rate(graph, rho, *args)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        spectra.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(simplex_calculus, "_gth_solve", counting_gth_solve)
     monkeypatch.setattr(rate_analysis, "_gth_solve", counting_gth_solve)
     monkeypatch.setattr(rate_analysis, "_tangent_rate", counting_tangent_rate)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     cfg = write_config(tmp_path, CANONICAL)
     assert run("rates", cfg, tmp_path / "global") == 0
     assert len(calls) == len(rates) == 1
+    assert len(spectra) == 2  # the graph Laplacian and N; the spectrum of CANONICAL's all-zero W needs no call
     payload = read_json(tmp_path / "global" / "rates.json")
     assert payload["lambda_fisher"] == 2.0 * payload["lambda_asymptotic"]
+    config = {**CANONICAL, "model": {"beta": 1.0, "W": [[0.5, 0.1], [0.1, 0.5]]}}
+    spectra.clear()
+    assert run("rates", write_config(tmp_path, config, "with_w.json"), tmp_path / "with_w") == 0
+    assert len(spectra) == 3  # W, the graph Laplacian and N
     config = dict(CANONICAL)
     config["model"] = {"beta": 1.0, "W": [[-3.0, 0.0], [0.0, -3.0]]}
     cfg = write_config(tmp_path, config, "nonconvex.json")
     calls.clear()
     rates.clear()
+    spectra.clear()
     assert run("rates", cfg, tmp_path / "equilibria", "--equilibrium") == 0
     entries = read_json(tmp_path / "equilibria" / "rates.json")["equilibria"]
     assert len(calls) == len(rates) == len(entries) == 3
+    assert len(spectra) == 1 + len(entries)  # W, then one per equilibrium
     assert all(e["lambda_fisher"] is None for e in entries)  # -3 I + diag(1/rho) is indefinite at all three
 
 

@@ -238,8 +238,8 @@ def test_tangent_rate_invariant_under_relabelling(case, random):
     random.shuffle(perm)
     relabelled = build_graph(n, [(perm[i] + 1, perm[j] + 1, w) for i, j, w in graph.edges])
     inverse = np.argsort(perm)  # node perm[i] of the relabelled graph is node i
-    a = _tangent_rate(graph, rho, S)
-    b = _tangent_rate(relabelled, Density(rho.values[inverse]), S[np.ix_(inverse, inverse)])
+    a = _tangent_rate(graph, rho, S)[0]
+    b = _tangent_rate(relabelled, Density(rho.values[inverse]), S[np.ix_(inverse, inverse)])[0]
     assert abs(a - b) <= 1e-10 * abs(a)
 
 
@@ -251,7 +251,22 @@ def test_tangent_rate_matches_float_eigenvalues(case):
     Q = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
     lam = np.linalg.eigvals(Q.T @ laplacian_matrices(graph, rho.values) @ S @ Q).real
     # float eigenvalues carry an error relative to the spectral radius
-    assert abs(_tangent_rate(graph, rho, S) - lam.min()) <= 1e-8 * np.abs(lam).max()
+    assert abs(_tangent_rate(graph, rho, S)[0] - lam.min()) <= 1e-8 * np.abs(lam).max()
+
+
+@given(rate_case(), st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+def test_tangent_rate_decides_positive_definiteness_as_eigvalsh(case, shift):
+    """The verdict read off the tangent block and its Schur complement is eigvalsh(S)[0] > 0.
+
+    Subtracting shift * 11^T leaves the tangent block S^ as it is and moves
+    only the Schur complement, so S^ > 0 with S indefinite is drawn too.
+    Where lambda_min(S) lies within rounding of zero either answer is right.
+    """
+    graph, rho, S = case
+    S = S - shift
+    lam = np.linalg.eigvalsh(S)
+    if abs(lam[0]) > 1e-9 * np.abs(lam).max():
+        assert _tangent_rate(graph, rho, S)[1] == (lam[0] > 0.0)
 
 
 # Without W the kernels skip their products with it (EnergyModel.has_interaction

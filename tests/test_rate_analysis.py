@@ -286,6 +286,32 @@ def test_fisher_rate_rejects_indefinite_jacobian():
         fisher_rate(m, path2(), UNIFORM2)
 
 
+def test_only_the_schur_complement_sees_an_indefinite_hessian():
+    # on the simplex W = -5 11^T adds a constant to F: the tangent block is 3 I, but rho^T Hess F rho = -4
+    model = EnergyModel(-5.0 * np.ones((3, 3)), np.zeros(3), 1.0)
+    path3 = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+    lam, positive, lam_fisher = equilibrium_rates(model, path3, UNIFORM3, strict=False)
+    assert lam == pytest.approx(1.0, rel=1e-12)
+    assert (positive, lam_fisher) == (False, None)
+    with pytest.raises(NonPositiveHessian, match="Hess F is not positive definite"):
+        equilibrium_rates(model, path3, UNIFORM3)
+    with pytest.raises(NonPositiveSymmetrizedJacobian, match="symmetrized Jacobian is not positive definite"):
+        fisher_rate(model, path3, UNIFORM3)
+
+
+def test_an_indefinite_hessian_is_refused_before_n_leaves_the_float_range():
+    # the 1e-206 bottleneck at beta 1e-206 overflows N; with Hess F = -1e-206 I the sign is decided first
+    star = build_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1e-206)])
+    model = EnergyModel(-5e-206 * np.eye(4), np.zeros(4), 1e-206)
+    uniform = Density(np.full(4, 0.25))
+    with pytest.raises(NonPositiveHessian):
+        equilibrium_rates(model, star, uniform)
+    with pytest.raises(NonPositiveSymmetrizedJacobian):
+        fisher_rate(model, star, uniform)
+    with pytest.raises(NoConvergence, match="float range"):
+        equilibrium_rates(model, star, uniform, strict=False)
+
+
 def test_tail_slope_recovers_known_exponential():
     t = np.linspace(0.0, 5.0, 200)
     v = 3.0 * np.exp(-1.7 * t)
