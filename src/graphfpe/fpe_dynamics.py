@@ -13,9 +13,13 @@ to fourth-order exponential ETDRK4 steps (Cox & Matthews, J. Comput. Phys.
 2002) whose linear part is the equilibrium Jacobian
 J = -L(rho_inf) Hess F(rho_inf), taken in the modal coordinates of one
 eigendecomposition per run; their error is estimated by step doubling.
-Both methods reject a step on any of four guards: a positivity floor derived
-from the invariant region (at each stage and at the new state), scaled local
-error, the mass budget and, for gradient flows, monotonicity of the free energy.
+Their local error shrinks geometrically as the flow nears rho_inf, and the
+step after each accepted exponential step is sized by Gustafsson's
+predictive controller (ACM TOMS 1994; Hairer & Wanner, Solving ODEs II,
+IV.8), which follows that decay. Both methods reject a step on any of four
+guards: a positivity floor derived from the invariant region (at each stage
+and at the new state), scaled local error, the mass budget and, for gradient
+flows, monotonicity of the free energy.
 """
 
 from __future__ import annotations
@@ -293,39 +297,47 @@ class _Tail:
         is (y+ - y_h)/15 against one step of h, the leading term of the
         local error of y+ (which is O(h^5)). The phi values of both step
         sizes, at z/4, z/2 and z for z = -h lam, come from one :func:`_phi`
-        call; the first half step and the whole step, which both start at
-        y, share their right-hand-side calls as stacked rows. The half-step
-        state meets the floor as the stage points do.
+        call, and the four ETDRK4 weight rows of the [h/2, h] pair are built
+        from them once; the second half step reuses row 0. The first half
+        step and the whole step, which both start at y, share their
+        right-hand-side calls as stacked rows. The half-step state meets the
+        floor as the stage points do. :func:`integrate` sizes the next step
+        from the scaled estimate: by Gustafsson's predictive controller
+        (Hairer & Wanner, Solving ODEs II, IV.8) between two accepted tail
+        steps, and by the plain h 0.9 err^(-1/5) otherwise.
         """
         phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
-        f0 = self.Q @ fy
         # row 0 the first half step, row 1 the whole step: each takes phi_1 at half its z, and phi_k at its z
-        first = self._etdrk4(rhs, y, f0, np.array([[0.5 * h], [h]]), phi1[:2], phi1[1:], phi2[1:], phi3[1:], floor)
+        hs = np.array([[0.5 * h], [h]])
+        weights = (0.5 * hs * phi1[:2], hs * phi1[1:], hs * (2.0 * phi2[1:] - 4.0 * phi3[1:]),
+                   hs * (4.0 * phi3[1:] - phi2[1:]))
+        f0 = self.Q @ fy
+        first = self._etdrk4(rhs, y, f0, *weights, floor)
         if first is None:
             return None
         half, whole = first
         y_mid = y + self.P @ half
         if not y_mid.min() >= floor:
             return None
-        f_mid = self.Q @ rhs(y_mid)
-        second = self._etdrk4(rhs, y_mid, f_mid, 0.5 * h, phi1[0], phi1[1], phi2[1], phi3[1], floor)
+        second = self._etdrk4(rhs, y_mid, self.Q @ rhs(y_mid), *(w[0] for w in weights), floor)
         if second is None:
             return None
         return y_mid + self.P @ second, self.P @ ((half + second - whole) / 15.0)
 
-    def _etdrk4(self, rhs, y, f0, h, half1, phi1, phi2, phi3, floor: float) -> np.ndarray | None:
+    def _etdrk4(self, rhs, y, f0, w_a, w_1, w_ab, w_c, floor: float) -> np.ndarray | None:
         """Modal increments Q (y+ - y) of Cox-Matthews ETDRK4 steps, one per row, or None if a stage point fails the floor.
 
         In modal coordinates the flow is f = J (y - rho_inf) + N(y) with
         J = -diag(lam), so for a stage point x = y + P d the nonlinear
         difference N(x) - N(y) is D = Q f(x) - Q f(y) + lam d. With
-        z = -h lam, phi_k = phi_k(z) and half1 = phi_1(z/2), the stage
-        formulas of Cox & Matthews, written as increments of y, read
-            a = h/2 half1 f0,  b = a + h/2 half1 D_a,  c = h (phi_1 f0 + half1 D_b),
-            y+ - y = h (phi_1 f0 + (2 phi_2 - 4 phi_3)(D_a + D_b) + (4 phi_3 - phi_2) D_c).
+        z = -h lam and phi_k = phi_k(z), the weights are w_a = h/2 phi_1(z/2),
+        w_1 = h phi_1, w_ab = h (2 phi_2 - 4 phi_3) and w_c = h (4 phi_3 - phi_2),
+        and the stage formulas of Cox & Matthews, written as increments of y, read
+            a = w_a f0,  b = a + w_a D_a,  c = w_1 f0 + 2 w_a D_b,
+            y+ - y = w_1 f0 + w_ab (D_a + D_b) + w_c D_c.
         Each stage is one P product, one right-hand side of the stacked
         rows and one Q product. ``y`` and ``f0 = Q f(y)`` are one state or a
-        row per step, ``h`` a scalar or a column of step sizes.
+        row per step, and the weights one row or a row per step.
         """
 
         def difference(d):
@@ -334,14 +346,15 @@ class _Tail:
                 return None
             return rhs(x) @ self.Q.T - f0 + self.lam * d
 
-        a = 0.5 * h * half1 * f0
+        a = w_a * f0
         if (d_a := difference(a)) is None:
             return None
-        if (d_b := difference(a + 0.5 * h * half1 * d_a)) is None:
+        if (d_b := difference(a + w_a * d_a)) is None:
             return None
-        if (d_c := difference(h * (phi1 * f0 + half1 * d_b))) is None:
+        linear = w_1 * f0
+        if (d_c := difference(linear + 2.0 * (w_a * d_b))) is None:
             return None
-        return h * (phi1 * f0 + (2.0 * phi2 - 4.0 * phi3) * (d_a + d_b) + (4.0 * phi3 - phi2) * d_c)
+        return linear + w_ab * (d_a + d_b) + w_c * d_c
 
 
 @np.errstate(all="ignore")  # a non-finite Hess F or pencil is refused, not warned about
@@ -410,7 +423,14 @@ def integrate(
     :meth:`_Tail.step`) in its modal coordinates. Their error is estimated by
     step doubling: two h/2 steps are propagated, and their difference from
     one h step, over 15, is the error estimate, and the next step is sized
-    for an O(h^5) local error. Every stage point of either method, and
+    for an O(h^5) local error. Between two accepted exponential steps
+    (h_prev, err_prev) and (h, err) the size is Gustafsson's predictive
+    h 0.9 err^(-1/5) (h / h_prev) (max(err_prev, 1e-2) / err)^(1/5)
+    (Hairer & Wanner, Solving ODEs II, IV.8; the 1e-2 floor is RADAU5's),
+    which keeps pace with the geometric decay of the tail's error; after
+    the first exponential step, and after the first acceptance that follows
+    a rejection, it is h 0.9 err^(-1/5), as for DOP853. Either factor is
+    kept within [0.2, 5]. Every stage point of either method, and
     the tail's half-step state, meets the same guards. ``t_end``
     must be positive and finite. A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
@@ -470,6 +490,7 @@ def integrate(
     switch_time = None  # the run takes exponential steps on eq once this is set
     exponential = 0
     stiff = 0  # consecutive accepted DOP853 steps that passed the switch test
+    last = None  # (h, max(err, 1e-2)) of the last attempt if it was an accepted exponential step
 
     def trajectory(end: float) -> Trajectory:
         """The run so far, ending at (end, y) unless y was just recorded; one batched energy and dissipation call."""
@@ -497,6 +518,7 @@ def integrate(
             message = f"step budget of {_STEP_BUDGET} attempted steps spent at t={t!r}"
             raise StepSizeUnderflow(message, trajectory=trajectory(t))
         h_try = min(h, t_end - t)
+        previous, last = last, None
 
         y_new = None  # stays None when a stage point fails the floor
         scale = abs_tol + rel_tol * np.abs(y)
@@ -552,7 +574,13 @@ def integrate(
         accepted += 1
         exponential += switch_time is not None
         K[0] = rhs(y)
-        h = min(h_try * min(max(0.9 * max(err_norm, 1e-12) ** exponent, 0.2), 5.0), h_cap)
+        err_norm = max(err_norm, 1e-12)
+        factor = 0.9 * err_norm**exponent
+        if switch_time is not None:
+            if previous is not None:  # Gustafsson's predictive factor, between two accepted exponential steps
+                factor *= h_try / previous[0] * (previous[1] / err_norm) ** 0.2
+            last = (h_try, max(err_norm, 1e-2))
+        h = min(h_try * min(max(factor, 0.2), 5.0), h_cap)
         if switch_time is None and eq is not None and t < t_end - t_tiny:
             stiff = stiff + 1 if (
                 h_try * eq.lam[-1] >= _TAIL_STIFF

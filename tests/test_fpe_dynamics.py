@@ -521,7 +521,8 @@ def test_step_doubling_tracks_the_true_local_error_of_the_first_tail_steps(seed,
 def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
     # a 24-node ring as the benchmark's flow builds it, with its t_end: within 1e-6 of Gibbs by the asymptotic rate;
     # RKF45 up to an order-2 tail switched on at a 1e-3 linear residual took 210 attempted steps here, RKF45 up to
-    # the fourth-order tail 100, and DOP853 up to it 37 (18 of them exponential); the bound leaves 8 steps of margin
+    # the fourth-order tail 100, DOP853 up to it 37 (18 of them exponential), and with the tail's steps sized by
+    # Gustafsson's predictive factor 32 (13 exponential); the bound leaves 8 steps of margin
     rng = np.random.default_rng(0)
     n = 24
     g = build_graph(n, [(i + 1, (i + 1) % n + 1, float(rng.uniform(0.75, 1.25))) for i in range(n)])
@@ -531,7 +532,7 @@ def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
     gap = float(np.max(np.abs(rho0.values - rho_inf.values)))
     t_end = 1.2 * math.log(gap / 1e-6) / asymptotic_rate(model, g, rho_inf)
     traj = integrate(model, g, rho0, t_end)
-    assert traj.accepted_steps + traj.rejected_steps <= 45
+    assert traj.accepted_steps + traj.rejected_steps <= 40
     assert np.max(np.abs(traj.final_density.values - rho_inf.values)) <= 1e-6
 
 
@@ -543,11 +544,27 @@ def _nonsymmetric_case():
     return EnergyModel(W, rng.uniform(-0.5, 0.5, 12), 1.0), g, interior_density(rng, 12), 3.0
 
 
-@pytest.mark.parametrize("make_case", [_nonsymmetric_case, _switching_setup], ids=["explicit", "switching"])
+def _weak_switching_setup(seed, n):
+    # a weak-interaction model on a random graph over t_end 200: it switches before t = 2.5 and spends 6-14 tail steps
+    # to t_end/16 and t_end/4
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    return _weak_interaction_model(rng, n), g, interior_density(rng, n), 200.0
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        _nonsymmetric_case,
+        _switching_setup,
+        *(functools.partial(_weak_switching_setup, seed, n) for seed, n in ((21, 10), (22, 24), (23, 50))),
+    ],
+    ids=["explicit", "switching", "weak-10", "weak-24", "weak-50"],
+)
 def test_runs_stay_within_1e_8_of_a_tight_reference_at_t_end_over_16_and_4(monkeypatch, make_case):
     model, g, rho0, t_end = make_case()
     switched = integrate(model, g, rho0, t_end, record_every=0).switch_time
-    assert (switched is not None) == (make_case is _switching_setup)
+    assert (switched is not None) == (make_case is not _nonsymmetric_case)
     assert switched is None or switched < t_end / 16
     for t in (t_end / 16, t_end / 4):
         run = integrate(model, g, rho0, t, record_every=0)
@@ -555,6 +572,47 @@ def test_runs_stay_within_1e_8_of_a_tight_reference_at_t_end_over_16_and_4(monke
             m.setattr(fpe_dynamics, "_equilibrium_tail", lambda *args: None)
             ref = integrate(model, g, rho0, t, rel_tol=1e-12, abs_tol=1e-15, record_every=0)
         assert np.max(np.abs(run.final_density.values - ref.final_density.values)) <= 1e-8
+
+
+def test_the_predictive_step_factor_acts_only_between_two_accepted_tail_steps(monkeypatch):
+    # after an accepted exponential step of size h and scaled error err, the next step is h times
+    # 0.9 err^(-1/5) (h / h_prev) (max(err_prev, 1e-2) / err)^(1/5) in [0.2, 5] when the attempt before was an
+    # accepted exponential step (h_prev, err_prev), and h times 0.9 err^(-1/5) in [0.2, 5] otherwise: after the
+    # first tail step and after the first acceptance that follows a rejection. One inflated error estimate, on the
+    # third tail attempt, forces a rejection.
+    step, calls = fpe_dynamics._Tail.step, []
+
+    def inflating(self, rhs, y, fy, h, floor):
+        y_new, err = step(self, rhs, y, fy, h, floor)
+        scale = 1e-11 + 1e-8 * np.abs(y)  # the scaled norm of integrate at its default tolerances
+        if len(calls) == 2:
+            err = err * (4.0 / np.max(np.abs(err) / scale))
+        calls.append((y, h, float(np.max(np.abs(err) / scale))))
+        return y_new, err
+
+    monkeypatch.setattr(fpe_dynamics._Tail, "step", inflating)
+    model, g, rho0, t_end = _weak_switching_setup(22, 24)
+    traj = integrate(model, g, rho0, t_end, record_every=0)
+    assert traj.rejected_steps == traj.rejected_by["error"] >= 1 and traj.exponential_steps >= 8
+    # an attempt was accepted when the next one starts from a new state
+    accepted = [a[0] is not b[0] for a, b in zip(calls, calls[1:])]
+    assert accepted[:4] == [True, True, False, True] and calls[2][2] > 1.0
+    kinds = []
+    for i in range(len(calls) - 2):  # the last attempt may be cut short at t_end
+        if not accepted[i]:
+            continue
+        (_, h, err), h_next = calls[i], calls[i + 1][1]
+        factor = 0.9 * err**-0.2
+        if i > 0 and accepted[i - 1]:
+            h_prev, err_prev = calls[i - 1][1:]
+            predictive = factor * h / h_prev * (max(err_prev, 1e-2) / err) ** 0.2
+            assert abs(min(max(predictive, 0.2), 5.0) - min(max(factor, 0.2), 5.0)) > 1e-3 * factor
+            factor = predictive
+            kinds.append("predictive")
+        else:
+            kinds.append("standard")
+        assert h_next == pytest.approx(h * min(max(factor, 0.2), 5.0), rel=1e-13)
+    assert kinds[:3] == ["standard", "predictive", "standard"] and kinds.count("predictive") >= 4
 
 
 @pytest.mark.parametrize("make_case", [_nonsymmetric_case, _switching_setup], ids=["explicit", "switching"])
