@@ -290,8 +290,8 @@ class _Tail:
     def jac(self, v: np.ndarray) -> np.ndarray:
         return self.P @ (-self.lam * (self.Q @ v))
 
-    def step(self, rhs, y, fy, h: float, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """One step of size h from y (fy = rhs(y)): (y+, error estimate), or None if a stage point fails the floor.
+    def step(self, rhs, y, fy, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """One step of size h from y (fy = rhs(y)): (y+, error estimate, lowest entry of its stage points).
 
         Step doubling: y+ is two ETDRK4 steps of h/2, and the error estimate
         is (y+ - y_h)/15 against one step of h, the leading term of the
@@ -300,32 +300,26 @@ class _Tail:
         call, and the four ETDRK4 weight rows of the [h/2, h] pair are built
         from them once; the second half step reuses row 0. The first half
         step and the whole step, which both start at y, share their
-        right-hand-side calls as stacked rows. The half-step state meets the
-        floor as the stage points do. :func:`integrate` sizes the next step
-        from the scaled estimate: by Gustafsson's predictive controller
-        (Hairer & Wanner, Solving ODEs II, IV.8) between two accepted tail
-        steps, and by the plain h 0.9 err^(-1/5) otherwise.
+        right-hand-side calls as stacked rows: 10 rows a step. The half-step
+        state counts as a stage point. :func:`integrate` compares the lowest
+        entry (NaN if any is) with the floor, and sizes the next step from
+        the scaled estimate: by Gustafsson's predictive controller (Hairer &
+        Wanner, Solving ODEs II, IV.8) between two accepted tail steps, and
+        by the plain h 0.9 err^(-1/5) otherwise.
         """
         phi1, phi2, phi3 = _phi(np.multiply.outer((-0.25 * h, -0.5 * h, -h), self.lam))
         # row 0 the first half step, row 1 the whole step: each takes phi_1 at half its z, and phi_k at its z
         hs = np.array([[0.5 * h], [h]])
         weights = (0.5 * hs * phi1[:2], hs * phi1[1:], hs * (2.0 * phi2[1:] - 4.0 * phi3[1:]),
                    hs * (4.0 * phi3[1:] - phi2[1:]))
-        f0 = self.Q @ fy
-        first = self._etdrk4(rhs, y, f0, *weights, floor)
-        if first is None:
-            return None
-        half, whole = first
+        (half, whole), low_first = self._etdrk4(rhs, y, self.Q @ fy, *weights)
         y_mid = y + self.P @ half
-        if not y_mid.min() >= floor:
-            return None
-        second = self._etdrk4(rhs, y_mid, self.Q @ rhs(y_mid), *(w[0] for w in weights), floor)
-        if second is None:
-            return None
-        return y_mid + self.P @ second, self.P @ ((half + second - whole) / 15.0)
+        second, low_second = self._etdrk4(rhs, y_mid, self.Q @ rhs(y_mid), *(w[0] for w in weights))
+        low = np.min((low_first, y_mid.min(), low_second))  # unlike min, keeps a NaN in any place
+        return y_mid + self.P @ second, self.P @ ((half + second - whole) / 15.0), low
 
-    def _etdrk4(self, rhs, y, f0, w_a, w_1, w_ab, w_c, floor: float) -> np.ndarray | None:
-        """Modal increments Q (y+ - y) of Cox-Matthews ETDRK4 steps, one per row, or None if a stage point fails the floor.
+    def _etdrk4(self, rhs, y, f0, w_a, w_1, w_ab, w_c) -> tuple[np.ndarray, float]:
+        """(modal increments Q (y+ - y) of Cox-Matthews ETDRK4 steps, one per row, lowest entry of their stage points).
 
         In modal coordinates the flow is f = J (y - rho_inf) + N(y) with
         J = -diag(lam), so for a stage point x = y + P d the nonlinear
@@ -336,25 +330,21 @@ class _Tail:
             a = w_a f0,  b = a + w_a D_a,  c = w_1 f0 + 2 w_a D_b,
             y+ - y = w_1 f0 + w_ab (D_a + D_b) + w_c D_c.
         Each stage is one P product, one right-hand side of the stacked
-        rows and one Q product. ``y`` and ``f0 = Q f(y)`` are one state or a
-        row per step, and the weights one row or a row per step.
+        rows and one Q product, and the three stage points share one array.
+        ``y`` and ``f0 = Q f(y)`` are one state or a row per step, and the
+        weights one row or a row per step.
         """
+        points = np.empty((3, *w_a.shape[:-1], y.shape[-1]))
 
-        def difference(d):
-            x = y + d @ self.P.T
-            if not x.min() >= floor:  # NaN fails it too
-                return None
-            return rhs(x) @ self.Q.T - f0 + self.lam * d
+        def difference(k, d):
+            return rhs(np.add(y, d @ self.P.T, out=points[k])) @ self.Q.T - f0 + self.lam * d
 
         a = w_a * f0
-        if (d_a := difference(a)) is None:
-            return None
-        if (d_b := difference(a + w_a * d_a)) is None:
-            return None
+        d_a = difference(0, a)
+        d_b = difference(1, a + w_a * d_a)
         linear = w_1 * f0
-        if (d_c := difference(linear + 2.0 * (w_a * d_b))) is None:
-            return None
-        return linear + w_ab * (d_a + d_b) + w_c * d_c
+        d_c = difference(2, linear + 2.0 * (w_a * d_b))
+        return linear + w_ab * (d_a + d_b) + w_c * d_c, points.min()
 
 
 @np.errstate(all="ignore")  # a non-finite Hess F or pencil is refused, not warned about
@@ -430,8 +420,9 @@ def integrate(
     which keeps pace with the geometric decay of the tail's error; after
     the first exponential step, and after the first acceptance that follows
     a rejection, it is h 0.9 err^(-1/5), as for DOP853. Either factor is
-    kept within [0.2, 5]. Every stage point of either method, and
-    the tail's half-step state, meets the same guards. ``t_end``
+    kept within [0.2, 5]. Every attempt evaluates all its stages and then
+    compares its stage points, the tail's half-step state among them, with
+    the floor once. ``t_end``
     must be positive and finite. A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
     below the positivity floor (max(m(rho0)/2, 1e-14) by default; pass
@@ -443,7 +434,8 @@ def integrate(
     rejections per guard in ``rejected_by``, the exponential steps and
     switch time in ``exponential_steps`` and ``switch_time``, and the
     right-hand-side rows both methods evaluated, rejected attempts included,
-    in ``rhs_evaluations``. Accepted states
+    in ``rhs_evaluations``: 1 + accepted steps + 11 per DOP853 attempt + 10
+    per exponential attempt. Accepted states
     are renormalized onto the simplex. States are recorded every
     ``record_every`` accepted steps (0 = initial and final only), plus the
     final state. A run that underflows the step size or attempts 100 000
@@ -480,6 +472,7 @@ def integrate(
         return _rhs_raw(model, graph, values)
 
     K = np.empty((12, y.size))  # stage derivatives; K[0] is reused across rejections of one state
+    stages = np.empty((12, y.size))  # DOP853 stage points 1..11 of an attempt; row 0 stays unwritten
     K[0] = rhs(y)
     h = min(t_end, h_cap, 0.01 / (1.0 + float(np.max(np.abs(K[0])))))
     accepted = 0
@@ -520,26 +513,22 @@ def integrate(
         h_try = min(h, t_end - t)
         previous, last = last, None
 
-        y_new = None  # stays None when a stage point fails the floor
         scale = abs_tol + rel_tol * np.abs(y)
         if switch_time is None:
             for s in range(1, 12):
-                ys = y + h_try * (_STAGE_ROWS[s] @ K[:s])
-                if not ys.min() >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
-                    break
-                K[s] = rhs(ys)
-            else:
-                update, e5, e3 = _UPDATE @ K
-                y_new = y + h_try * update
-                e5, e3 = float(np.max(np.abs(e5) / scale)), float(np.max(np.abs(e3) / scale))
-                # Hairer's combined estimate h e5^2 / sqrt(e5^2 + e3^2/100), O(h^8); 0 for e5 = 0, not 0/0
-                err_norm = h_try * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 > 0.0 else 0.0
-                exponent = -1.0 / 8.0
-        elif (step := eq.step(rhs, y, K[0], h_try, floor)) is not None:
-            y_new, err = step
+                K[s] = rhs(np.add(y, h_try * (_STAGE_ROWS[s] @ K[:s]), out=stages[s]))
+            low = stages[1:].min()
+            update, e5, e3 = _UPDATE @ K
+            y_new = y + h_try * update
+            e5, e3 = float(np.max(np.abs(e5) / scale)), float(np.max(np.abs(e3) / scale))
+            # Hairer's combined estimate h e5^2 / sqrt(e5^2 + e3^2/100), O(h^8); 0 for e5 = 0, not 0/0
+            err_norm = h_try * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 > 0.0 else 0.0
+            exponent = -1.0 / 8.0
+        else:
+            y_new, err, low = eq.step(rhs, y, K[0], h_try)
             err_norm = float(np.max(np.abs(err) / scale))
             exponent = -1.0 / 5.0  # step doubling estimates an O(h^5) error
-        if y_new is None:
+        if not low >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
             rejected_by["stage_floor"] += 1
             h = 0.5 * h_try
             continue

@@ -85,11 +85,12 @@ class Graph:
         return float(self.weights.max())
 
     @cached_property
-    def _apply_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(index, w/2, ends) for L(rho) x: a (4, E) index into [rho | x] of rho_i, rho_j, x_i, x_j, the half weights, and the flat (2E,) tails then heads."""
+    def _apply_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, w/2) for L(rho) x over the 2E directed edges a -> b, a the tails then the heads: a (4, 2E) index into [rho | x] of rho_a, rho_b, x_a, x_b, and the half weights."""
         t, h = self.edge_ends
+        a, b = np.concatenate((t, h)), np.concatenate((h, t))
         n = self.node_count
-        return freeze((t, h, t + n, h + n), int), freeze(0.5 * self.weights), freeze(self.edge_ends.ravel(), int)
+        return freeze((a, b, a + n, b + n), int), freeze(np.tile(0.5 * self.weights, 2))
 
     @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], int]:

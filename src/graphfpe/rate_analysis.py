@@ -428,7 +428,9 @@ def estimate_lsi_constant(
     every coordinate is >= ``min_mass``, as min_mass + (1 - n min_mass)
     Dirichlet(1): the affine image of the uniform law on the simplex, so
     nothing is rejected. Minimizes I/(2H) over samples whose entropy gap
-    is at least 1e-12. Deterministic for a fixed seed. The inequality is stated
+    is at least 1e-12 s, where s = |rho^T W rho / 2| + |V^T rho| +
+    beta |sum rho log rho| at rho_inf is the size of F's terms, which sets
+    the gap's rounding. Deterministic for a fixed seed. The inequality is stated
     for beta = 1; other temperatures are accepted as an extension (both
     functionals carry beta consistently).
     """
@@ -446,18 +448,20 @@ def estimate_lsi_constant(
     samples = min_mass + (1.0 - n * min_mass) * rng.dirichlet(np.ones(n), size=count)
 
     f_inf = energy(model, rho_inf)
+    r = rho_inf.values
+    least = 1e-12 * (abs(0.5 * r @ model.interaction @ r) + abs(model.potential @ r) + model.beta * abs(r @ np.log(r)))
     ratios = np.empty(count)
     for start in range(0, count, _LSI_BLOCK):
         block = samples[start : start + _LSI_BLOCK]
         gap = _energy_raw(model, block) - f_inf
         fisher = -_dissipation_raw(model, graph, block)
         ratios[start : start + _LSI_BLOCK] = np.divide(
-            fisher, 2.0 * gap, out=np.full_like(gap, math.inf), where=gap >= 1e-12
+            fisher, 2.0 * gap, out=np.full_like(gap, math.inf), where=gap >= least
         )
 
     retained = int(np.sum(np.isfinite(ratios)))
     if retained == 0:
-        raise NoValidSamples("every sample fell within 1e-12 of the equilibrium energy")
+        raise NoValidSamples("every sample's entropy gap fell below 1e-12 times the size of F's terms at equilibrium")
     best = int(np.argmin(ratios))
     return LsiEstimate(
         lambda_hat=float(ratios[best]),

@@ -190,19 +190,20 @@ def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian_apply(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L(rho) x per row, (..., n) -> (..., n): edge fluxes w theta (x_i - x_j) scattered by one bincount.
+    """L(rho) x per row, (..., n) -> (..., n): fluxes w theta (x_a - x_b) over the directed edges a -> b, one bincount onto a.
 
-    One gather of [rho | x] reads both ends of every edge. The flux is taken
-    as (w/2)(rho_i + rho_j)(x_i - x_j), which has the bits of
-    w theta (x_i - x_j): halving is exact unless w or rho_i + rho_j is
-    subnormal. Rows of ``values`` and ``x`` broadcast against each other.
+    One gather of [rho | x] reads both ends of every edge, tails first. The
+    flux (w/2)(rho_a + rho_b)(x_a - x_b) has the bits of w theta (x_a - x_b):
+    halving is exact unless w or rho_a + rho_b is subnormal. A head's flux is
+    the exact negation of its tail's, so +flux lands at the tails, then -flux
+    at the heads. Rows of ``values`` and ``x`` broadcast against each other.
     """
     if values.shape != x.shape:
         values, x = np.broadcast_arrays(values, x)
-    index, half_weights, ends = graph._apply_plan
+    index, half_weights = graph._apply_plan
     at = np.concatenate((values, x), axis=-1).take(index, axis=-1)
-    flux = half_weights * (at[..., 0, :] + at[..., 1, :]) * (at[..., 2, :] - at[..., 3, :])  # +flux at the tail, -flux at the head
-    return _scatter(ends, np.concatenate((flux, -flux), axis=-1), graph.node_count)
+    flux = half_weights * (at[..., 0, :] + at[..., 1, :]) * (at[..., 2, :] - at[..., 3, :])
+    return _scatter(index[0], flux, graph.node_count)
 
 
 def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:

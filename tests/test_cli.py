@@ -1178,6 +1178,14 @@ def test_lsi_fixed_seed_reproducible(tmp_path):
     assert a["lambda_hat"] == pytest.approx(2.0, rel=0.01)
 
 
+def test_lsi_keeps_samples_at_a_tiny_energy_scale(tmp_path):
+    # every entropy gap is below 1e-14 here; the sample floor scales with F's terms (beta log 2), so the
+    # estimate still finds lambda = 2 beta, as at beta = 1
+    config = {**CANONICAL, "model": {"beta": 1e-14}}
+    assert run("lsi", write_config(tmp_path, config), tmp_path / "out") == 0
+    assert read_json(tmp_path / "out" / "lsi.json")["lambda_hat"] == pytest.approx(2e-14, rel=0.01)
+
+
 def test_lsi_min_mass_not_below_one_over_n_exits_2(tmp_path, capsys):
     config = dict(CANONICAL)
     config["lsi"] = {"count": 10, "min_mass": 0.6}

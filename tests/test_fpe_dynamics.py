@@ -508,10 +508,9 @@ def test_step_doubling_tracks_the_true_local_error_of_the_first_tail_steps(seed,
     reference = _rk4_steps(model, g, y, h, 0.05 / tail.lam[-1])
     scale = 1e-11 + 1e-8 * np.abs(y)  # the scaled norm of integrate at its default tolerances
     true = np.max(np.abs(ys[1:] - reference) / scale, axis=1)
-    floor = max(invariant_region(model, g, rho0).m / 2.0, 1e-14)
     rhs = functools.partial(_rhs_raw, model, g)
     estimate = np.array(
-        [np.max(np.abs(tail.step(rhs, yk, rhs(yk), hk, floor)[1]) / sk) for yk, hk, sk in zip(y, h[:, 0], scale)]
+        [np.max(np.abs(tail.step(rhs, yk, rhs(yk), hk)[1]) / sk) for yk, hk, sk in zip(y, h[:, 0], scale)]
     )
     assert np.all(true <= 1.0), true
     big = true > 0.01
@@ -582,13 +581,13 @@ def test_the_predictive_step_factor_acts_only_between_two_accepted_tail_steps(mo
     # third tail attempt, forces a rejection.
     step, calls = fpe_dynamics._Tail.step, []
 
-    def inflating(self, rhs, y, fy, h, floor):
-        y_new, err = step(self, rhs, y, fy, h, floor)
+    def inflating(self, rhs, y, fy, h):
+        y_new, err, low = step(self, rhs, y, fy, h)
         scale = 1e-11 + 1e-8 * np.abs(y)  # the scaled norm of integrate at its default tolerances
         if len(calls) == 2:
             err = err * (4.0 / np.max(np.abs(err) / scale))
         calls.append((y, h, float(np.max(np.abs(err) / scale))))
-        return y_new, err
+        return y_new, err, low
 
     monkeypatch.setattr(fpe_dynamics._Tail, "step", inflating)
     model, g, rho0, t_end = _weak_switching_setup(22, 24)
@@ -629,6 +628,34 @@ def test_rhs_evaluations_counts_every_row_either_method_evaluates(monkeypatch, m
     assert (traj.exponential_steps > 0) == (make_case is _switching_setup)
     assert max(counted) == (2 if make_case is _switching_setup else 1)  # the tail stacks two rows in one call
     assert traj.rhs_evaluations == sum(counted) > traj.accepted_steps + traj.rejected_steps
+
+
+@pytest.mark.parametrize(
+    "make_case, tolerances",
+    [
+        (_nonsymmetric_case, {}),
+        (_switching_setup, {}),
+        # the loose-tolerance 2-node case, whose overshooting steps are refused by the stage floor
+        (lambda: (bare_model(2), path2(), Density([0.7, 0.3]), 20.0), {"rel_tol": 100.0, "abs_tol": 1e-15}),
+    ],
+    ids=["explicit", "switching", "loose-2"],
+)
+def test_every_attempt_costs_a_fixed_number_of_rows(monkeypatch, make_case, tolerances):
+    # one row at the start and one per accepted state, plus 11 per DOP853 attempt and 10 per exponential
+    # attempt, refused attempts included: every stage is evaluated before the floor is compared
+    step, tail_attempts = fpe_dynamics._Tail.step, []
+
+    def counting(self, *args):
+        tail_attempts.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(fpe_dynamics._Tail, "step", counting)
+    model, g, rho0, t_end = make_case()
+    traj = integrate(model, g, rho0, t_end, **tolerances)
+    explicit = traj.accepted_steps + traj.rejected_steps - len(tail_attempts)
+    assert traj.rhs_evaluations == 1 + traj.accepted_steps + 11 * explicit + 10 * len(tail_attempts)
+    assert (len(tail_attempts) > 0) == (make_case is not _nonsymmetric_case)
+    assert (traj.rejected_by["stage_floor"] > 0) == bool(tolerances)
 
 
 def _budget_stop(monkeypatch, record_every):

@@ -356,9 +356,11 @@ def test_lsi_estimate_matches_per_sample_loop():
     draws = draw_rng.dirichlet(np.ones(n), size=count)
     kept = draws[draws.min(axis=1) >= min_mass]
     fill = min_mass + (1.0 - n * min_mass) * draw_rng.dirichlet(np.ones(n), size=count - len(kept))
+    r = rho_inf.values
+    size = abs(r @ model.interaction @ r / 2) + abs(model.potential @ r) + model.beta * abs(np.sum(r * np.log(r)))
     retained = 0
     for x in np.concatenate([kept, fill]):
-        retained += relative_entropy(model, Density(x), rho_inf) >= 1e-12
+        retained += relative_entropy(model, Density(x), rho_inf) >= 1e-12 * size
     assert est.samples_retained == retained
 
     worst = est.worst_density

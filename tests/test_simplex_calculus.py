@@ -230,6 +230,36 @@ def test_laplacian_kernels_stacked_equal_per_row():
         assert np.array_equal(L[0, 0], weighted_laplacian(g, Density(values[0, 0])).matrix)
 
 
+def _per_edge_apply(g, values, x):
+    """L(rho) x of one row, edge by edge: +w theta (x_i - x_j) at every tail, then -w theta (x_i - x_j) at every head."""
+    out = np.zeros(g.node_count)
+    flux = [w * (0.5 * (values[i] + values[j])) * (x[i] - x[j]) for i, j, w in g.edges]
+    for (i, _, _), f in zip(g.edges, flux):
+        out[i] += f
+    for (_, j, _), f in zip(g.edges, flux):
+        out[j] -= f
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_laplacian_apply_has_the_bits_of_the_per_edge_form(seed):
+    rng = np.random.default_rng(60 + seed)
+    for n in (2, int(rng.integers(3, 40)), 200):
+        g = random_connected_graph(rng, n)
+        values = rng.dirichlet(np.ones(n), size=3)
+        x = rng.standard_normal((3, n))
+        x[1] = np.round(x[1])  # ties give zero fluxes
+        per_row = np.array([_per_edge_apply(g, v, xv) for v, xv in zip(values, x)])
+        bits = [
+            (laplacian_apply(g, values[0], x[0]), per_row[0]),  # one row
+            (laplacian_apply(g, values, x), per_row),  # stacked rows
+            (laplacian_apply(g, values[0], x), np.array([_per_edge_apply(g, values[0], xv) for xv in x])),
+            (laplacian_apply(g, values, x[0]), np.array([_per_edge_apply(g, v, x[0]) for v in values])),
+        ]
+        for got, want in bits:
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_solve_potential_examples():
     lap = weighted_laplacian(path2(), Density([0.5, 0.5]))
     zero = solve_potential(lap, TangentVector([0.0, 0.0]))
