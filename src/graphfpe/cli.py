@@ -78,7 +78,6 @@ from .rate_analysis import (
     estimate_lsi_constant,
     rate_constants,
     relative_entropy,
-    relative_fisher,
     tail_slope,
     verify_decay_bound,
 )
@@ -613,7 +612,7 @@ def cmd_simulate(run: _Run) -> int:
             "final_time": traj.times[-1],
             "final_density": final.values,
             "relative_entropy": rel_entropy,
-            "relative_fisher": relative_fisher(run.model, run.graph, final),
+            "relative_fisher": -traj.dissipation[-1],
             "accepted_steps": traj.accepted_steps,
             "rejected_steps": traj.rejected_steps,
             "rejected_by": dict(traj.rejected_by),

@@ -209,12 +209,6 @@ def _softmin(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return g, low, total
 
 
-def _gibbs_map(model: EnergyModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmin map G(rho) and its normalizer K at each row; K may overflow to inf or underflow to 0."""
-    g, low, total = _softmin(model, v)
-    return g, (np.exp(-low / model.beta) * total)[..., 0]
-
-
 def _undamped(model: EnergyModel) -> bool:
     """Whether -2 beta < lambda(W) < 2 beta / 3 for a symmetric W with a finite spectrum.
 

@@ -307,10 +307,13 @@ def test_step_size_underflow_reports_partial():
     assert traj.rejected_by["stage_floor"] + traj.rejected_by["step_floor"] > 0
 
 
-def test_loose_tolerance_steps_are_caught_by_floor_and_energy_guards():
-    # with rel_tol = 100 the error guard accepts any step; steps that
+def test_loose_tolerance_steps_are_caught_by_floor_and_energy_guards(monkeypatch):
+    # with rel_tol = 100 the error guard accepts any step; explicit steps that
     # overshoot the equilibrium are caught by the positivity and energy guards
-    # (from [0.7, 0.3] over t = 20: 2 stage floor and 1 energy rejection)
+    # (from [0.7, 0.3] over t = 20: 3 stage floor and 8 energy rejections). The
+    # run is held on the explicit pair: with the tail it switches at t = 3.1,
+    # and no step is refused by the energy guard
+    monkeypatch.setattr(fpe_dynamics, "_equilibrium_tail", lambda *args: None)
     traj = integrate(bare_model(2), path2(), Density([0.7, 0.3]), 20.0, rel_tol=100.0, abs_tol=1e-15)
     assert traj.rejected_by["error"] == 0
     assert traj.rejected_by["stage_floor"] >= 1 and traj.rejected_by["energy"] >= 1
@@ -332,6 +335,17 @@ def test_integrate_rejects_non_finite_t_end(t_end):
     # an infinite t_end used to return at once with the start state as final
     with pytest.raises(ValueError, match="t_end"):
         integrate(bare_model(2), path2(), Density([0.5, 0.5]), t_end)
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "positivity_floor"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
+def test_integrate_refuses_a_tolerance_or_floor_that_is_not_positive_and_finite(name, value):
+    # unrefused, rel_tol NaN, -1 or inf turns the error control off, and a NaN floor ends in a step size underflow
+    # at t = 0
+    model = EnergyModel(np.zeros((3, 3)), np.array([0.1, -0.2, 0.05]), 1.0)
+    g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        integrate(model, g, Density([0.5, 0.3, 0.2]), 5.0, **{name: value})
 
 
 def test_nonsymmetric_interaction_integrates_without_energy_guard():
@@ -359,9 +373,9 @@ def test_equilibrium_jacobian_matches_central_differences():
             e = np.zeros(n)
             e[j] = step
             fd[:, j] = (_rhs_raw(model, g, rho + e) - _rhs_raw(model, g, rho - e)) / (2.0 * step)
-        # the eigenpairs give J on the zero-sum plane, where the dropped mass mode has no part
+        # the eigenpairs give J = -P diag(lam) Q on the zero-sum plane, where the dropped mass mode has no part
         centred = np.eye(n) - 1.0 / n
-        jac = np.array([tail.jac(col) for col in centred]).T
+        jac = -tail.P @ (tail.lam[:, None] * (tail.Q @ centred))
         assert np.max(np.abs(jac - fd @ centred)) <= 1e-6 * np.max(np.abs(fd))
         exact = -laplacian_matrices(g, rho) @ energy_hessian(model, Density(rho))
         assert np.max(np.abs(jac - exact @ centred)) <= 1e-12 * np.max(np.abs(fd))
@@ -468,6 +482,43 @@ def test_tail_honours_max_step_and_lands_on_t_end():
     # of two accumulated times can exceed 2.0 by rounding
     assert np.all(traj.times[1:] <= traj.times[:-1] + 2.0)
     assert traj.times[-1] == 60.0
+
+
+def test_the_run_switches_at_the_first_accepted_state_that_passes_both_tests():
+    # the switch test replayed on every accepted state of a record-per-step run up to the switch: the step that
+    # reached y has h lambda_max >= 2, and |f(y) - J (y - rho_inf)| <= 5e-2 |f(y)| with J = -P diag(lam) Q
+    model, g, rho0, _ = _switching_setup()
+    traj = _switching_run()
+    tail = _equilibrium_tail(model, g, rho0)
+    passes = []
+    for k in range(1, np.count_nonzero(traj.times <= traj.switch_time)):
+        y = traj.densities[k].values
+        f = _rhs_raw(model, g, y)
+        residual = f + tail.P @ (tail.lam * (tail.Q @ (y - tail.rho_inf)))
+        stiff = (traj.times[k] - traj.times[k - 1]) * tail.lam[-1] >= 2.0
+        passes.append(bool(stiff and np.max(np.abs(residual)) <= 5e-2 * np.max(np.abs(f))))
+    assert len(passes) > 1 and passes[-1] and not any(passes[:-1])
+
+
+def test_the_linearity_test_keeps_a_tail_about_another_basin_off(monkeypatch):
+    # on a 4-node path, W = -2.8821 I + 20.775 11^T makes two basins: the Gibbs solve from rho0 finds
+    # (0.559, 0.092, 0.176, 0.173), and the tail is built about it, while the flow goes to (0.336, 0.113, 0.278, 0.272).
+    # The explicit steps pass h lambda_max >= 2, but f(y) never comes within 5e-2 of J (y - rho_inf), so the run
+    # stays on DOP853 (802 rows); switching on the stiffness test alone, it switched at t = 3.5 and took 1895 rows
+    g = build_graph(4, [(1, 2, 1.4557), (2, 3, 0.8872), (3, 4, 1.2148)])
+    W = -2.8821 * np.eye(4) + 20.775 * np.ones((4, 4))
+    model = EnergyModel(W, np.array([-0.1781, 0.2772, -0.1265, -0.1164]), 1.0)
+    x = np.array([0.1046, 0.057, 0.3707, 0.4678])
+    rho0 = Density(x / x.sum())
+    tail = _equilibrium_tail(model, g, rho0)
+    assert tail is not None
+    traj = integrate(model, g, rho0, 30.0, record_every=1)
+    assert traj.switch_time is None and traj.exponential_steps == 0
+    assert np.max(np.abs(tail.rho_inf - traj.final_density.values)) > 0.2
+    assert np.max(np.diff(traj.times)[:-1]) * tail.lam[-1] >= 2.0  # a step before the last passes the stiffness test
+    monkeypatch.setattr(fpe_dynamics, "_equilibrium_tail", lambda *args: None)
+    ref = integrate(model, g, rho0, 30.0, rel_tol=1e-12, abs_tol=1e-15, record_every=0)
+    assert np.max(np.abs(traj.final_density.values - ref.final_density.values)) <= 1e-9
 
 
 def _weak_interaction_model(rng, n):

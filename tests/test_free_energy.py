@@ -20,7 +20,7 @@ from graphfpe import (
     find_all_equilibria,
     gibbs_fixed_point,
 )
-from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_map, _gibbs_rows, _undamped
+from graphfpe.free_energy import _drift_raw, _energy_raw, _gibbs_rows, _softmin, _undamped
 from helpers import bare_model, corner_starts, interior_density, random_convex_model, rel_err, three_well_recipe
 
 
@@ -226,9 +226,10 @@ def test_gibbs_map_at_beta_one_has_the_bits_of_the_max_shifted_softmin():
         v = interior_density(rng, n).values
         a = -(model.interaction @ v + model.potential) / model.beta
         g = np.exp(a - a.max())
-        got, normalizer = _gibbs_map(model, v)
+        got, low, total = _softmin(model, v)
         assert np.array_equal(got, g / g.sum())
-        assert normalizer == float(np.exp(a.max()) * g.sum())
+        # the normalizer K = exp(-low/beta) total, as gibbs_fixed_point forms it
+        assert float(np.exp(-low[0] / model.beta) * total[0]) == float(np.exp(a.max()) * g.sum())
 
 
 def test_gibbs_tiny_beta_does_not_form_inf_minus_inf():
@@ -259,7 +260,7 @@ def damped_reference(model, init, tol=1e-12, max_iter=10_000, damping=0.5):
     alpha = damping
     prev_residual = np.inf
     for k in range(max_iter + 1):
-        g, _ = _gibbs_map(model, v)
+        g, _, _ = _softmin(model, v)
         residual = float(np.max(np.abs(v - g)))
         if residual <= tol:
             return Density(v / v.sum()).values, k, residual, alpha
