@@ -2,8 +2,10 @@
 
 The flow is d rho / dt = -L(rho) F(rho), written per node as
 sum_j w_ij theta_ij (F_j - F_i) with F the drift field of the energy model.
-One batched right-hand-side kernel, ``_rhs_raw``, evaluates it for
-``fpe_rhs`` and ``integrate``. Integration uses the explicit embedded
+One builder, ``_flow_kernels``, binds the model and the graph and returns
+the flow's right-hand side, which counts the rows it evaluates.
+``integrate`` builds it once per run, and ``_rhs_raw``, behind ``fpe_rhs``,
+once per call, so both run the same code. Integration uses the explicit embedded
 Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
 II.10) in array form: the twelve stages are rows of one array, and each
 stage point, and the update with its two error estimates, are matrix
@@ -25,7 +27,7 @@ flows, monotonicity of the free energy.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -33,8 +35,8 @@ import numpy as np
 
 from .errors import BoundaryDensity, NoConvergence, StepSizeUnderflow
 from .free_energy import EnergyModel, _drift_raw, _energy_raw, energy_hessian, gibbs_fixed_point
-from .graph_core import Graph, freeze
-from .simplex_calculus import Density, TangentVector, _require, laplacian_apply, laplacian_form, laplacian_matrices
+from .graph_core import Graph, _scatter, freeze
+from .simplex_calculus import Density, TangentVector, _require, laplacian_form, laplacian_matrices
 
 __all__ = [
     "Trajectory",
@@ -194,15 +196,38 @@ class InvariantRegion:
     M: float
 
 
-def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
-    """-L(rho) F(rho) per row, (..., n) -> (..., n); the only right-hand-side path.
+def _flow_kernels(model: EnergyModel, graph: Graph) -> tuple[Callable, Callable[[], int]]:
+    """(f, evaluated): the flow's right-hand side for one run, and the reader of the rows f has evaluated.
 
-    Composes the shared batched kernels (the drift and the L(rho) apply), so
-    it takes raw positive density rows, validates nothing, and a stacked
-    call gives the same bits as one call per row.
+    Binds the model, n and ``Graph._apply_plan`` once. f takes positive rows
+    (..., n), validates nothing, and gives a stacked call the bits of one call
+    per row. f(rho) = -L(rho) F(rho) has the bits of
+    ``laplacian_apply(graph, rho, -_drift_raw(model, rho))``: its flux
+    (w/2)(rho_a + rho_b)(F_b - F_a), a second copy of the flux line of
+    ``laplacian_apply``, has the bits of (w/2)(rho_a + rho_b)((-F_a) - (-F_b)),
+    so no negation pass runs.
     """
-    drift = _drift_raw(model, values)
-    return laplacian_apply(graph, values, np.negative(drift, out=drift))
+    n = model.n
+    ends, half_weights = graph._apply_plan
+    rows = 0
+
+    def f(values: np.ndarray) -> np.ndarray:
+        nonlocal rows
+        rows += values.size // n
+        r, d = values.take(ends, axis=-1), _drift_raw(model, values).take(ends, axis=-1)
+        flux = half_weights * (r[..., 0, :] + r[..., 1, :]) * (d[..., 1, :] - d[..., 0, :])
+        return _scatter(ends[0], flux, n)
+
+    return f, lambda: rows
+
+
+def _rhs_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
+    """-L(rho) F(rho) per row, (..., n) -> (..., n): one call of the f of :func:`_flow_kernels`.
+
+    Takes raw positive density rows, validates nothing, and a stacked call
+    gives the same bits as one call per row.
+    """
+    return _flow_kernels(model, graph)[0](values)
 
 
 def _dissipation_raw(model: EnergyModel, graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -334,9 +359,10 @@ class _Tail:
         weights one row or a row per step.
         """
         points = np.empty((3, *w_a.shape[:-1], y.shape[-1]))
+        PT, QT, lam = self.P.T, self.Q.T, self.lam
 
         def difference(k, d):
-            return rhs(np.add(y, d @ self.P.T, out=points[k])) @ self.Q.T - f0 + self.lam * d
+            return rhs(np.add(y, d @ PT, out=points[k])) @ QT - f0 + lam * d
 
         a = w_a * f0
         d_a = difference(0, a)
@@ -398,8 +424,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from rho0 over [0, t_end] with adaptive steps.
 
-    Each step evaluates the twelve DOP853 stages into one (12, n) array
-    through the right-hand-side kernel: stage s starts from
+    The run builds the flow's right-hand side f once
+    (:func:`_flow_kernels`); both methods call it, it counts the rows, and it
+    keeps the bits of :func:`_rhs_raw`. Each step evaluates the twelve
+    DOP853 stages into one (12, n) array through f: stage s starts from
     y + h (A[s, :s] @ K[:s]), and one product of the stacked 8th-order and
     two error weight rows with the stage array gives the update and the
     error vectors E5 K and E3 K. Their scaled max norms e5 and e3 combine
@@ -461,19 +489,14 @@ def integrate(
     guard_energy = model.is_symmetric
     h_cap = float(max_step) if max_step is not None else math.inf
 
+    # rhs counts the rows either method evaluates, one per row of a stacked call
+    rhs, evaluated = _flow_kernels(model, graph)
     y = rho0.values.copy()
     t = 0.0
     current_energy = float(_energy_raw(model, y))
 
     # the (t, state) records; an accepted step binds y to a new array, so no kept state is written to
     times, states = [0.0], [y]
-
-    rows = 0  # right-hand-side rows evaluated by either method, one per row of a stacked call
-
-    def rhs(values: np.ndarray) -> np.ndarray:
-        nonlocal rows
-        rows += values.size // values.shape[-1]
-        return _rhs_raw(model, graph, values)
 
     K = np.empty((12, y.size))  # stage derivatives; K[0] is reused across rejections of one state
     stages = np.empty((12, y.size))  # DOP853 stage points 1..11 of an attempt; row 0 stays unwritten
@@ -503,7 +526,7 @@ def integrate(
             rejected_by=MappingProxyType(dict(rejected_by)),
             exponential_steps=exponential,
             switch_time=switch_time,
-            rhs_evaluations=rows,
+            rhs_evaluations=evaluated(),
         )
 
     while t < t_end - t_tiny:
@@ -522,13 +545,13 @@ def integrate(
             low = stages[1:].min()
             update, e5, e3 = _UPDATE @ K
             y_new = y + h_try * update
-            e5, e3 = float(np.max(np.abs(e5) / scale)), float(np.max(np.abs(e3) / scale))
+            e5, e3 = float((np.abs(e5) / scale).max()), float((np.abs(e3) / scale).max())
             # Hairer's combined estimate h e5^2 / sqrt(e5^2 + e3^2/100), O(h^8); 0 for e5 = 0, not 0/0
             err_norm = h_try * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 > 0.0 else 0.0
             exponent = -1.0 / 8.0
         else:
             y_new, err, low = eq.step(rhs, y, K[0], h_try)
-            err_norm = float(np.max(np.abs(err) / scale))
+            err_norm = float((np.abs(err) / scale).max())
             exponent = -1.0 / 5.0  # step doubling estimates an O(h^5) error
         if not low >= floor:  # NaN fails it too, so an overflowing stage is retried smaller
             rejected_by["stage_floor"] += 1

@@ -86,11 +86,9 @@ class Graph:
 
     @cached_property
     def _apply_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(index, w/2) for L(rho) x over the 2E directed edges a -> b, a the tails then the heads: a (4, 2E) index into [rho | x] of rho_a, rho_b, x_a, x_b, and the half weights."""
+        """(ends, w/2) for L(rho) x over the 2E directed edges a -> b: the (2, 2E) ends (a, b), a the tails then the heads, and the half weights."""
         t, h = self.edge_ends
-        a, b = np.concatenate((t, h)), np.concatenate((h, t))
-        n = self.node_count
-        return freeze((a, b, a + n, b + n), int), freeze(np.tile(0.5 * self.weights, 2))
+        return freeze((np.concatenate((t, h)), np.concatenate((h, t))), int), freeze(np.tile(0.5 * self.weights, 2))
 
     @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], int]:

@@ -165,7 +165,11 @@ def _require(n: int, interior: tuple[str, ...] = (), **args) -> None:
 
 
 def _thetas(graph: Graph, values: np.ndarray) -> np.ndarray:
-    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E); laplacian_apply has a second copy."""
+    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E).
+
+    Two kernels fold a copy of it into their flux line:
+    :func:`laplacian_apply` and the right-hand side of ``fpe_dynamics._flow_kernels``.
+    """
     ends = values.take(graph.edge_ends, axis=-1)
     return 0.5 * (ends[..., 0, :] + ends[..., 1, :])
 
@@ -192,18 +196,18 @@ def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
 def laplacian_apply(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L(rho) x per row, (..., n) -> (..., n): fluxes w theta (x_a - x_b) over the directed edges a -> b, one bincount onto a.
 
-    One gather of [rho | x] reads both ends of every edge, tails first. The
-    flux (w/2)(rho_a + rho_b)(x_a - x_b) has the bits of w theta (x_a - x_b):
-    halving is exact unless w or rho_a + rho_b is subnormal. A head's flux is
-    the exact negation of its tail's, so +flux lands at the tails, then -flux
-    at the heads. Rows of ``values`` and ``x`` broadcast against each other.
+    One gather each of rho and x reads both ends of every edge, tails first.
+    The flux (w/2)(rho_a + rho_b)(x_a - x_b) has the bits of
+    w theta (x_a - x_b): halving is exact unless w or rho_a + rho_b is
+    subnormal. A head's flux is the exact negation of its tail's, so +flux
+    lands at the tails, then -flux at the heads. Rows of ``values`` and ``x``
+    broadcast against each other. The right-hand side of
+    ``fpe_dynamics._flow_kernels`` has a second copy of the flux line.
     """
-    if values.shape != x.shape:
-        values, x = np.broadcast_arrays(values, x)
-    index, half_weights = graph._apply_plan
-    at = np.concatenate((values, x), axis=-1).take(index, axis=-1)
-    flux = half_weights * (at[..., 0, :] + at[..., 1, :]) * (at[..., 2, :] - at[..., 3, :])
-    return _scatter(index[0], flux, graph.node_count)
+    ends, half_weights = graph._apply_plan
+    r, d = values.take(ends, axis=-1), x.take(ends, axis=-1)
+    flux = half_weights * (r[..., 0, :] + r[..., 1, :]) * (d[..., 0, :] - d[..., 1, :])
+    return _scatter(ends[0], flux, graph.node_count)
 
 
 def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:

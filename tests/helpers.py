@@ -64,6 +64,12 @@ def random_convex_model(rng: np.random.Generator, n: int, beta: float = 1.0) -> 
             return model
 
 
+def same_bits(a, b) -> bool:
+    """Whether a and b are the same array bit for bit: dtype, shape, layout and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 

@@ -36,8 +36,8 @@ from graphfpe.fpe_dynamics import (
     _phi,
     _rhs_raw,
 )
-from graphfpe.free_energy import _energy_raw
-from graphfpe.simplex_calculus import laplacian_matrices
+from graphfpe.free_energy import _drift_raw, _energy_raw
+from graphfpe.simplex_calculus import laplacian_apply, laplacian_matrices
 from helpers import (
     bare_model,
     interior_density,
@@ -46,6 +46,7 @@ from helpers import (
     random_connected_graph,
     random_convex_model,
     rel_err,
+    same_bits,
 )
 
 
@@ -667,18 +668,50 @@ def test_the_predictive_step_factor_acts_only_between_two_accepted_tail_steps(mo
 
 @pytest.mark.parametrize("make_case", [_nonsymmetric_case, _switching_setup], ids=["explicit", "switching"])
 def test_rhs_evaluations_counts_every_row_either_method_evaluates(monkeypatch, make_case):
+    # integrate builds its kernel once per run and calls only the f the builder returned
     model, g, rho0, t_end = make_case()
-    counted = []
+    built, counted = [], []
 
-    def counting(model, graph, values, raw=_rhs_raw):
-        counted.append(values.size // values.shape[-1])
-        return raw(model, graph, values)
+    def counting_kernels(model, graph, build=fpe_dynamics._flow_kernels):
+        built.append(model)
+        f, rows = build(model, graph)
 
-    monkeypatch.setattr(fpe_dynamics, "_rhs_raw", counting)
+        def counting(values):
+            counted.append(values.size // values.shape[-1])
+            return f(values)
+
+        return counting, rows
+
+    monkeypatch.setattr(fpe_dynamics, "_flow_kernels", counting_kernels)
     traj = integrate(model, g, rho0, t_end)
+    assert built == [model]
     assert (traj.exponential_steps > 0) == (make_case is _switching_setup)
     assert max(counted) == (2 if make_case is _switching_setup else 1)  # the tail stacks two rows in one call
     assert traj.rhs_evaluations == sum(counted) > traj.accepted_steps + traj.rejected_steps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flow_kernel_keeps_the_bits_of_the_drift_apply(seed):
+    # f's flux line is a second copy of laplacian_apply's. f is compared with L(rho) applied to the negated
+    # drift, the form it replaced: -L(rho) F has the same values but may sign a zero otherwise. V = 0 with
+    # the uniform row gives all-zero fluxes.
+    rng = np.random.default_rng(70 + seed)
+    for n in (2, int(rng.integers(3, 40)), 200):
+        g = random_connected_graph(rng, n)
+        rows = rng.dirichlet(np.ones(n), size=3)
+        rows[1] = 1.0 / n
+        V, beta = rng.uniform(-1.0, 1.0, n), float(rng.uniform(0.5, 2.0))
+        for model in (bare_model(n), EnergyModel(np.zeros((n, n)), V, beta),
+                      EnergyModel(0.3 * rng.standard_normal((n, n)), V, beta)):
+            f, evaluated = fpe_dynamics._flow_kernels(model, g)
+            expected = [laplacian_apply(g, r, -_drift_raw(model, r)) for r in rows]
+            for k in range(3):
+                assert same_bits(f(rows[k]), expected[k])
+            for k in (2, 3):
+                assert same_bits(f(rows[:k]), np.array(expected[:k]))
+                assert same_bits(f(rows[:k]), laplacian_apply(g, rows[:k], -_drift_raw(model, rows[:k])))
+            assert evaluated() == 3 + 2 * (2 + 3)
+            assert same_bits(_rhs_raw(model, g, rows), np.array(expected))
 
 
 @pytest.mark.parametrize(
