@@ -11,7 +11,9 @@ outputs are written with 17 significant digits so repeated runs are
 byte-identical. Each output embeds SHA-256 digests of the config and of its
 graph and model, with every list of floats hashed as little-endian doubles
 (:func:`_packed`), plus the library version. Exit codes: 0 success, 2 config or
-validation problem, 3 numerical non-convergence, 4 precondition violation.
+validation problem, 3 numerical non-convergence, 4 precondition violation;
+each error class declares its code as ``exit_code`` in :mod:`graphfpe.errors`,
+and a ``MemoryError`` exits 2.
 Set GRAPHFPE_LOG to error/warn/info/debug to control logging.
 
 A config and each file it references are read by one loader
@@ -45,23 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BoundaryDensity,
-    ConfigError,
-    DimensionMismatch,
-    GraphFpeError,
-    InconsistentRateConstants,
-    NoConvergence,
-    NonPositiveHessian,
-    NonPositiveSymmetrizedJacobian,
-    NonSymmetricW,
-    NotAnEdge,
-    NotCertifiedConvex,
-    NotZeroSum,
-    NoValidSamples,
-    StepSizeUnderflow,
-    VacuousCertificate,
-)
+from .errors import ConfigError, GraphFpeError, NoConvergence, NotAnEdge, StepSizeUnderflow
 from .fpe_dynamics import integrate
 from .free_energy import (
     EnergyModel,
@@ -89,26 +75,6 @@ logger = logging.getLogger("graphfpe")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-EXIT_PRECONDITION = 4
-
-# the exit code of each error class main() reports; an error of a class not listed propagates
-_EXIT_CODES = {
-    ConfigError: EXIT_CONFIG,
-    DimensionMismatch: EXIT_CONFIG,
-    NotAnEdge: EXIT_CONFIG,
-    NotCertifiedConvex: EXIT_PRECONDITION,
-    BoundaryDensity: EXIT_PRECONDITION,
-    NonPositiveHessian: EXIT_PRECONDITION,
-    NonSymmetricW: EXIT_PRECONDITION,
-    NonPositiveSymmetrizedJacobian: EXIT_PRECONDITION,
-    NotZeroSum: EXIT_PRECONDITION,
-    NoValidSamples: EXIT_PRECONDITION,
-    VacuousCertificate: EXIT_PRECONDITION,
-    NoConvergence: EXIT_NUMERIC,
-    StepSizeUnderflow: EXIT_NUMERIC,
-    InconsistentRateConstants: EXIT_NUMERIC,
-    MemoryError: EXIT_CONFIG,  # the config asks for an array numpy cannot size or the machine cannot allocate
-}
 
 
 # -- stable serialization ----------------------------------------------------
@@ -596,6 +562,8 @@ def cmd_simulate(run: _Run) -> int:
         traj = exc.trajectory
         completed = False
         logger.error("integration stopped early: %s", exc)
+    except ValueError as exc:  # tolerances that floating point cannot meet; the schema refuses integrate's other ones
+        raise ConfigError(f"invalid simulate options: {exc}") from exc
     logger.info("integration wall time: %.3fs", time.perf_counter() - started)
 
     _write_csv(run.out / "trajectory.csv", header, _trajectory_rows(traj))
@@ -850,9 +818,13 @@ def main(argv=None) -> int:
             "decompose": cmd_decompose,
         }
         return handlers[args.command](run)
-    except tuple(_EXIT_CODES) as exc:
+    except (GraphFpeError, MemoryError) as exc:
+        # a MemoryError: the config asks for an array numpy cannot size or the machine cannot allocate
+        code = exc.exit_code if isinstance(exc, GraphFpeError) else EXIT_CONFIG
+        if code is None:
+            raise
         print(f"graphfpe: {exc}", file=sys.stderr)
-        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+        return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 
 class GraphFpeError(Exception):
-    """Base class for every error raised by graphfpe."""
+    """Base class for every error raised by graphfpe; ``exit_code`` is the CLI's exit code for it, None to propagate."""
+
+    exit_code: int | None = None
 
 
 # -- graph construction and lookup ---------------------------------------
@@ -24,7 +26,7 @@ class DisconnectedGraph(GraphFpeError):
 
 
 class NotAnEdge(GraphFpeError):
-    pass
+    exit_code = 2
 
 
 class GraphMismatch(GraphFpeError):
@@ -44,6 +46,8 @@ class NoConvergence(GraphFpeError):
     one (e.g. the last Gibbs iterate), so callers can inspect or dump it.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
@@ -52,46 +56,50 @@ class NoConvergence(GraphFpeError):
 # -- simplex / tangent-space types ----------------------------------------
 
 class BoundaryDensity(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class NotZeroSum(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class DimensionMismatch(GraphFpeError):
-    pass
+    exit_code = 2
 
 
 # -- energy models and rate formulas --------------------------------------
 
 class NonSymmetricW(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class NotCertifiedConvex(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class NonPositiveHessian(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class NonPositiveSymmetrizedJacobian(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class NoValidSamples(GraphFpeError):
-    pass
+    exit_code = 4
 
 
 class VacuousCertificate(GraphFpeError):
     """The decay constant C of the global bound is not representable (m or C
     underflows to 0, or (r + 1)^2 overflows), so the bound certifies nothing."""
 
+    exit_code = 4
+
 
 class InconsistentRateConstants(GraphFpeError, RuntimeError):
     """Two algebraically equal routes to a rate constant disagree."""
+
+    exit_code = 3
 
 
 # -- time integration -------------------------------------------------------
@@ -102,6 +110,8 @@ class StepSizeUnderflow(GraphFpeError):
     ``trajectory`` holds every record so far and ends at the last accepted state.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
@@ -110,4 +120,4 @@ class StepSizeUnderflow(GraphFpeError):
 # -- CLI -------------------------------------------------------------------
 
 class ConfigError(GraphFpeError):
-    pass
+    exit_code = 2

@@ -3,7 +3,8 @@
 The flow is d rho / dt = -L(rho) F(rho), written per node as
 sum_j w_ij theta_ij (F_j - F_i) with F the drift field of the energy model.
 One builder, ``_flow_kernels``, binds the model and the graph and returns
-the flow's right-hand side, which counts the rows it evaluates.
+the flow's right-hand side, the kernel of ``laplacian_apply`` at the drift,
+which counts the rows it evaluates.
 ``integrate`` builds it once per run, and ``_rhs_raw``, behind ``fpe_rhs``,
 once per call, so both run the same code. Integration uses the explicit embedded
 Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import BoundaryDensity, NoConvergence, StepSizeUnderflow
 from .free_energy import EnergyModel, _drift_raw, _energy_raw, energy_hessian, gibbs_fixed_point
-from .graph_core import Graph, _scatter, freeze
-from .simplex_calculus import Density, TangentVector, _require, laplacian_form, laplacian_matrices
+from .graph_core import Graph, freeze
+from .simplex_calculus import Density, TangentVector, _flux_kernel, _require, laplacian_form, laplacian_matrices
 
 __all__ = [
     "Trajectory",
@@ -130,6 +131,11 @@ _GUARDS = ("stage_floor", "step_floor", "error", "mass", "energy")
 
 _ABS_FLOOR = 1e-14  # keeps log(rho) representable even with the region guard off
 _MASS_DRIFT_BUDGET = 1e-13  # per accepted step, before renormalization
+# integrate refuses abs_tol + rel_tol below it, 2^-73 = 1.06e-22: at rel_tol = abs_tol = 1e-23
+# five 2- and 3-node flows all spend the step budget, and at 1e-22 four of them finish
+# (the nine 10- to 200-node benchmark flows spend it at 1e-20 and finish at 1e-17).
+# A power of two adds no float literal to those hypothesis draws its examples from.
+_TOL_FLOOR = 2.0**-73
 # attempted steps (accepted or rejected) per run; at equilibrium the step
 # stays near the explicit stability limit, so a huge t_end would never end
 _STEP_BUDGET = 100_000
@@ -199,24 +205,18 @@ class InvariantRegion:
 def _flow_kernels(model: EnergyModel, graph: Graph) -> tuple[Callable, Callable[[], int]]:
     """(f, evaluated): the flow's right-hand side for one run, and the reader of the rows f has evaluated.
 
-    Binds the model, n and ``Graph._apply_plan`` once. f takes positive rows
-    (..., n), validates nothing, and gives a stacked call the bits of one call
-    per row. f(rho) = -L(rho) F(rho) has the bits of
-    ``laplacian_apply(graph, rho, -_drift_raw(model, rho))``: its flux
-    (w/2)(rho_a + rho_b)(F_b - F_a), a second copy of the flux line of
-    ``laplacian_apply``, has the bits of (w/2)(rho_a + rho_b)((-F_a) - (-F_b)),
-    so no negation pass runs.
+    f(rho) = -L(rho) F(rho) is ``simplex_calculus._flux_kernel``, bound to the
+    graph once, at the drift d = ``_drift_raw(model, rho)``, so no negation
+    pass runs. f takes positive rows (..., n), validates nothing, and gives a
+    stacked call the bits of one call per row.
     """
-    n = model.n
-    ends, half_weights = graph._apply_plan
+    n, flux = model.n, _flux_kernel(graph)
     rows = 0
 
     def f(values: np.ndarray) -> np.ndarray:
         nonlocal rows
         rows += values.size // n
-        r, d = values.take(ends, axis=-1), _drift_raw(model, values).take(ends, axis=-1)
-        flux = half_weights * (r[..., 0, :] + r[..., 1, :]) * (d[..., 1, :] - d[..., 0, :])
-        return _scatter(ends[0], flux, n)
+        return flux(values, _drift_raw(model, values))
 
     return f, lambda: rows
 
@@ -450,8 +450,8 @@ def integrate(
     kept within [0.2, 5]. Every attempt evaluates all its stages and then
     compares its stage points, the tail's half-step state among them, with
     the floor once. ``t_end``, ``rel_tol``, ``abs_tol`` and a given
-    ``positivity_floor`` must be positive and finite (``ValueError``
-    otherwise). A step is rejected, and the step size
+    ``positivity_floor`` must be positive and finite, and abs_tol + rel_tol
+    at least 2^-73 = 1.06e-22 (``ValueError`` otherwise). A step is rejected, and the step size
     halved, if any component of a stage point or of the candidate would drop
     below the positivity floor (max(m(rho0)/2, 1e-14) by default; pass
     ``positivity_floor=1e-14`` to disable the invariant-region guard) or is
@@ -477,6 +477,8 @@ def integrate(
     for name, value in positive.items():
         if not 0 < value < math.inf:  # NaN fails it too
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if abs_tol + rel_tol < _TOL_FLOOR:
+        raise ValueError(f"abs_tol + rel_tol must be at least {_TOL_FLOOR:.3g}, got {abs_tol + rel_tol!r}")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every!r}")
     if max_step is not None and not max_step > 0:

@@ -95,11 +95,9 @@ class Graph:
         return {(i, j): e for e, (i, j, _) in enumerate(self.edges)}
 
     @cached_property
-    def _slots(self) -> np.ndarray:  # (2, 4E) flat n x n slots that _edge_assembly gives c, c, -c, -c per edge
-        t, h = self.edge_ends
-        n = self.node_count
-        tt, hh, th, ht = t * (n + 1), h * (n + 1), t * n + h, h * n + t
-        return np.stack((np.concatenate((tt, hh, th, ht)), np.concatenate((tt, th, ht, hh))))
+    def _slots(self) -> np.ndarray:  # (4E,) flat n x n slots (a, a), then (a, b), over _apply_plan's edges a -> b
+        (a, b), n = self._apply_plan[0], self.node_count
+        return freeze(np.concatenate((a * (n + 1), a * n + b)), int)
 
     def edge_index(self, i: int, j: int) -> int:
         """Index of the undirected edge {i, j} in canonical order."""
@@ -187,10 +185,13 @@ def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def _edge_assembly(graph: Graph, c: np.ndarray, head: int = -1) -> np.ndarray:
-    """sum_e c_e (e_i - e_j)(e_i + head e_j)^T per row, head -1 (the Laplacian of c) or 1, (..., E) -> (..., n, n)."""
-    n = graph.node_count
-    values = np.concatenate((c, c, -c, -c), axis=-1)
-    return _scatter(graph._slots[(1 + head) // 2], values, n * n).reshape(*c.shape[:-1], n, n)
+    """sum_e c_e (e_i - e_j)(e_i + head e_j)^T per row, head -1 (the Laplacian of c) or 1, (..., E) -> (..., n, n).
+
+    The slots (i, i), (j, j), (i, j), (j, i) take c, c, -c, -c for head -1 and c, -c, c, -c for head 1.
+    """
+    n, neg = graph.node_count, -c
+    values = np.concatenate((c, c, neg, neg) if head < 0 else (c, neg, c, neg), axis=-1)
+    return _scatter(graph._slots, values, n * n).reshape(*c.shape[:-1], n, n)
 
 
 def incidence_matrix(graph: Graph) -> np.ndarray:

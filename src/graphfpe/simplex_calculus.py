@@ -10,6 +10,7 @@ the package that takes a graph or a model with node vectors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,11 +166,7 @@ def _require(n: int, interior: tuple[str, ...] = (), **args) -> None:
 
 
 def _thetas(graph: Graph, values: np.ndarray) -> np.ndarray:
-    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E).
-
-    Two kernels fold a copy of it into their flux line:
-    :func:`laplacian_apply` and the right-hand side of ``fpe_dynamics._flow_kernels``.
-    """
+    """theta_ij = (rho_i + rho_j) / 2 per canonical edge, (..., n) -> (..., E); :func:`_flux_kernel` has the directed form."""
     ends = values.take(graph.edge_ends, axis=-1)
     return 0.5 * (ends[..., 0, :] + ends[..., 1, :])
 
@@ -185,6 +182,25 @@ def edge_thetas(graph: Graph, rho: Density) -> np.ndarray:
     return _thetas(graph, rho.values)
 
 
+def _flux_kernel(graph: Graph) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """k(values, d) = -L(rho) d per row, (..., n) -> (..., n): fluxes w theta (d_b - d_a) over edges a -> b, summed at a.
+
+    Binds ``Graph._apply_plan`` once, and one gather each of rho and d reads
+    both ends of every edge, tails first. The flux (w/2)(rho_a + rho_b)(d_b - d_a)
+    has the bits of w theta (d_b - d_a): halving is exact unless w or
+    rho_a + rho_b is subnormal. Rows of ``values`` and ``d`` broadcast against
+    each other. :func:`laplacian_apply` and ``fpe_dynamics._flow_kernels`` call it.
+    """
+    (ends, half_weights), n = graph._apply_plan, graph.node_count
+
+    def kernel(values: np.ndarray, d: np.ndarray) -> np.ndarray:
+        r, d = values.take(ends, axis=-1), d.take(ends, axis=-1)
+        flux = half_weights * (r[..., 0, :] + r[..., 1, :]) * (d[..., 1, :] - d[..., 0, :])
+        return _scatter(ends[0], flux, n)
+
+    return kernel
+
+
 # The four kernels below take density rows of shape (..., n), validate
 # nothing, and give a stacked call the same bits as one call per row.
 
@@ -194,20 +210,8 @@ def laplacian_matrices(graph: Graph, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian_apply(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L(rho) x per row, (..., n) -> (..., n): fluxes w theta (x_a - x_b) over the directed edges a -> b, one bincount onto a.
-
-    One gather each of rho and x reads both ends of every edge, tails first.
-    The flux (w/2)(rho_a + rho_b)(x_a - x_b) has the bits of
-    w theta (x_a - x_b): halving is exact unless w or rho_a + rho_b is
-    subnormal. A head's flux is the exact negation of its tail's, so +flux
-    lands at the tails, then -flux at the heads. Rows of ``values`` and ``x``
-    broadcast against each other. The right-hand side of
-    ``fpe_dynamics._flow_kernels`` has a second copy of the flux line.
-    """
-    ends, half_weights = graph._apply_plan
-    r, d = values.take(ends, axis=-1), x.take(ends, axis=-1)
-    flux = half_weights * (r[..., 0, :] + r[..., 1, :]) * (d[..., 0, :] - d[..., 1, :])
-    return _scatter(ends[0], flux, graph.node_count)
+    """L(rho) x per row, (..., n) -> (..., n): :func:`_flux_kernel` at -x; (-x_b) - (-x_a) has the bits of x_a - x_b."""
+    return _flux_kernel(graph)(values, -x)
 
 
 def laplacian_form(graph: Graph, values: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1520,6 +1520,44 @@ def test_a_refused_command_line_value_exits_2_with_one_line(tmp_path, capsys, co
     assert file.read_text() == ""
 
 
+PATH3 = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]}
+
+# name -> (command, the config, or None for a config path that cannot be read, a part of the one-line message)
+CONFIG_FAULTS = {
+    "model-of-another-size": (
+        "gibbs",
+        {**CANONICAL, "model": {"beta": 1.0, "V": [0.0, 0.1, 0.2], "W": np.zeros((3, 3)).tolist()}},
+        "model is 3-dimensional but the graph has 2 nodes",
+    ),
+    "field-row-not-an-edge": (
+        "decompose",
+        {**CANONICAL, "graph": PATH3, "decompose": {"rho": [0.3, 0.3, 0.4], "field": [[1, 3, 1.0]]}},
+        "decompose.field: (1, 3) is not an edge",
+    ),
+    "unreadable-trajectory": ("rates", {**CANONICAL, "rates": {"rho0": [0.9, 0.1], "trajectory": "missing.csv"}},
+                              "cannot read trajectory file"),
+    "unreadable-config": ("gibbs", None, "cannot read"),
+    **{
+        f"simulate-tolerances-{tol:g}": (
+            "simulate",
+            {**CANONICAL, "simulate": {**CANONICAL["simulate"], "rel_tol": tol, "abs_tol": tol}},
+            "invalid simulate options: abs_tol + rel_tol must be at least 1.06e-22",
+        )
+        for tol in (1e-23, 1e-300)
+    },
+}
+
+
+@pytest.mark.parametrize("fault", CONFIG_FAULTS)
+def test_a_refused_config_value_exits_2_with_one_line(tmp_path, capsys, fault):
+    command, config, message = CONFIG_FAULTS[fault]
+    cfg = tmp_path / "missing.json" if config is None else write_config(tmp_path, config)
+    assert run(command, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("graphfpe: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
 EXIT_CODES = [
     *[(name, 2) for name in ("ConfigError", "DimensionMismatch", "NotAnEdge")],
     *[
@@ -1539,17 +1577,35 @@ EXIT_CODES = [
 ]
 
 
-@pytest.mark.parametrize("name, code", EXIT_CODES)
+@pytest.mark.parametrize("name, code", [*EXIT_CODES, ("MemoryError", 2)])
 def test_each_reported_error_class_has_its_exit_code(tmp_path, monkeypatch, capsys, name, code):
     def failing(run):
-        raise getattr(errors, name)("made to fail")
+        raise getattr(errors, name, MemoryError)("made to fail")
 
     monkeypatch.setattr(cli, "cmd_decompose", failing)
     assert run("decompose", write_config(tmp_path, CANONICAL), tmp_path / "out") == code
     assert "graphfpe: made to fail" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [errors.GraphMismatch("unmapped"), OverflowError("unmapped")])
+UNREPORTED = ("SelfLoop", "DuplicateEdge", "NonpositiveWeight", "DisconnectedGraph", "GraphMismatch", "NotSymmetric")
+
+
+def error_classes(base=errors.GraphFpeError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
+
+
+def test_every_error_class_is_reported_or_left_to_propagate():
+    # each class is pinned to its exit code by the test above, or to propagating by the one below
+    assert sorted(cls.__name__ for cls in error_classes()) == sorted([name for name, _ in EXIT_CODES] + [*UNREPORTED])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [errors.GraphMismatch("unmapped"), OverflowError("unmapped")]
+    + [getattr(errors, name)("unmapped") for name in UNREPORTED if name != "GraphMismatch"],
+)
 def test_an_error_without_an_exit_code_propagates(tmp_path, monkeypatch, error):
     def failing(run):
         raise error

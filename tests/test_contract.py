@@ -3,7 +3,9 @@
 A density, tangent vector, potential, model or graph of another size raises
 DimensionMismatch; a boundary density where an interior one is needed
 raises BoundaryDensity. Each case changes exactly one argument of a call
-that succeeds as given.
+that succeeds as given. Values that no entry point accepts whatever the
+size (a matrix for a vector, non-finite entries, beta <= 0, a field of
+another graph, a budget below one) are refused as listed in REFUSALS.
 """
 
 import inspect
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import graphfpe as g
-from graphfpe import BoundaryDensity, Density, DimensionMismatch, EnergyModel, TangentVector
+from graphfpe import BoundaryDensity, Density, DimensionMismatch, EnergyModel, GraphMismatch, TangentVector
 from helpers import k3, path2
 
 A = Density([0.5, 0.3, 0.2])
@@ -176,3 +178,65 @@ def test_messages_name_the_argument():
         g.path_action(k3(), g.DiscretePath((A, EMPTY_NODE, B)))
     with pytest.raises(BoundaryDensity, match=r"lap\.density"):
         g.solve_potential(g.weighted_laplacian(k3(), EMPTY_NODE), TangentVector([1.0, -1.0, 0.0]))
+
+
+def path3():
+    return g.build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+
+
+# name -> (a call refusing one value, the error, a pattern its message matches)
+REFUSALS = {
+    "model-matrix-potential": (
+        lambda: EnergyModel(np.zeros((3, 3)), np.zeros((3, 1)), 1.0), DimensionMismatch, "vector"
+    ),
+    "model-empty-potential": (lambda: EnergyModel(np.zeros((0, 0)), [], 1.0), DimensionMismatch, "vector"),
+    "model-nan-potential": (lambda: EnergyModel(np.zeros((3, 3)), [0.0, np.nan, 0.0], 1.0), ValueError, "non-finite"),
+    "model-inf-interaction": (
+        lambda: EnergyModel(np.diag([0.0, np.inf, 0.0]), np.zeros(3), 1.0), ValueError, "non-finite"
+    ),
+    **{
+        f"model-beta-{beta}": (lambda beta=beta: EnergyModel(np.zeros((3, 3)), np.zeros(3), beta), ValueError, "beta")
+        for beta in (0.0, -1.0, np.nan, np.inf)
+    },
+    "density-matrix": (lambda: Density([[0.5, 0.5]]), ValueError, "nonempty vector"),
+    "potential-empty": (lambda: g.Potential([]), ValueError, "nonempty vector"),
+    "tangent-vector-nan": (lambda: TangentVector([np.nan, 0.0, 0.0]), ValueError, "non-finite"),
+    "potential-inf": (lambda: g.Potential([np.inf, 0.0, 0.0]), ValueError, "non-finite"),
+    "field-of-two-values": (lambda: g.VectorField(k3(), [1.0, 2.0]), DimensionMismatch, "3 edges"),
+    "field-nan": (lambda: g.VectorField(k3(), [1.0, np.nan, 0.0]), ValueError, "non-finite"),
+    "divergence-of-another-graphs-field": (lambda: g.divergence(k3(), A, field(path3())), GraphMismatch, "graph"),
+    "hodge-of-another-graphs-field": (lambda: g.hodge_decompose(k3(), A, field(path3())), GraphMismatch, "graph"),
+    "lsi-count-0": (lambda: g.estimate_lsi_constant(model(3), k3(), A, count=0, seed=1), ValueError, "count"),
+    **{
+        f"lsi-min-mass-{mass:.3g}": (
+            lambda mass=mass: g.estimate_lsi_constant(model(3), k3(), A, count=8, seed=1, min_mass=mass),
+            ValueError,
+            "min_mass",
+        )
+        for mass in (-0.1, 1.0 / 3.0, 0.5)
+    },
+    **{
+        f"gibbs-damping-{damping}": (lambda damping=damping: g.gibbs_fixed_point(model(3), A, damping=damping),
+                                     ValueError, "damping")
+        for damping in (0.0, 1.5, np.nan)
+    },
+    "gibbs-tol-0": (lambda: g.gibbs_fixed_point(model(3), A, tol=0.0), ValueError, "tol"),
+    "equilibria-tol-negative": (lambda: g.find_all_equilibria(model(3), [A], tol=-1.0), ValueError, "tol"),
+    "path-without-segment": (lambda: g.path_action(k3(), g.DiscretePath((A,))), ValueError, "segment"),
+    "w2-K-0": (lambda: g.w2_distance(k3(), A, B, K=0), ValueError, "K >= 1"),
+    **{
+        f"integrate-max-step-{step}": (lambda step=step: g.integrate(model(3), k3(), A, 0.1, max_step=step),
+                                       ValueError, "max_step")
+        for step in (0.0, -1.0, np.nan)
+    },
+    "integrate-tolerances-below-the-floor": (
+        lambda: g.integrate(model(3), k3(), A, 0.1, rel_tol=1e-23, abs_tol=1e-23), ValueError, "abs_tol"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_each_refused_value_raises_its_error(name):
+    call, error, pattern = REFUSALS[name]
+    with pytest.raises(error, match=pattern):
+        call()

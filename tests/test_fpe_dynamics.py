@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,82 @@ def test_integrate_refuses_a_tolerance_or_floor_that_is_not_positive_and_finite(
         integrate(model, g, Density([0.5, 0.3, 0.2]), 5.0, **{name: value})
 
 
+def _found_path():
+    # the 3-node unit path on which rel_tol = abs_tol = 1e-300 spent the whole step budget before it was refused
+    model = EnergyModel(np.zeros((3, 3)), np.array([0.1, -0.2, 0.05]), 1.0)
+    return model, build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)]), Density([0.5, 0.3, 0.2]), 5.0
+
+
+@pytest.mark.parametrize("rel_tol, abs_tol", [(1e-23, 1e-23), (1e-25, 1e-25), (1e-300, 1e-300), (5e-23, 4e-23)])
+def test_integrate_refuses_tolerances_that_floating_point_cannot_meet(rel_tol, abs_tol):
+    with pytest.raises(ValueError, match=r"abs_tol \+ rel_tol must be at least 1.06e-22"):
+        integrate(*_found_path(), rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize(
+    "rel_tol, abs_tol",
+    [(1e-17, 1e-17), (1e-20, 1e-20), (1e-22, 1e-22), (1e-300, 1e-11), (1e-8, 1e-300), (1e-17, 1e-300)],
+)
+def test_integrate_meets_tiny_tolerances_above_the_floor(rel_tol, abs_tol):
+    # only the sum is floored: either tolerance alone may be tiny
+    traj = integrate(*_found_path(), rel_tol=rel_tol, abs_tol=abs_tol, record_every=0)
+    assert traj.times[-1] == 5.0 and traj.accepted_steps < 1000
+
+
+def _attempt_sizes(monkeypatch) -> list:
+    """The step size h of every DOP853 attempt, in order, read where stage 1 scales its increment by h."""
+    sizes, row = [], _STAGE_ROWS[1]
+
+    class Increment:
+        def __init__(self, value):
+            self.value = value
+
+        def __rmul__(self, h):
+            sizes.append(h)
+            return h * self.value
+
+    class StageRow:
+        def __matmul__(self, K):
+            return Increment(row @ K)
+
+    monkeypatch.setattr(fpe_dynamics, "_STAGE_ROWS", (_STAGE_ROWS[0], StageRow(), *_STAGE_ROWS[2:]))
+    return sizes
+
+
+@pytest.mark.parametrize("seed, n", [(12, 12), (14, 5)])
+def test_the_mass_guard_halves_the_step_on_each_rejection(monkeypatch, seed, n):
+    # with no mass drift allowed, a candidate is accepted only where its sum rounds to exactly 1; seed 12
+    # (_nonsymmetric_case) halves its way to a step size underflow, seed 14 ends at t_end
+    monkeypatch.setattr(fpe_dynamics, "_MASS_DRIFT_BUDGET", 0.0)
+    sizes = _attempt_sizes(monkeypatch)
+    model, g, rho0, t_end = _nonsymmetric_case(seed, n)
+    try:
+        traj, last_h = integrate(model, g, rho0, t_end, record_every=1), None
+    except StepSizeUnderflow as exc:
+        traj, last_h = exc.trajectory, float(re.search(r"h=(\S+)\)", str(exc)).group(1))
+        assert last_h == 0.5 * sizes[-1]  # the last rejection halved the step below the floor
+        assert traj.times[-1] < t_end
+    assert (last_h is None) == (seed == 14)
+    mass = traj.rejected_by["mass"]
+    assert mass > 0 and traj.rejected_steps == mass and len(sizes) == traj.accepted_steps + mass
+    # every rejection halves the step the next attempt takes; no accepted step changes it by exactly 1/2
+    assert sum(b == 0.5 * a for a, b in zip(sizes, sizes[1:])) + (last_h is not None) == mass
+    assert all(float(d.values.sum()) == 1.0 for d in traj.densities[1:])
+
+
+def test_the_step_floor_refuses_an_update_below_the_floor_whose_stages_are_above_it():
+    # a real case, from a random search over small models with loose tolerances: the 8th-order update, whose
+    # weights reach -5.8 and 4.5, lands below the floor where no stage point does
+    model = EnergyModel([[1.4, 2.4, 0.4], [2.4, -4.1, 0.1], [0.4, 0.1, -0.3]], [-0.3, 0.0, 0.6], 1.5)
+    g = build_graph(3, [(1, 2, 2.0), (2, 3, 0.6)])
+    traj = integrate(
+        model, g, Density([0.38, 0.54, 0.08]), 3.4, rel_tol=0.1, abs_tol=1e-8, record_every=1, positivity_floor=0.009
+    )
+    assert traj.rejected_by["step_floor"] == 6 and traj.exponential_steps == 0
+    assert traj.times[-1] == 3.4
+    assert min(float(d.values.min()) for d in traj.densities) >= 0.009
+
+
 def test_nonsymmetric_interaction_integrates_without_energy_guard():
     g = path2()
     model_ns = EnergyModel(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros(2), 1.0)
@@ -587,12 +664,12 @@ def test_the_fourth_order_tail_spends_few_steps_on_a_bench_like_ring():
     assert np.max(np.abs(traj.final_density.values - rho_inf.values)) <= 1e-6
 
 
-def _nonsymmetric_case():
+def _nonsymmetric_case(seed=12, n=12):
     # W not symmetric: no tail, the explicit pair end to end
-    rng = np.random.default_rng(12)
-    g = random_connected_graph(rng, 12)
-    W = 0.3 * rng.standard_normal((12, 12))
-    return EnergyModel(W, rng.uniform(-0.5, 0.5, 12), 1.0), g, interior_density(rng, 12), 3.0
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    W = 0.3 * rng.standard_normal((n, n))
+    return EnergyModel(W, rng.uniform(-0.5, 0.5, n), 1.0), g, interior_density(rng, n), 3.0
 
 
 def _weak_switching_setup(seed, n):
@@ -692,9 +769,9 @@ def test_rhs_evaluations_counts_every_row_either_method_evaluates(monkeypatch, m
 
 @pytest.mark.parametrize("seed", range(3))
 def test_flow_kernel_keeps_the_bits_of_the_drift_apply(seed):
-    # f's flux line is a second copy of laplacian_apply's. f is compared with L(rho) applied to the negated
-    # drift, the form it replaced: -L(rho) F has the same values but may sign a zero otherwise. V = 0 with
-    # the uniform row gives all-zero fluxes.
+    # f is laplacian_apply's kernel at the drift, and laplacian_apply is that kernel at -x: f is compared with
+    # L(rho) applied to the negated drift, whose two negations cancel exactly; -L(rho) F has the same values but
+    # may sign a zero otherwise. V = 0 with the uniform row gives all-zero fluxes.
     rng = np.random.default_rng(70 + seed)
     for n in (2, int(rng.integers(3, 40)), 200):
         g = random_connected_graph(rng, n)

@@ -4,6 +4,7 @@ import pytest
 from graphfpe import (
     DisconnectedGraph,
     DuplicateEdge,
+    NoConvergence,
     NonpositiveWeight,
     NotSymmetric,
     SelfLoop,
@@ -12,6 +13,7 @@ from graphfpe import (
     incidence_matrix,
     symmetric_eigen,
 )
+from graphfpe.graph_core import _edge_assembly
 from graphfpe.simplex_calculus import (
     Density,
     Potential,
@@ -22,7 +24,7 @@ from graphfpe.simplex_calculus import (
     laplacian_matrices,
 )
 from graphfpe.wasserstein_metric import _hessian_blocks, _tangent_grad
-from helpers import interior_density, k3, path2, random_connected_graph
+from helpers import interior_density, k3, path2, random_connected_graph, same_bits
 
 
 def test_build_smallest_graph():
@@ -236,6 +238,31 @@ def test_eigen_stack_symmetry_checked_per_matrix():
         symmetric_eigen(np.stack([big, small]))
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((2, 3)))
+
+
+def test_a_lapack_failure_raises_no_convergence(monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        symmetric_eigen(np.eye(3))
+
+
+@pytest.mark.parametrize("head", [-1, 1])
+def test_edge_assembly_sums_each_slot_in_the_order_of_one_layout_per_head(head):
+    # the reference scatters (c, c, -c, -c) onto the slots (i, i), (j, j), (i, j), (j, i) for head -1 and onto
+    # (i, i), (i, j), (j, i), (j, j) for head 1: each diagonal slot sums its tail terms before its head terms
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 7, 30):
+        g = random_connected_graph(rng, n)
+        t, h = g.edge_ends
+        tt, hh, th, ht = t * (n + 1), h * (n + 1), t * n + h, h * n + t
+        slots = np.concatenate((tt, hh, th, ht) if head == -1 else (tt, th, ht, hh))
+        c = rng.standard_normal((3, g.edge_count)) * 10.0 ** rng.uniform(-3, 3, (3, g.edge_count))
+        reference = [np.bincount(slots, np.concatenate((r, r, -r, -r)), n * n).reshape(n, n) for r in c]
+        assert same_bits(_edge_assembly(g, c, head), np.array(reference))
+        assert same_bits(_edge_assembly(g, c[0], head), reference[0])
 
 
 def dense_tangent_grad(D, w, sign):

@@ -12,8 +12,8 @@ from graphfpe import (
     w2_distance,
     w2_metric_checks,
 )
-from graphfpe import simplex_calculus
-from graphfpe.wasserstein_metric import _hessian_blocks, _path_terms, _tangent_grad
+from graphfpe import simplex_calculus, wasserstein_metric
+from graphfpe.wasserstein_metric import _block_tridiagonal_solve, _hessian_blocks, _path_terms, _tangent_grad
 from helpers import interior_density, k3, path2, random_connected_graph
 
 
@@ -311,6 +311,33 @@ def test_newton_eliminates_each_visited_path_once(monkeypatch):
     res = w2_distance(g, a, b, K=8, grad_tol=1e-10)
     assert res.converged and res.backtracks == 0 and res.iterations >= 2
     assert len(calls) == 1 + res.iterations
+
+
+def test_block_cholesky_returns_none_for_a_pivot_that_is_not_positive_definite():
+    diag = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    off = np.array([[[0.0, 0.0], [0.0, 2.0]]])  # the second pivot, diag[1] - off^T diag[0]^-1 off, has -3 in it
+    assert _block_tridiagonal_solve(diag, off, np.ones((2, 2))) is None
+    assert _block_tridiagonal_solve(diag[:1], off[:0], np.ones((1, 2))) is not None
+
+
+@pytest.mark.parametrize(
+    "graph, rho0, rho1",
+    [
+        (path2(), Density([0.3, 0.7]), Density([0.8, 0.2])),
+        (k3(), Density([0.5, 0.3, 0.2]), Density([0.2, 0.3, 0.5])),
+    ],
+    ids=["2-node", "3-node"],
+)
+def test_descent_without_a_newton_step_reaches_the_newton_distance(monkeypatch, graph, rho0, rho1):
+    # with no Newton step, every step is -grad: in 200 of them the distance comes within rounding of Newton's,
+    # but the gradient stays near 1e-7, above grad_tol
+    newton = w2_distance(graph, rho0, rho1, K=4)
+    monkeypatch.setattr(wasserstein_metric, "_block_tridiagonal_solve", lambda diag, off, rhs: None)
+    descent = w2_distance(graph, rho0, rho1, K=4, max_iters=200)
+    assert newton.converged and newton.iterations <= 2
+    assert descent.distance == pytest.approx(newton.distance, abs=1e-13)
+    assert not descent.converged and descent.iterations == 200 and descent.backtracks > 0
+    assert 1e-8 < descent.grad_norm < 1e-5
 
 
 @pytest.mark.xfail(
